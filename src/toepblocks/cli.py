@@ -10,14 +10,13 @@ reported but never flip the exit code.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from .symbols import (
     xi_monomial,
     zpoly,
 )
-from .toeplitz import block_to_csv, operator_to_json, toeplitz_operator
+from .toeplitz import operator_to_json, toeplitz_operator
 
 SCHEMA_VERSION = 1
 
@@ -132,6 +131,13 @@ _CLASS_NAMES = {
 }
 
 
+def _block_index(p: Partition, j, where: str) -> tuple[int, int]:
+    """Validated 1-based block index j and its block size k_j."""
+    if not isinstance(j, int) or not 1 <= j <= p.m:
+        raise ConfigError(f"{where}.j: block index out of range")
+    return j, p.k[j - 1]
+
+
 def build_symbol(p: Partition, doc: dict) -> Symbol:
     """Construct a shipped parametric symbol from its config entry."""
     if not isinstance(doc, dict):
@@ -152,10 +158,7 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
         elif kind == "phi":
             _require_keys(doc, {"kind", "name", "j", "p", "q", "radial"},
                           {"j", "p", "q"}, where)
-            j = doc["j"]
-            if not isinstance(j, int) or not 1 <= j <= p.m:
-                raise ConfigError(f"{where}.j: block index out of range")
-            kj = p.k[j - 1]
+            j, kj = _block_index(p, doc["j"], where)
             pe = _as_int_list(doc["p"], kj, f"{where}.p")
             qe = _as_int_list(doc["q"], kj, f"{where}.q")
             if sum(pe) != sum(qe):
@@ -166,10 +169,7 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
         elif kind == "pseudo":
             _require_keys(doc, {"kind", "name", "j", "s_powers", "t_exp",
                                 "radial"}, {"j", "s_powers", "t_exp"}, where)
-            j = doc["j"]
-            if not isinstance(j, int) or not 1 <= j <= p.m:
-                raise ConfigError(f"{where}.j: block index out of range")
-            kj = p.k[j - 1]
+            j, kj = _block_index(p, doc["j"], where)
             sp = _as_int_list(doc["s_powers"], kj, f"{where}.s_powers")
             te = _as_int_list(doc["t_exp"], kj, f"{where}.t_exp")
             if sum(te) != 0:
@@ -189,10 +189,7 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
         elif kind == "xi_monomial":
             _require_keys(doc, {"kind", "name", "j", "p", "q"},
                           {"j", "p", "q"}, where)
-            j = doc["j"]
-            if not isinstance(j, int) or not 1 <= j <= p.m:
-                raise ConfigError(f"{where}.j: block index out of range")
-            kj = p.k[j - 1]
+            j, kj = _block_index(p, doc["j"], where)
             pe = _as_int_list(doc["p"], kj, f"{where}.p")
             qe = _as_int_list(doc["q"], kj, f"{where}.q")
             sym = xi_monomial(p, j, pe, qe)
@@ -219,9 +216,7 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
             raise ConfigError(f"{where}: unknown kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return Symbol(sym.partition, sym.evaluator, sym.klass, sym.bound,
-                  name=name, radial_profile=sym.radial_profile,
-                  f_payload=sym.f_payload, g_payload=sym.g_payload, j=sym.j)
+    return replace(sym, name=name)
 
 
 _QUAD_KEYS = {"radial_nodes", "torus_nodes", "sphere_nodes", "ball_samples",
@@ -342,7 +337,7 @@ def _write_atomic(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig, jobs: int = 1, with_csv: bool = False) -> int:
+def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -353,13 +348,6 @@ def cmd_build(cfg: RunConfig, jobs: int = 1, with_csv: bool = False) -> int:
         doc["meta"]["resolved_config"] = cfg.resolved
         path = out / f"op_{_safe_name(sym.name)}_lam{lam:g}.json"
         _write_atomic(path, json.dumps(doc, indent=1))
-        if with_csv:
-            for kappa in T.kappas():
-                tag = "_".join(str(v) for v in kappa)
-                cpath = out / f"op_{_safe_name(sym.name)}_lam{lam:g}_k{tag}.csv"
-                buf = io.StringIO()
-                block_to_csv(T, kappa, buf)
-                _write_atomic(cpath, buf.getvalue())
         return path
 
     tasks = [(sym, lam) for sym in cfg.symbols for lam in cfg.lambdas]
@@ -479,12 +467,8 @@ def _run_checks(cfg: RunConfig) -> list:
                     tr = traces[tuple(kappa)][0]
                     tr_err = T.block_errors.get(tuple(kappa), 0.0)
                     d = dim_P(p, kappa)
-                    # deterministic floor: zero-variance integrands (radial
-                    # symbols) collapse the sigma band to a point
-                    floor = 1e-8 * (1.0 + abs(tr))
-                    band1 = max(st.SIGMA_BAND * math.hypot(se1, d * tr_err),
-                                floor)
-                    band12 = max(st.SIGMA_BAND * math.hypot(se1, se2), floor)
+                    band1 = st.sigma_band(math.hypot(se1, d * tr_err), tr)
+                    band12 = st.sigma_band(math.hypot(se1, se2), tr)
                     ok = abs(v1 - tr) <= band1 and abs(v1 - v2) <= band12
                     reports.append(st.StructureReport(
                         check="trace-integral",
@@ -529,7 +513,7 @@ def _run_checks(cfg: RunConfig) -> list:
     return reports
 
 
-def cmd_verify(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = _run_checks(cfg)
@@ -648,8 +632,6 @@ def main(argv=None) -> int:
     shared.add_argument("--config", help="run config (JSON)")
     shared.add_argument("--out", help="output directory")
     shared.add_argument("--seed", type=int, help="override the config seed")
-    shared.add_argument("--jobs", type=int,
-                        help="parallel workers for independent builds")
     parser = argparse.ArgumentParser(
         prog="toepblocks",
         parents=[shared],
@@ -663,20 +645,22 @@ def main(argv=None) -> int:
         ("sequence", "normalized-trace sequence diagnostics"),
         ("witness", "exhibit the designed non-commuting pair"),
     ):
-        sub.add_parser(name, parents=[shared], help=help_text)
+        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        if name == "build":
+            cmd.add_argument("--jobs", type=int, default=1,
+                             help="parallel workers for independent builds")
     args = parser.parse_args(argv)
     config = getattr(args, "config", None)
     out = getattr(args, "out", None)
     seed = getattr(args, "seed", None)
-    jobs = max(1, getattr(args, "jobs", 1))
     try:
         if config is None:
             raise ConfigError("--config is required")
         cfg = load_config(config, seed, out)
         if args.command == "build":
-            return cmd_build(cfg, jobs=jobs)
+            return cmd_build(cfg, jobs=max(1, args.jobs))
         if args.command == "verify":
-            return cmd_verify(cfg, jobs=jobs)
+            return cmd_verify(cfg)
         if args.command == "trace-table":
             return cmd_trace_table(cfg)
         if args.command == "sequence":

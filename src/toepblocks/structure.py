@@ -6,7 +6,7 @@ constancy of the repeated single-block matrix, commutators, trace
 identities against the Haar-averaged symbol, and normalized-trace
 sequences.  Deterministic comparisons use an absolute tolerance; anything
 involving a Monte Carlo estimate is judged against a 5-sigma band of the
-propagated standard error.
+propagated standard error (``sigma_band``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .mindex import (
     Partition,
@@ -26,6 +25,7 @@ from .mindex import (
     split_alpha,
 )
 from .quad import (
+    DETERMINISTIC_TOL,
     QuadratureSpec,
     SIGMA_BAND,
     haar_unitary_batch,
@@ -37,6 +37,7 @@ from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     BlockOperator,
     gamma_quasi_radial,
+    log_slice_prefactor,
     oracle_matrix,
     orthonormal_rows,
     toeplitz_block_oracle,
@@ -67,6 +68,15 @@ class StructureReport:
             "tolerances": _plain(self.tolerances),
             "provenance": _plain(self.provenance),
         }
+
+
+def sigma_band(stderr: float, scale: float) -> float:
+    """SIGMA_BAND-sigma band, floored at the deterministic tolerance.
+
+    The floor, relative to ``scale``, keeps a zero-variance estimate (a
+    constant or radial integrand) from being judged by a zero-width band.
+    """
+    return max(SIGMA_BAND * stderr, DETERMINISTIC_TOL * (1.0 + abs(scale)))
 
 
 def _plain(obj):
@@ -264,11 +274,8 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
     N = int(n_samples if n_samples is not None else spec.haar_samples)
     raw = _haar_radial_values(a, kappa, lam, u_vectors, spec, rng, N)
-    log_pref = p.m * math.log(2.0) + gammaln(p.n + lam + sum(kappa) + 1)
-    log_pref -= gammaln(lam + 1)
-    for kj, cj in zip(p.k, kappa):
-        log_pref -= gammaln(cj + 1) + gammaln(kj)
-    pref = math.exp(log_pref)
+    # dim P_kappa = prod_j C(k_j+kappa_j-1, kappa_j) turns gamma into a trace
+    pref = dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
     vals = pref * raw
     mean = complex(vals.mean())
     se = float(np.sqrt(max(np.mean(np.abs(vals - mean) ** 2), 0.0) / N))
@@ -293,11 +300,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     lhs, lhs_se = _oracle_trace(a, kappa, lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
     raw = _haar_radial_values(a, kappa, lam, u, spec, rng, spec.haar_samples)
-    log_pref = p.m * math.log(2.0) + gammaln(p.n + lam + sum(kappa) + 1)
-    log_pref -= gammaln(lam + 1)
-    for kj, cj in zip(p.k, kappa):
-        log_pref -= gammaln(kj + cj)
-    gamma_vals = math.exp(log_pref) * raw
+    gamma_vals = math.exp(log_slice_prefactor(p, kappa, lam)) * raw
     gam = complex(gamma_vals.mean())
     gam_se = float(np.sqrt(
         max(np.mean(np.abs(gamma_vals - gam) ** 2), 0.0) / spec.haar_samples))
@@ -307,7 +310,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     diff = abs(lhs - rhs)
     return StructureReport(
         check="trace-identity",
-        passed=diff <= SIGMA_BAND * combined,
+        passed=diff <= sigma_band(combined, rhs),
         metrics={
             "block_trace": lhs,
             "block_trace_stderr": lhs_se,
@@ -411,7 +414,7 @@ def equivariance_check(a: Symbol, A: np.ndarray, kappa, lam: float,
     band = math.sqrt(total_var)
     return StructureReport(
         check="equivariance",
-        passed=residual <= SIGMA_BAND * band,
+        passed=residual <= sigma_band(band, np.linalg.norm(Tb, "fro")),
         metrics={"residual": residual, "combined_stderr": band,
                  "sigma_ratio": residual / band if band > 0 else 0.0},
         per_kappa={kappa: {"residual": residual}},

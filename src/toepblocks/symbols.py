@@ -183,6 +183,53 @@ def from_radial_profile(p: Partition, profile, *, bound: float | None = None,
                   name=name, radial_profile=profile)
 
 
+def _from_payload(p: Partition, j: int, payload, coords, form: str, rng,
+                  bound: float | None, name: str) -> Symbol:
+    """Symbol a(z) = payload(r, *coords(xi_(j))) for ``from_f``/``from_g``.
+
+    ``form`` ("f" or "g") names the payload field and the message chart; the
+    common phase acts on the last payload argument (xi for f, t for g).
+    """
+    if not 1 <= j <= p.m:
+        raise ValueError(f"block index {j} out of range 1..{p.m}")
+    labels, on = {"f": (("xi",), ""), "g": (("s", "t"), " on t")}[form]
+    Z = _validation_points(p, _VALIDATION_SAMPLES, rng)
+    r = block_radii(Z, p)
+    args = coords(block_direction(Z, p, j))
+    eta = np.exp(2j * math.pi * rng.random(Z.shape[0]))
+    base = np.asarray(payload(r, *args), dtype=complex)
+    rotated = np.asarray(payload(r, *args[:-1], eta[:, None] * args[-1]),
+                         dtype=complex)
+    dev = np.abs(rotated - base)
+    if not np.all(np.isfinite(base)):
+        raise ValueError(f"{form} payload of {name!r} is non-finite on samples")
+    if np.max(dev) > _VALIDATION_TOL:
+        i = int(np.argmax(dev))
+        at = ", ".join(f"{lb}={x[i]}" for lb, x in zip(labels, args))
+        raise ValueError(
+            f"{form} payload of {name!r} is not phase invariant{on}: deviation "
+            f"{dev[i]:.3e} at r={r[i]}, {at}, eta={eta[i]}"
+        )
+
+    def evaluator(Z):
+        # chart first, radii second: keeps the radii out of the chart's peak
+        args = coords(block_direction(Z, p, j))
+        return np.asarray(payload(block_radii(Z, p), *args), dtype=complex)
+
+    observed = float(np.max(np.abs(base)))
+    klass = kj_quasi_homogeneous(j)
+    profile = None
+    if p.k[j - 1] == 1:
+        # the circle factor equals the full U(1) factor, so this is quasi-radial
+        klass = QUASI_RADIAL
+        profile = lambda r: payload(r, *coords(
+            np.ones((np.atleast_2d(r).shape[0], 1), dtype=complex)))
+    return Symbol(p, evaluator, klass,
+                  bound if bound is not None else observed,
+                  name=name, radial_profile=profile, j=j,
+                  **{f"{form}_payload": payload})
+
+
 def from_f(p: Partition, j: int, f, *, bound: float | None = None,
            name: str = "f-form") -> Symbol:
     """Symbol a(z) = f(r, xi_(j)) with f invariant under a common phase on xi.
@@ -191,82 +238,16 @@ def from_f(p: Partition, j: int, f, *, bound: float | None = None,
     witness point.  For k_j = 1 the common-phase invariance makes the symbol
     quasi-radial and the class label is normalized accordingly.
     """
-    if not 1 <= j <= p.m:
-        raise ValueError(f"block index {j} out of range 1..{p.m}")
-    kj = p.k[j - 1]
-    rng = substream(0, "symbol-validate", name, j)
-    Z = _validation_points(p, _VALIDATION_SAMPLES, rng)
-    r = block_radii(Z, p)
-    xi = block_direction(Z, p, j)
-    eta = np.exp(2j * math.pi * rng.random(Z.shape[0]))
-    base = np.asarray(f(r, xi), dtype=complex)
-    rotated = np.asarray(f(r, eta[:, None] * xi), dtype=complex)
-    dev = np.abs(rotated - base)
-    if not np.all(np.isfinite(base)):
-        raise ValueError(f"f payload of {name!r} is non-finite on samples")
-    if np.max(dev) > _VALIDATION_TOL:
-        i = int(np.argmax(dev))
-        raise ValueError(
-            f"f payload of {name!r} is not phase invariant: deviation "
-            f"{dev[i]:.3e} at r={r[i]}, xi={xi[i]}, eta={eta[i]}"
-        )
-
-    def evaluator(Z):
-        return np.asarray(f(block_radii(Z, p), block_direction(Z, p, j)),
-                          dtype=complex)
-
-    observed = float(np.max(np.abs(base)))
-    klass = kj_quasi_homogeneous(j)
-    profile = None
-    if kj == 1:
-        # the circle factor equals the full U(1) factor, so this is quasi-radial
-        klass = QUASI_RADIAL
-        profile = lambda r: f(r, np.ones((np.atleast_2d(r).shape[0], 1), dtype=complex))
-    return Symbol(p, evaluator, klass,
-                  bound if bound is not None else observed,
-                  name=name, f_payload=f, radial_profile=profile, j=j)
+    return _from_payload(p, j, f, lambda xi: (xi,), "f",
+                         substream(0, "symbol-validate", name, j), bound, name)
 
 
 def from_g(p: Partition, j: int, g, *, bound: float | None = None,
            name: str = "g-form") -> Symbol:
     """Symbol a(z) = g(r, s_(j), t_(j)), g invariant under a common phase on t."""
-    if not 1 <= j <= p.m:
-        raise ValueError(f"block index {j} out of range 1..{p.m}")
-    kj = p.k[j - 1]
-    rng = substream(0, "symbol-validate", name, j, "g")
-    Z = _validation_points(p, _VALIDATION_SAMPLES, rng)
-    r = block_radii(Z, p)
-    s, t = phase_split(block_direction(Z, p, j))
-    eta = np.exp(2j * math.pi * rng.random(Z.shape[0]))
-    base = np.asarray(g(r, s, t), dtype=complex)
-    rotated = np.asarray(g(r, s, eta[:, None] * t), dtype=complex)
-    dev = np.abs(rotated - base)
-    if not np.all(np.isfinite(base)):
-        raise ValueError(f"g payload of {name!r} is non-finite on samples")
-    if np.max(dev) > _VALIDATION_TOL:
-        i = int(np.argmax(dev))
-        raise ValueError(
-            f"g payload of {name!r} is not phase invariant on t: deviation "
-            f"{dev[i]:.3e} at r={r[i]}, s={s[i]}, t={t[i]}, eta={eta[i]}"
-        )
-
-    def evaluator(Z):
-        s, t = phase_split(block_direction(Z, p, j))
-        return np.asarray(g(block_radii(Z, p), s, t), dtype=complex)
-
-    observed = float(np.max(np.abs(base)))
-    klass = kj_quasi_homogeneous(j)
-    profile = None
-    if kj == 1:
-        klass = QUASI_RADIAL
-        profile = lambda r: g(
-            r,
-            np.ones((np.atleast_2d(r).shape[0], 1)),
-            np.ones((np.atleast_2d(r).shape[0], 1), dtype=complex),
-        )
-    return Symbol(p, evaluator, klass,
-                  bound if bound is not None else observed,
-                  name=name, g_payload=g, radial_profile=profile, j=j)
+    return _from_payload(p, j, g, phase_split, "g",
+                         substream(0, "symbol-validate", name, j, "g"), bound,
+                         name)
 
 
 def _is_block_diagonal(A: np.ndarray, p: Partition, tol: float = 1e-12) -> bool:
@@ -407,6 +388,19 @@ def constant_symbol(p: Partition, value: complex = 1.0) -> Symbol:
                                                    complex(value)))
 
 
+def _radial_terms_profile(terms):
+    """Profile r -> sum coeff * prod_j (r_j^2)^powers_j over (coeff, powers)."""
+
+    def profile(r):
+        r2 = np.atleast_2d(np.asarray(r, dtype=float)) ** 2
+        out = np.zeros(r2.shape[0], dtype=complex)
+        for c, pw in terms:
+            out += complex(c) * np.prod(r2 ** np.asarray(pw), axis=1)
+        return out
+
+    return profile
+
+
 def radial_poly(p: Partition, terms, name: str | None = None) -> Symbol:
     """Quasi-radial polynomial in the squared block radii.
 
@@ -418,14 +412,8 @@ def radial_poly(p: Partition, terms, name: str | None = None) -> Symbol:
         if len(pw) != p.m:
             raise ValueError("power vector length must equal m")
 
-    def profile(r):
-        r2 = np.atleast_2d(np.asarray(r, dtype=float)) ** 2
-        out = np.zeros(r2.shape[0], dtype=complex)
-        for c, pw in terms:
-            out += c * np.prod(r2 ** np.asarray(pw), axis=1)
-        return out
-
-    return from_radial_profile(p, profile, name=name or "radial-poly")
+    return from_radial_profile(p, _radial_terms_profile(terms),
+                               name=name or "radial-poly")
 
 
 def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
@@ -446,7 +434,8 @@ def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
         raise ValueError("exponents must be nonnegative")
     if sum(pexp) != sum(qexp):
         raise ValueError("|p| must equal |q| for a phase-invariant factor")
-    terms = list(radial_terms) if radial_terms is not None else None
+    prof = (_radial_terms_profile(list(radial_terms))
+            if radial_terms is not None else None)
 
     def f(r, xi):
         xi = np.atleast_2d(xi)
@@ -456,12 +445,8 @@ def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
                 out = out * xi[:, i] ** pe
             if qe:
                 out = out * np.conj(xi[:, i]) ** qe
-        if terms is not None:
-            r2 = np.atleast_2d(np.asarray(r, dtype=float)) ** 2
-            prof = np.zeros(r2.shape[0], dtype=complex)
-            for c, pw in terms:
-                prof += complex(c) * np.prod(r2 ** np.asarray(pw), axis=1)
-            out = out * prof
+        if prof is not None:
+            out = out * prof(r)
         return out
 
     return from_f(p, j, f, name=name or f"phi[j={j},p={pexp},q={qexp}]")
@@ -485,7 +470,8 @@ def pseudo_factor(p: Partition, j: int, s_powers, t_exp, radial_terms=None,
         raise ValueError("s exponents must be nonnegative")
     if sum(t_exp) != 0:
         raise ValueError("torus exponents must sum to zero")
-    terms = list(radial_terms) if radial_terms is not None else None
+    prof = (_radial_terms_profile(list(radial_terms))
+            if radial_terms is not None else None)
 
     def g(r, s, t):
         s = np.atleast_2d(np.asarray(s, dtype=float))
@@ -494,12 +480,8 @@ def pseudo_factor(p: Partition, j: int, s_powers, t_exp, radial_terms=None,
         for i, c in enumerate(t_exp):
             if c:
                 out = out * t[:, i] ** c
-        if terms is not None:
-            r2 = np.atleast_2d(np.asarray(r, dtype=float)) ** 2
-            prof = np.zeros(r2.shape[0], dtype=complex)
-            for cc, pw in terms:
-                prof += complex(cc) * np.prod(r2 ** np.asarray(pw), axis=1)
-            out = out * prof
+        if prof is not None:
+            out = out * prof(r)
         return out
 
     return from_g(p, j, g, name=name or f"pseudo[j={j},s={s_powers},t={t_exp}]")

@@ -2,13 +2,14 @@
 
 Operators are stored blockwise: one dense complex matrix per isotypic degree
 vector kappa, rows and columns following the graded-lex basis enumeration.
-Four assembly paths exist:
+Three assembly methods exist:
 
 * ``toeplitz_block_oracle`` -- brute-force Monte Carlo against the weighted
   ball measure (works for every bounded symbol, carries standard errors),
 * ``toeplitz_block_f`` / ``toeplitz_block_g`` -- deterministic quadrature of
-  the single-block matrix coefficients for phase-invariant direction
-  payloads, with the off-slice entries exactly zero,
+  the single-block matrix of a phase-invariant payload, f(r, xi) or its
+  modulus/phase chart g(r, s, t) with xi = t * s, on one radial x sphere
+  grid, with the off-slice entries exactly zero,
 * ``gamma_quasi_radial`` + ``assemble_diagonal`` -- scalar action per block
   for symbols that depend on the block radii only.
 
@@ -39,11 +40,10 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     complex_sphere_rule,
-    positive_sphere_rule,
+    phase_split,
     radial_rule,
     sample_ball,
     substream,
-    torus_rule,
 )
 from .symbols import (
     QUASI_RADIAL,
@@ -175,21 +175,17 @@ def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 
 
-def _single_block_prefactor(p: Partition, j: int, kappa, lam: float,
-                            block_basis) -> np.ndarray:
-    """Prefactor matrix for the single-block matrix coefficients."""
-    n, m = p.n, p.m
-    kj = p.k[j - 1]
-    base = (m - 1) * math.log(2.0)
-    base += gammaln(n + lam + sum(kappa) + 1) - gammaln(lam + 1)
-    base -= kj * math.log(math.pi)
-    for l, (kl, cl) in enumerate(zip(p.k, kappa), start=1):
-        if l != j:
-            base -= gammaln(kl + cl)
-    half_lg = np.array(
-        [0.5 * math.log(alpha_factorial(b)) for b in block_basis]
-    )
-    return np.exp(base - half_lg[:, None] - half_lg[None, :])
+def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
+    """log[2^m G(n+lam+|kappa|+1) / (G(lam+1) prod_j G(k_j+kappa_j))].
+
+    The closed-form Gamma prefactor that turns a radial integral against the
+    block weight into a quantity on the slice P_kappa.
+    """
+    log_pref = p.m * math.log(2.0) + gammaln(p.n + lam + sum(kappa) + 1)
+    log_pref -= gammaln(lam + 1)
+    for kj, cj in zip(p.k, kappa):
+        log_pref -= gammaln(kj + cj)
+    return log_pref
 
 
 def _embed_single_block(M: np.ndarray, p: Partition, kappa, j: int) -> np.ndarray:
@@ -217,21 +213,22 @@ def _require_payload(a: Symbol, j: int, which: str):
     return payload
 
 
-def mblock_f(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
-             ) -> np.ndarray:
-    """Single-block matrix of T_a on P_kappa from the direction payload.
+def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
+                         lam: float, spec: QuadratureSpec) -> np.ndarray:
+    """Single-block matrix of a payload symbol on P_kappa.
 
-    Entry [beta_(j), alpha_(j)] carries the quadrature of
-    f(r, xi) xi^alpha_(j) conj(xi)^beta_(j) against the radial weight and
-    the sphere surface measure, times the closed-form prefactor.
+    ``coords`` maps the complex sphere nodes Xi of block j to the payload's
+    arguments after the radii.  Entry [beta_(j), alpha_(j)] carries the
+    quadrature of payload(r, *coords(xi)) xi^alpha_(j) conj(xi)^beta_(j)
+    against the radial weight and the sphere surface measure, times the
+    closed-form prefactor.
     """
-    f = _require_payload(a, j, "f_payload")
-    p = a.partition
     kappa = tuple(int(v) for v in kappa)
     kj = p.k[j - 1]
     block_basis = list(compositions(kappa[j - 1], kj))
     R, wr = radial_rule(p, kappa, spec, lam)
     Xi, wxi = complex_sphere_rule(kj, spec)
+    args = coords(Xi)  # once per grid; tiled below for each radial chunk
     Qx = Xi.shape[0]
     Wx = np.zeros(Qx, dtype=complex)
     r_chunk = max(1, _CHUNK_BUDGET // Qx)
@@ -240,106 +237,62 @@ def mblock_f(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
         wc = wr[start:start + r_chunk]
         nc = Rc.shape[0]
         rr = np.repeat(Rc, Qx, axis=0)
-        xx = np.tile(Xi, (nc, 1))
-        F = np.asarray(f(rr, xx), dtype=complex).reshape(nc, Qx)
-        Wx += wc @ F
+        F = payload(rr, *(np.tile(x, (nc, 1)) for x in args))
+        Wx += wc @ np.asarray(F, dtype=complex).reshape(nc, Qx)
     Wx *= wxi  # radial contraction done; apply sphere weights
     X = _monomial_rows(Xi, block_basis)  # (d_j, Qx)
     inner = (X * Wx) @ np.conj(X.T)  # [alpha, beta]
-    pref = _single_block_prefactor(p, j, kappa, lam, block_basis)
-    return pref * inner.T
+    # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
+    # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)
+    base = log_slice_prefactor(p, kappa, lam) - math.log(2.0)
+    base += gammaln(kj + kappa[j - 1]) - kj * math.log(math.pi)
+    half_lg = np.array(
+        [0.5 * math.log(alpha_factorial(b)) for b in block_basis]
+    )
+    return np.exp(base - half_lg[:, None] - half_lg[None, :]) * inner.T
+
+
+def mblock_f(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
+             ) -> np.ndarray:
+    """Single-block matrix of T_a on P_kappa from the direction payload."""
+    f = _require_payload(a, j, "f_payload")
+    return _single_block_matrix(f, lambda Xi: (Xi,), a.partition, j, kappa,
+                                lam, spec)
 
 
 def mblock_g(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
              ) -> np.ndarray:
-    """Single-block matrix from the modulus/phase payload g(r, s, t).
-
-    Same prefactor as the direction form; the integrand is
-    g(r, s, t) s^(alpha + beta + 1) t^(alpha - beta) over the positive
-    sphere part and the torus.
-    """
+    """Single-block matrix from the modulus/phase payload g(r, s, t)."""
     g = _require_payload(a, j, "g_payload")
-    p = a.partition
-    kappa = tuple(int(v) for v in kappa)
-    kj = p.k[j - 1]
-    kapj = kappa[j - 1]
-    block_basis = list(compositions(kapj, kj))
-    d = len(block_basis)
-    R, wr = radial_rule(p, kappa, spec, lam)
-    S, ws = positive_sphere_rule(kj, spec.sphere_nodes)
-    T, wt = torus_rule(kj, spec.torus_nodes)
-    Qs, Qt = S.shape[0], T.shape[0]
-
-    # contract the radial direction first
-    Wst = np.zeros((Qs, Qt), dtype=complex)
-    r_chunk = max(1, _CHUNK_BUDGET // (Qs * Qt))
-    st_s = np.repeat(S, Qt, axis=0)
-    st_t = np.tile(T, (Qs, 1))
-    for start in range(0, R.shape[0], r_chunk):
-        Rc = R[start:start + r_chunk]
-        wc = wr[start:start + r_chunk]
-        nc = Rc.shape[0]
-        rr = np.repeat(Rc, Qs * Qt, axis=0)
-        sg = np.tile(st_s, (nc, 1))
-        tg = np.tile(st_t, (nc, 1))
-        G = np.asarray(g(rr, sg, tg), dtype=complex).reshape(nc, Qs * Qt)
-        Wst += (wc @ G).reshape(Qs, Qt)
-    Wst = Wst * ws[:, None] * wt[None, :]
-
-    # power tables for s^(a+b+1) and t^(a-b)
-    A = np.asarray(block_basis, dtype=int)  # (d, kj)
-    smax = 2 * kapj + 1
-    spw = np.empty((kj, smax + 1, Qs))
-    spw[:, 0, :] = 1.0
-    for i in range(kj):
-        for e in range(1, smax + 1):
-            spw[i, e] = spw[i, e - 1] * S[:, i]
-    tpw = np.empty((kj, 2 * kapj + 1, Qt), dtype=complex)
-    tpw[:, kapj, :] = 1.0
-    for i in range(kj):
-        for e in range(1, kapj + 1):
-            tpw[i, kapj + e] = tpw[i, kapj + e - 1] * T[:, i]
-            tpw[i, kapj - e] = tpw[i, kapj - e + 1] * np.conj(T[:, i])
-    SP = np.ones((d, d, Qs))
-    TP = np.ones((d, d, Qt), dtype=complex)
-    for i in range(kj):
-        SP *= spw[i][A[None, :, i] + A[:, None, i] + 1]
-        TP *= tpw[i][kapj + A[None, :, i] - A[:, None, i]]
-    inner = np.einsum("bas,st,bat->ba", SP, Wst, TP)
-    pref = _single_block_prefactor(p, j, kappa, lam, block_basis)
-    return pref * inner
+    return _single_block_matrix(g, phase_split, a.partition, j, kappa, lam,
+                                spec)
 
 
 def toeplitz_block_f(a: Symbol, j: int, kappa, lam: float,
                      spec: QuadratureSpec) -> np.ndarray:
     """Full P_kappa block for a direction-payload symbol on block j."""
-    M = mblock_f(a, j, kappa, lam, spec)
-    return _embed_single_block(M, a.partition, tuple(int(v) for v in kappa), j)
+    return _embed_single_block(mblock_f(a, j, kappa, lam, spec), a.partition,
+                               kappa, j)
 
 
 def toeplitz_block_g(a: Symbol, j: int, kappa, lam: float,
                      spec: QuadratureSpec) -> np.ndarray:
     """Full P_kappa block for a modulus/phase-payload symbol on block j."""
-    M = mblock_g(a, j, kappa, lam, spec)
-    return _embed_single_block(M, a.partition, tuple(int(v) for v in kappa), j)
+    return _embed_single_block(mblock_g(a, j, kappa, lam, spec), a.partition,
+                               kappa, j)
 
 
 def gamma_quasi_radial(profile, kappa, lam: float, p: Partition,
                        spec: QuadratureSpec) -> complex:
     """Scalar by which a block-radial symbol acts on the slice P_kappa.
 
-    Equals the closed-form prefactor 2^m G(n+lam+|kappa|+1) /
-    (G(lam+1) prod_j (k_j+kappa_j-1)!) times the radial integral of the
-    profile against the block weight.
+    Equals the closed-form prefactor (``log_slice_prefactor``) times the
+    radial integral of the profile against the block weight.
     """
     kappa = tuple(int(v) for v in kappa)
     R, w = radial_rule(p, kappa, spec, lam)
     vals = np.asarray(profile(R), dtype=complex)
-    log_pref = p.m * math.log(2.0) + gammaln(p.n + lam + sum(kappa) + 1)
-    log_pref -= gammaln(lam + 1)
-    for kj, cj in zip(p.k, kappa):
-        log_pref -= gammaln(kj + cj)
-    return complex(math.exp(log_pref) * (w @ vals))
+    return complex(math.exp(log_slice_prefactor(p, kappa, lam)) * (w @ vals))
 
 
 def assemble_diagonal(gamma, p: Partition, degree: int, lam: float
@@ -455,15 +408,13 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
         op.meta.update(symbol=a.name, seed=spec.seed)
         return op
     blocks, errors, stderrs = {}, {}, {}
-    if a.f_payload is not None and a.j is not None:
-        provenance = "f-form"
+    if a.j is not None and (a.f_payload is not None
+                            or a.g_payload is not None):
+        f_form = a.f_payload is not None
+        provenance = "f-form" if f_form else "g-form"
+        block = toeplitz_block_f if f_form else toeplitz_block_g
         for kappa in enumerate_kappas(p, degree):
-            blocks[kappa] = toeplitz_block_f(a, a.j, kappa, lam, spec)
-            errors[kappa] = DETERMINISTIC_TOL
-    elif a.g_payload is not None and a.j is not None:
-        provenance = "g-form"
-        for kappa in enumerate_kappas(p, degree):
-            blocks[kappa] = toeplitz_block_g(a, a.j, kappa, lam, spec)
+            blocks[kappa] = block(a, a.j, kappa, lam, spec)
             errors[kappa] = DETERMINISTIC_TOL
     else:
         provenance = "oracle"

@@ -186,6 +186,12 @@ class TestVerify:
         assert ctrl and ctrl[0]["expected_fail"] is True
         assert ctrl[0]["passed"] is False  # it leaked, as designed
 
+    def test_jobs_is_a_build_flag(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "verify", "--jobs", "2"])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_genuine_failure_flips_exit(self, tmp_path):
         # declaring an unbalanced direction monomial torus-invariant is a lie
         # the offblock check must catch

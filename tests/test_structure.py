@@ -159,6 +159,12 @@ class TestTraceIdentity:
         with pytest.raises(ValueError):
             trace_identity_check(a, (1, 1), 0.0, FAST)
 
+    def test_zero_variance_band(self):
+        # both sides are exact up to roundoff and their standard errors are
+        # roundoff too: the band must not collapse below the roundoff
+        rep = trace_identity_check(constant_symbol(P22), (0, 0), 0.0, FAST)
+        assert rep.passed
+
 
 class TestTraceIntegral:
     def test_constant_gives_dimension(self):

@@ -135,11 +135,22 @@ class TestReducedFormulas:
         Bg = toeplitz_block_g(ag, 1, kappa, 1.5, FAST)
         assert np.max(np.abs(Bf - Bg)) < 1e-8
 
-    @pytest.mark.parametrize("lam", [0.0, 1.5])
-    def test_f_matches_oracle(self, lam):
-        a = phi_factor(P22, 2, (1, 0), (0, 1),
-                       radial_terms=[(1.0, (0, 0)), (0.5, (1, 0))])
-        B = toeplitz_block_f(a, 2, (1, 1), lam, FAST)
+    @pytest.mark.parametrize("form, lam", [
+        pytest.param("f", 0.0, id="0.0"),
+        pytest.param("f", 1.5, id="1.5"),
+        # the g-form shares the f-form's kernel, so it needs its own
+        # independent reference: the oracle on a g-only payload
+        pytest.param("g", 0.0, id="g-0.0"),
+        pytest.param("g", 1.5, id="g-1.5"),
+    ])
+    def test_f_matches_oracle(self, form, lam):
+        radial = [(1.0, (0, 0)), (0.5, (1, 0))]
+        if form == "f":
+            a = phi_factor(P22, 2, (1, 0), (0, 1), radial_terms=radial)
+            B = toeplitz_block_f(a, 2, (1, 1), lam, FAST)
+        else:
+            a = pseudo_factor(P22, 2, (2, 0), (1, -1), radial_terms=radial)
+            B = toeplitz_block_g(a, 2, (1, 1), lam, FAST)
         rng = substream(0, "f-oracle")
         G, SE = toeplitz_block_oracle(a, (1, 1), lam, FAST, rng)
         assert sigma_close(G, SE, B)
