@@ -17,14 +17,11 @@ from .mindex import (
     split_alpha,
 )
 from .quad import (
-    PolarCoords,
     QuadratureSpec,
-    ball_sampler,
     c_lambda,
     complex_sphere_rule,
     haar_uk_sample,
     haar_unitary,
-    polar_coords,
     positive_sphere_rule,
     radial_rule,
     sample_ball,

@@ -16,7 +16,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +40,13 @@ from .symbols import (
     xi_monomial,
     zpoly,
 )
-from .toeplitz import operator_to_json, toeplitz_operator
+from .toeplitz import assembly_path, operator_to_json, toeplitz_operator
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-_KNOWN_CHECKS = (
-    "offblock",
-    "tensor",
-    "commutators",
-    "trace_identity",
-    "trace_integral",
-    "equivariance",
-    "sequence",
-)
 
 
 class ConfigError(Exception):
@@ -68,14 +58,13 @@ class RunConfig:
     partition: Partition
     lambdas: list
     degree: int
-    symbol_specs: list
     symbols: list
     spec: QuadratureSpec
     checks: list
     seed: int
     output_dir: str
-    extras: dict = field(default_factory=dict)
-    resolved: dict = field(default_factory=dict)
+    extras: dict
+    resolved: dict
 
 
 def _require_keys(doc: dict, allowed: set, required: set, where: str):
@@ -94,6 +83,13 @@ def _as_complex(value, where: str) -> complex:
             and all(isinstance(v, (int, float)) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
+
+
+def _nonneg_int(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{key} must be a nonnegative integer")
+    return value
 
 
 def _as_int_list(value, length: int | None, where: str) -> tuple:
@@ -252,12 +248,8 @@ def parse_config(doc: dict, seed_override: int | None = None,
         raise ConfigError("lambdas must be a non-empty list of numbers")
     if any(not v > -1 for v in lambdas):
         raise ConfigError("every lambda must be > -1")
-    degree = doc["degree"]
-    if not isinstance(degree, int) or degree < 0:
-        raise ConfigError("degree must be a nonnegative integer")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
+    degree = _nonneg_int(doc, "degree")
+    seed = _nonneg_int(doc, "seed", 0)
     if seed_override is not None:
         seed = seed_override
     quad_doc = doc.get("quadrature", {})
@@ -267,17 +259,14 @@ def parse_config(doc: dict, seed_override: int | None = None,
     for key, value in quad_doc.items():
         if not isinstance(value, int) or value < 1:
             raise ConfigError(f"quadrature.{key} must be a positive integer")
-    try:
-        spec = QuadratureSpec(lam=float(lambdas[0]), seed=seed, **quad_doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    checks = doc.get("checks", list(_KNOWN_CHECKS))
+    spec = QuadratureSpec(seed=seed, **quad_doc)
+    checks = doc.get("checks", list(CHECKS))
     if (not isinstance(checks, list)
             or not all(isinstance(c, str) for c in checks)):
         raise ConfigError("checks must be a list of strings")
     for c in checks:
-        if c not in _KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {c!r}; known: {_KNOWN_CHECKS}")
+        if c not in CHECKS:
+            raise ConfigError(f"unknown check {c!r}; known: {tuple(CHECKS)}")
     symbol_docs = doc["symbols"]
     if not isinstance(symbol_docs, list) or not symbol_docs:
         raise ConfigError("symbols must be a non-empty list")
@@ -288,14 +277,19 @@ def parse_config(doc: dict, seed_override: int | None = None,
     out_dir = doc.get("output_dir", "out")
     if out_override is not None:
         out_dir = out_override
-    extras = {k: doc[k] for k in _EXTRA_KEYS if k in doc}
-    if "trace_kappas" in extras:
-        tk = extras["trace_kappas"]
-        if (not isinstance(tk, list)
-                or any(len(_as_int_list(v, p.m, "trace_kappas")) != p.m
-                       for v in tk)):
+    extras = {"equivariance_rotations":
+              _nonneg_int(doc, "equivariance_rotations", 2),
+              "sequence_max_kappa": _nonneg_int(doc, "sequence_max_kappa", 10)}
+    if "trace_kappas" in doc:
+        # the run's operators hold only the slices with |kappa| <= degree
+        tk = doc["trace_kappas"]
+        if not isinstance(tk, list):
             raise ConfigError("trace_kappas must be a list of kappa vectors")
-        extras["trace_kappas"] = [tuple(v) for v in tk]
+        tk = [_as_int_list(v, p.m, "trace_kappas") for v in tk]
+        if any(min(v) < 0 or sum(v) > degree for v in tk):
+            raise ConfigError("trace_kappas entries must be nonnegative "
+                              f"with sum <= degree = {degree}")
+        extras["trace_kappas"] = tk
     resolved = {
         "schema_version": SCHEMA_VERSION,
         "partition": list(p.k),
@@ -306,11 +300,10 @@ def parse_config(doc: dict, seed_override: int | None = None,
         "checks": checks,
         "seed": seed,
         "output_dir": str(out_dir),
-        **{k: doc[k] for k in _EXTRA_KEYS if k in doc},
+        **{k: v for k, v in doc.items() if k in _EXTRA_KEYS},
     }
-    return RunConfig(p, [float(v) for v in lambdas], degree, symbol_docs,
-                     symbols, spec, checks, seed, str(out_dir), extras,
-                     resolved)
+    return RunConfig(p, [float(v) for v in lambdas], degree, symbols, spec,
+                     checks, seed, str(out_dir), extras, resolved)
 
 
 def load_config(path, seed_override=None, out_override=None) -> RunConfig:
@@ -327,6 +320,7 @@ def _safe_name(name: str) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
@@ -339,7 +333,6 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def one(task):
         sym, lam = task
@@ -361,161 +354,165 @@ def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def _deterministic(sym: Symbol) -> bool:
-    return (sym.radial_profile is not None and sym.klass.implies(QUASI_RADIAL)) \
-        or sym.f_payload is not None or sym.g_payload is not None
+def _tm_symbols(cfg: RunConfig) -> list:
+    """The symbols declared block-torus invariant."""
+    return [s for s in cfg.symbols if s.klass.implies(TM_INVARIANT)]
+
+
+# Each check yields StructureReports for one lambda.  ``kappas`` are the
+# run's slices; ``operator_for(sym, lam)`` is the run's shared operator cache.
+
+
+def _check_offblock(cfg, lam, kappas, operator_for):
+    for sym in cfg.symbols:
+        rep = st.offblock_leakage(sym, cfg.partition, cfg.degree, lam, cfg.spec)
+        if not sym.klass.implies(TM_INVARIANT):
+            rep.expected_fail = True
+            rep.metrics["failed_as_expected"] = not rep.passed
+        yield rep
+
+
+def _check_tensor(cfg, lam, kappas, operator_for):
+    for sym in _tm_symbols(cfg):
+        if sym.j is not None and assembly_path(sym) != "oracle":
+            j, control = sym.j, False
+        elif sym.klass.implies(QUASI_RADIAL):
+            j, control = 1, False  # scalar blocks: constant for every j
+        else:
+            # torus-invariant only: constancy is expected to fail
+            j, control = 1, True
+        T = operator_for(sym, lam)
+        per = {kappa: {"residual": st.extract_M(T, j, kappa)[1]}
+               for kappa in kappas}
+        worst = max(v["residual"] for v in per.values())
+        yield st.StructureReport(
+            check="tensor-constancy",
+            passed=worst <= 1e-6,
+            metrics={"max_residual": worst,
+                     **({"failed_as_expected": worst > 1e-6}
+                        if control else {})},
+            per_kappa=per,
+            tolerances={"residual": 1e-6},
+            provenance={"symbol": sym.name, "lambda": lam, "j": j},
+            expected_fail=control,
+        )
+
+
+def _check_commutators(cfg, lam, kappas, operator_for):
+    det = [s for s in cfg.symbols if assembly_path(s) != "oracle"]
+    for i, a in enumerate(det):
+        for b in det[i + 1:]:
+            a_center = a.klass.implies(QUASI_RADIAL)
+            b_center = b.klass.implies(QUASI_RADIAL)
+            different_blocks = (a.j is not None and b.j is not None
+                                and a.j != b.j)
+            should_commute = a_center or b_center or different_blocks
+            norms = st.commutator(operator_for(a, lam), operator_for(b, lam))
+            worst = max(v["frobenius"] for v in norms.values())
+            yield st.StructureReport(
+                check="commutator",
+                passed=(worst <= 1e-6) if should_commute else (worst > 1e-2),
+                metrics={"max_frobenius": worst,
+                         "should_commute": should_commute},
+                per_kappa=norms,
+                tolerances={"commuting": 1e-6, "witness": 1e-2},
+                provenance={"a": a.name, "b": b.name, "lambda": lam},
+                expected_fail=not should_commute,
+            )
+
+
+def _check_trace_identity(cfg, lam, kappas, operator_for):
+    for sym in _tm_symbols(cfg):
+        for kappa in cfg.extras.get("trace_kappas", kappas):
+            yield st.trace_identity_check(sym, kappa, lam, cfg.spec)
+
+
+def _check_trace_integral(cfg, lam, kappas, operator_for):
+    p, spec = cfg.partition, cfg.spec
+    u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
+    u2 = [np.ones(kj, dtype=complex) / math.sqrt(kj) for kj in p.k]
+    for sym in _tm_symbols(cfg):
+        T = operator_for(sym, lam)
+        traces = st.block_traces(T)
+        for kappa in cfg.extras.get("trace_kappas", kappas):
+            v1, se1 = st.trace_integral(sym, kappa, lam, u1, spec)
+            rng2 = substream(spec.seed, "trace-integral-alt", sym.name,
+                             repr(lam), repr(kappa))
+            v2, se2 = st.trace_integral(sym, kappa, lam, u2, spec, rng=rng2)
+            tr = traces[kappa][0]
+            tr_err = T.block_errors.get(kappa, 0.0)
+            d = dim_P(p, kappa)
+            band1 = st.sigma_band(math.hypot(se1, d * tr_err), tr)
+            band12 = st.sigma_band(math.hypot(se1, se2), tr)
+            ok = abs(v1 - tr) <= band1 and abs(v1 - v2) <= band12
+            yield st.StructureReport(
+                check="trace-integral",
+                passed=bool(ok),
+                metrics={"integral_u1": v1, "integral_u2": v2,
+                         "block_trace": tr,
+                         "diff_vs_trace": abs(v1 - tr),
+                         "diff_u1_u2": abs(v1 - v2),
+                         "band_vs_trace": band1,
+                         "band_u1_u2": band12},
+                per_kappa={kappa: {"dim": d}},
+                tolerances={"sigma_band": st.SIGMA_BAND},
+                provenance={"symbol": sym.name, "lambda": lam},
+            )
+
+
+def _check_equivariance(cfg, lam, kappas, operator_for):
+    target = kappas[1] if len(kappas) > 1 else kappas[0]
+    for sym in _tm_symbols(cfg):
+        rng = substream(cfg.spec.seed, "equivariance-rot", sym.name, repr(lam))
+        for _ in range(cfg.extras["equivariance_rotations"]):
+            A = haar_uk_sample(cfg.partition, rng)
+            yield st.equivariance_check(sym, A, target, lam, cfg.spec)
+
+
+def _check_sequence(cfg, lam, kappas, operator_for):
+    if cfg.partition.m != 1:
+        return
+    K = cfg.extras["sequence_max_kappa"]
+    for sym in _tm_symbols(cfg):
+        seq = st.sequence_ST(sym, lam, K, cfg.spec)
+        yield st.StructureReport(
+            check="sequence",
+            passed=True,  # trend-only diagnostic, never gates
+            metrics={"oscillation": seq.oscillation},
+            provenance={"symbol": sym.name, "lambda": lam, "max_kappa": K},
+        )
+
+
+#: config name -> check, in report order
+CHECKS = {
+    "offblock": _check_offblock,
+    "tensor": _check_tensor,
+    "commutators": _check_commutators,
+    "trace_identity": _check_trace_identity,
+    "trace_integral": _check_trace_integral,
+    "equivariance": _check_equivariance,
+    "sequence": _check_sequence,
+}
 
 
 def _run_checks(cfg: RunConfig) -> list:
-    reports = []
-    p, spec, degree = cfg.partition, cfg.spec, cfg.degree
-    kappas = enumerate_kappas(p, degree)
+    kappas = enumerate_kappas(cfg.partition, cfg.degree)
     ops: dict = {}
 
     def operator_for(sym, lam):
         key = (sym.name, lam)
         if key not in ops:
-            ops[key] = toeplitz_operator(sym, p, degree, lam, spec)
+            ops[key] = toeplitz_operator(sym, cfg.partition, cfg.degree, lam,
+                                         cfg.spec)
         return ops[key]
 
-    for lam in cfg.lambdas:
-        if "offblock" in cfg.checks:
-            for sym in cfg.symbols:
-                rep = st.offblock_leakage(sym, p, degree, lam, spec)
-                if not sym.klass.implies(TM_INVARIANT):
-                    rep.expected_fail = True
-                    rep.metrics["failed_as_expected"] = not rep.passed
-                rep.provenance["lambda"] = lam
-                reports.append(rep)
-        if "tensor" in cfg.checks:
-            for sym in cfg.symbols:
-                if not sym.klass.implies(TM_INVARIANT):
-                    continue
-                if sym.j is not None and _deterministic(sym):
-                    j, control = sym.j, False
-                elif sym.klass.implies(QUASI_RADIAL):
-                    j, control = 1, False  # scalar blocks: constant for every j
-                else:
-                    # torus-invariant only: constancy is expected to fail
-                    j, control = 1, True
-                T = operator_for(sym, lam)
-                worst = 0.0
-                per = {}
-                for kappa in kappas:
-                    _, res = st.extract_M(T, j, kappa)
-                    per[kappa] = {"residual": res}
-                    worst = max(worst, res)
-                reports.append(st.StructureReport(
-                    check="tensor-constancy",
-                    passed=worst <= 1e-6,
-                    metrics={"max_residual": worst,
-                             **({"failed_as_expected": worst > 1e-6}
-                                if control else {})},
-                    per_kappa=per,
-                    tolerances={"residual": 1e-6},
-                    provenance={"symbol": sym.name, "lambda": lam, "j": j},
-                    expected_fail=control,
-                ))
-        if "commutators" in cfg.checks:
-            det = [s for s in cfg.symbols if _deterministic(s)]
-            for i, a in enumerate(det):
-                for b in det[i + 1:]:
-                    a_center = a.klass.implies(QUASI_RADIAL)
-                    b_center = b.klass.implies(QUASI_RADIAL)
-                    different_blocks = (a.j is not None and b.j is not None
-                                        and a.j != b.j)
-                    should_commute = a_center or b_center or different_blocks
-                    norms = st.commutator(operator_for(a, lam),
-                                          operator_for(b, lam))
-                    worst = max(v["frobenius"] for v in norms.values())
-                    reports.append(st.StructureReport(
-                        check="commutator",
-                        passed=(worst <= 1e-6) if should_commute
-                        else (worst > 1e-2),
-                        metrics={"max_frobenius": worst,
-                                 "should_commute": should_commute},
-                        per_kappa=norms,
-                        tolerances={"commuting": 1e-6, "witness": 1e-2},
-                        provenance={"a": a.name, "b": b.name, "lambda": lam},
-                        expected_fail=not should_commute,
-                    ))
-        if "trace_identity" in cfg.checks:
-            tk = cfg.extras.get("trace_kappas", kappas)
-            for sym in cfg.symbols:
-                if not sym.klass.implies(TM_INVARIANT):
-                    continue
-                for kappa in tk:
-                    rep = st.trace_identity_check(sym, kappa, lam, spec)
-                    rep.provenance["lambda"] = lam
-                    reports.append(rep)
-        if "trace_integral" in cfg.checks:
-            tk = cfg.extras.get("trace_kappas", kappas)
-            for sym in cfg.symbols:
-                if not sym.klass.implies(TM_INVARIANT):
-                    continue
-                T = operator_for(sym, lam)
-                traces = st.block_traces(T)
-                for kappa in tk:
-                    u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-                    u2 = [np.ones(kj, dtype=complex) / math.sqrt(kj)
-                          for kj in p.k]
-                    v1, se1 = st.trace_integral(sym, kappa, lam, u1, spec)
-                    rng2 = substream(spec.seed, "trace-integral-alt", sym.name,
-                                     repr(lam), repr(kappa))
-                    v2, se2 = st.trace_integral(sym, kappa, lam, u2, spec,
-                                                rng=rng2)
-                    tr = traces[tuple(kappa)][0]
-                    tr_err = T.block_errors.get(tuple(kappa), 0.0)
-                    d = dim_P(p, kappa)
-                    band1 = st.sigma_band(math.hypot(se1, d * tr_err), tr)
-                    band12 = st.sigma_band(math.hypot(se1, se2), tr)
-                    ok = abs(v1 - tr) <= band1 and abs(v1 - v2) <= band12
-                    reports.append(st.StructureReport(
-                        check="trace-integral",
-                        passed=bool(ok),
-                        metrics={"integral_u1": v1, "integral_u2": v2,
-                                 "block_trace": tr,
-                                 "diff_vs_trace": abs(v1 - tr),
-                                 "diff_u1_u2": abs(v1 - v2),
-                                 "band_vs_trace": band1,
-                                 "band_u1_u2": band12},
-                        per_kappa={tuple(kappa): {"dim": d}},
-                        tolerances={"sigma_band": st.SIGMA_BAND},
-                        provenance={"symbol": sym.name, "lambda": lam},
-                    ))
-        if "equivariance" in cfg.checks:
-            n_rot = int(cfg.extras.get("equivariance_rotations", 2))
-            target = kappas[1] if len(kappas) > 1 else kappas[0]
-            for sym in cfg.symbols:
-                if not sym.klass.implies(TM_INVARIANT):
-                    continue
-                rng = substream(spec.seed, "equivariance-rot", sym.name,
-                                repr(lam))
-                for _ in range(n_rot):
-                    A = haar_uk_sample(p, rng)
-                    rep = st.equivariance_check(sym, A, target, lam, spec)
-                    rep.provenance["lambda"] = lam
-                    reports.append(rep)
-        if "sequence" in cfg.checks and p.m == 1:
-            K = int(cfg.extras.get("sequence_max_kappa", 10))
-            for sym in cfg.symbols:
-                if not sym.klass.implies(TM_INVARIANT):
-                    continue
-                seq = st.sequence_ST(sym, lam, K, spec)
-                reports.append(st.StructureReport(
-                    check="sequence",
-                    passed=True,  # trend-only diagnostic, never gates
-                    metrics={"oscillation": seq.oscillation},
-                    provenance={"symbol": sym.name, "lambda": lam,
-                                "max_kappa": K},
-                    expected_fail=False,
-                ))
-    return reports
+    return [rep for lam in cfg.lambdas
+            for name, check in CHECKS.items() if name in cfg.checks
+            for rep in check(cfg, lam, kappas, operator_for)]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     reports = _run_checks(cfg)
     gating = [r for r in reports if not r.expected_fail]
     ok = all(r.passed for r in gating)
@@ -537,22 +534,27 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_trace_table(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    p, spec = cfg.partition, cfg.spec
-    eligible = [s for s in cfg.symbols if s.klass.implies(TM_INVARIANT)]
+def _eligible_symbols(cfg: RunConfig, what: str) -> list:
+    """The block-torus invariant symbols; a note for each one skipped."""
+    eligible = _tm_symbols(cfg)
     for sym in cfg.symbols:
         if sym not in eligible:
-            print(f"skipping {sym.name!r}: trace tables need block-torus "
+            print(f"skipping {sym.name!r}: {what} need block-torus "
                   f"invariant symbols", file=sys.stderr)
     if not eligible:
         raise ConfigError("no block-torus invariant symbols in the config")
+    return eligible
+
+
+def cmd_trace_table(cfg: RunConfig) -> int:
+    out = Path(cfg.output_dir)
+    p, spec = cfg.partition, cfg.spec
+    eligible = _eligible_symbols(cfg, "trace tables")
     for lam in cfg.lambdas:
         for sym in eligible:
             lines = ["kappa,dim,trace_re,trace_im,normalized_re,"
                      "normalized_im,stderr"]
-            if _deterministic(sym):
+            if assembly_path(sym) != "oracle":
                 T = toeplitz_operator(sym, p, cfg.degree, lam, spec)
                 traces = st.block_traces(T)
                 for kappa in T.kappas():
@@ -582,10 +584,10 @@ def cmd_sequence(cfg: RunConfig) -> int:
         raise ConfigError("sequence diagnostics need the single-block "
                           "partition k = (n)")
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    K = int(cfg.extras.get("sequence_max_kappa", 10))
+    K = cfg.extras["sequence_max_kappa"]
+    eligible = _eligible_symbols(cfg, "trace sequences")
     for lam in cfg.lambdas:
-        for sym in cfg.symbols:
+        for sym in eligible:
             seq = st.sequence_ST(sym, lam, K, cfg.spec)
             doc = {"symbol": sym.name, "lambda": lam,
                    "resolved_config": cfg.resolved, **seq.to_dict()}
@@ -603,7 +605,6 @@ def cmd_witness(cfg: RunConfig) -> int:
         raise ConfigError("the non-commutativity witness needs a block of "
                           "size >= 2")
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     a, b = noncommuting_pair(p, big)
     lam = cfg.lambdas[0]
     Ta = toeplitz_operator(a, p, cfg.degree, lam, cfg.spec)
@@ -659,15 +660,9 @@ def main(argv=None) -> int:
         cfg = load_config(config, seed, out)
         if args.command == "build":
             return cmd_build(cfg, jobs=max(1, args.jobs))
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "trace-table":
-            return cmd_trace_table(cfg)
-        if args.command == "sequence":
-            return cmd_sequence(cfg)
-        if args.command == "witness":
-            return cmd_witness(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {"verify": cmd_verify, "trace-table": cmd_trace_table,
+                "sequence": cmd_sequence, "witness": cmd_witness,
+                }[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

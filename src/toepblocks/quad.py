@@ -37,11 +37,15 @@ SIGMA_BAND = 5.0
 class QuadratureSpec:
     """Node counts, sample counts and the seed: the reproducibility contract.
 
-    ``lam`` is the weight exponent recorded for a run; operations that take
-    an explicit ``lam`` argument use that argument.
+    ``radial_nodes`` is the Gauss-Jacobi node count per radial dimension,
+    ``torus_nodes`` the equispaced nodes per torus angle and ``sphere_nodes``
+    the Gauss-Legendre nodes per positive-sphere angle.  ``ball_samples``
+    sets the Monte Carlo effort of the sampling oracle, ``haar_samples`` that
+    of the Haar trace averages, and ``seed`` keys every random substream.
+    The weight exponent is not part of the spec: every operation takes it
+    as an explicit ``lam`` argument.
     """
 
-    lam: float = 0.0
     radial_nodes: int = 24
     torus_nodes: int = 16
     sphere_nodes: int = 24
@@ -50,30 +54,10 @@ class QuadratureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lam > -1:
-            raise ValueError(f"lam must be > -1, got {self.lam}")
-        for name in ("radial_nodes", "torus_nodes", "sphere_nodes"):
+        for name in ("radial_nodes", "torus_nodes", "sphere_nodes",
+                     "ball_samples", "haar_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("ball_samples", "haar_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
-class PolarCoords:
-    """Per-block polar data of points in the ball.
-
-    ``r[q, j]`` is |z_(j)|, ``xi[j]`` the unit direction of block j+1,
-    ``s[j]`` and ``t[j]`` its modulus/phase split xi = t * s componentwise.
-    At r_j = 0 the direction defaults to the first coordinate vector; zero
-    components get phase 1.
-    """
-
-    r: np.ndarray
-    xi: tuple[np.ndarray, ...]
-    s: tuple[np.ndarray, ...]
-    t: tuple[np.ndarray, ...]
 
 
 def block_radii(Z: np.ndarray, p: Partition) -> np.ndarray:
@@ -103,19 +87,6 @@ def phase_split(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.abs(xi)
     t = np.where(s > 0, xi / np.where(s > 0, s, 1.0), 1.0 + 0.0j)
     return s, t
-
-
-def polar_coords(Z: np.ndarray, p: Partition) -> PolarCoords:
-    """Full polar decomposition of row-stacked points."""
-    r = block_radii(Z, p)
-    xi, s, t = [], [], []
-    for j in range(1, p.m + 1):
-        x = block_direction(Z, p, j)
-        sj, tj = phase_split(x)
-        xi.append(x)
-        s.append(sj)
-        t.append(tj)
-    return PolarCoords(r, tuple(xi), tuple(s), tuple(t))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +157,7 @@ def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     return x, w
 
 
-def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float | None = None):
+def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
     """Weighted nodes on tau(B^m) for the radial part of the block integrals.
 
     Returns (R, w) with R of shape (Q, m) such that sum(w * phi(R)) approximates
@@ -198,7 +169,6 @@ def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float | None = N
     (Duffy-type) factorization then turns the weight into a product of
     classical Jacobi weights, one per dimension.
     """
-    lam = spec.lam if lam is None else lam
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
     kappa = tuple(int(v) for v in kappa)
@@ -366,8 +336,3 @@ def sample_ball(n: int, lam: float, size: int, rng: np.random.Generator) -> np.n
     W /= np.linalg.norm(W, axis=1)[:, None]
     return np.sqrt(v)[:, None] * W
 
-
-def ball_sampler(n: int, lam: float, rng: np.random.Generator, batch: int = 65536):
-    """Infinite stream of sample batches from the weighted ball measure."""
-    while True:
-        yield sample_ball(n, lam, batch, rng)

@@ -70,13 +70,14 @@ class StructureReport:
         }
 
 
-def sigma_band(stderr: float, scale: float) -> float:
+def sigma_band(stderr, scale):
     """SIGMA_BAND-sigma band, floored at the deterministic tolerance.
 
     The floor, relative to ``scale``, keeps a zero-variance estimate (a
     constant or radial integrand) from being judged by a zero-width band.
+    Scalars and arrays alike; arrays are banded entrywise.
     """
-    return max(SIGMA_BAND * stderr, DETERMINISTIC_TOL * (1.0 + abs(scale)))
+    return np.maximum(SIGMA_BAND * stderr, DETERMINISTIC_TOL * (1.0 + abs(scale)))
 
 
 def _plain(obj):
@@ -103,9 +104,9 @@ def offblock_leakage(a: Symbol, p: Partition, degree: int, lam: float,
     """Oracle estimate of the cross-slice entries <a e_alpha, e_beta>.
 
     For a block-torus invariant symbol every entry between different slices
-    is zero, so the Monte Carlo estimates must sit inside their 5-sigma
-    bands.  The report records the largest modulus and the largest
-    modulus-to-stderr ratio over the off-block pairs.
+    is zero, so the Monte Carlo estimates must sit inside their bands
+    (``sigma_band``).  The report records the largest modulus and the
+    largest modulus-to-stderr ratio over the off-block pairs.
     """
     rng = rng if rng is not None else substream(
         spec.seed, "offblock", a.name, repr(lam))
@@ -114,12 +115,11 @@ def offblock_leakage(a: Symbol, p: Partition, degree: int, lam: float,
     kappas = [kappa_of(al, p) for al in alphas]
     mask = np.array([[kb != ka for ka in kappas] for kb in kappas])
     off = np.abs(G)[mask]
-    se = np.maximum(SE[mask], 1e-300)
-    ratios = off / se
-    worst = int(np.argmax(ratios)) if ratios.size else 0
-    report = StructureReport(
+    se = SE[mask]
+    ratios = np.divide(off, se, out=np.zeros_like(off), where=se > 0)
+    return StructureReport(
         check="offblock-leakage",
-        passed=bool(np.all(ratios <= SIGMA_BAND)) if ratios.size else True,
+        passed=bool(np.all(off <= sigma_band(se, 0.0))),
         metrics={
             "max_abs": float(off.max()) if off.size else 0.0,
             "max_sigma_ratio": float(ratios.max()) if ratios.size else 0.0,
@@ -129,7 +129,6 @@ def offblock_leakage(a: Symbol, p: Partition, degree: int, lam: float,
         provenance={"symbol": a.name, "lambda": lam, "degree": degree,
                     "samples": spec.ball_samples},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +223,20 @@ def _oracle_trace(a: Symbol, kappa, lam: float, spec: QuadratureSpec, rng):
         done += c
     mean = s1 / N
     var = max(s2 / N - abs(mean) ** 2, 0.0)
-    return mean, math.sqrt(var / N)
+    return complex(mean), math.sqrt(var / N)
 
 
-def _haar_radial_values(a: Symbol, kappa, lam: float, u_vectors,
-                        spec: QuadratureSpec, rng, n_samples: int):
-    """Radial integrals of a(r_1 A_1^{-1}u_1, ...) per Haar sample.
+def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
+                rng, n_samples: int):
+    """Haar-times-radial estimate of tr(T_a | P_kappa) with its standard error.
 
-    Returns the raw weighted radial sums, one per sampled block unitary;
-    prefactors are applied by the callers.
+    Each sampled block unitary A contributes the radial integral of
+    a(r_1 A_1^{-1} u_1, ...), times the slice prefactor and dim P_kappa.
     """
     p = a.partition
     R, w = radial_rule(p, kappa, spec, lam)
     Qr = R.shape[0]
-    vals = np.empty(n_samples, dtype=complex)
+    raw = np.empty(n_samples, dtype=complex)
     chunk = max(1, 2_000_000 // max(Qr, 1))
     done = 0
     while done < n_samples:
@@ -248,9 +247,13 @@ def _haar_radial_values(a: Symbol, kappa, lam: float, u_vectors,
             v = np.conj(np.swapaxes(U, -1, -2)) @ u_vectors[j0]  # A^{-1} u
             Z[:, :, sl] = R[None, :, j0, None] * v[:, None, :]
         av = a(Z.reshape(c * Qr, p.n)).reshape(c, Qr)
-        vals[done:done + c] = av @ w
+        raw[done:done + c] = av @ w
         done += c
-    return vals
+    # dim P_kappa = prod_j C(k_j+kappa_j-1, kappa_j) turns gamma into a trace
+    pref = dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
+    vals = pref * raw
+    mean = complex(vals.mean())
+    return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
 
 def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
@@ -273,13 +276,7 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     rng = rng if rng is not None else substream(
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
     N = int(n_samples if n_samples is not None else spec.haar_samples)
-    raw = _haar_radial_values(a, kappa, lam, u_vectors, spec, rng, N)
-    # dim P_kappa = prod_j C(k_j+kappa_j-1, kappa_j) turns gamma into a trace
-    pref = dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
-    vals = pref * raw
-    mean = complex(vals.mean())
-    se = float(np.sqrt(max(np.mean(np.abs(vals - mean) ** 2), 0.0) / N))
-    return mean, se
+    return _haar_trace(a, kappa, lam, u_vectors, spec, rng, N)
 
 
 def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
@@ -299,14 +296,9 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
         spec.seed, "trace-identity", a.name, repr(lam), repr(kappa))
     lhs, lhs_se = _oracle_trace(a, kappa, lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    raw = _haar_radial_values(a, kappa, lam, u, spec, rng, spec.haar_samples)
-    gamma_vals = math.exp(log_slice_prefactor(p, kappa, lam)) * raw
-    gam = complex(gamma_vals.mean())
-    gam_se = float(np.sqrt(
-        max(np.mean(np.abs(gamma_vals - gam) ** 2), 0.0) / spec.haar_samples))
+    rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng, spec.haar_samples)
     d = dim_P(p, kappa)
-    rhs = d * gam
-    combined = math.hypot(lhs_se, d * gam_se)
+    combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
     return StructureReport(
         check="trace-identity",
@@ -315,12 +307,12 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
             "block_trace": lhs,
             "block_trace_stderr": lhs_se,
             "dim_times_gamma": rhs,
-            "gamma_stderr": gam_se,
+            "gamma_stderr": rhs_se / d,
             "discrepancy": diff,
             "combined_stderr": combined,
             "sigma_ratio": diff / combined if combined > 0 else 0.0,
         },
-        per_kappa={kappa: {"dim": d, "gamma_hat": gam}},
+        per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,
                     "haar_samples": spec.haar_samples,
@@ -402,7 +394,7 @@ def equivariance_check(a: Symbol, A: np.ndarray, kappa, lam: float,
     kappa = tuple(int(v) for v in kappa)
     rng = rng if rng is not None else substream(
         spec.seed, "equivariance", a.name, repr(lam), repr(kappa))
-    R = unitary_action_matrix(A, p, kappa, lam)
+    R = unitary_action_matrix(A, p, kappa)
     Ta, SEa = toeplitz_block_oracle(a, kappa, lam, spec, rng)
     rotated = act(A, a)
     Tb, SEb = toeplitz_block_oracle(rotated, kappa, lam, spec, rng)

@@ -13,7 +13,7 @@ Three assembly methods exist:
 * ``gamma_quasi_radial`` + ``assemble_diagonal`` -- scalar action per block
   for symbols that depend on the block radii only.
 
-``toeplitz_operator`` dispatches on the declared symbol class.
+``toeplitz_operator`` dispatches on ``assembly_path``.
 """
 
 from __future__ import annotations
@@ -306,14 +306,12 @@ def assemble_diagonal(gamma, p: Partition, degree: int, lam: float
     return BlockOperator(p, lam, degree, blocks, "diagonal-gamma", errors)
 
 
-def unitary_action_matrix(A: np.ndarray, p: Partition, kappa,
-                          lam: float = 0.0) -> np.ndarray:
+def unitary_action_matrix(A: np.ndarray, p: Partition, kappa) -> np.ndarray:
     """Matrix of the substitution action f -> f(A^{-1} z) on the slice P_kappa.
 
     A must be block diagonal for the partition so the slice is preserved.
     Within a fixed-degree slice the orthonormal-basis matrix does not depend
-    on lam (the Gamma factors in the norms cancel); the argument is kept for
-    interface symmetry.
+    on the weight exponent: the Gamma factors in the norms cancel.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (p.n, p.n):
@@ -374,7 +372,7 @@ def average_operator(T: BlockOperator, p: Partition, n_samples: int, rng
     for _ in range(int(n_samples)):
         A = haar_uk_sample(p, rng)
         for kappa, B in T.blocks.items():
-            R = unitary_action_matrix(A, p, kappa, T.lam)
+            R = unitary_action_matrix(A, p, kappa)
             acc[kappa] += R @ B @ R.conj().T
     blocks = {kappa: M / n_samples for kappa, M in acc.items()}
     errors = {}
@@ -388,36 +386,47 @@ def average_operator(T: BlockOperator, p: Partition, n_samples: int, rng
                          meta=meta)
 
 
+def assembly_path(a: Symbol) -> str:
+    """The path ``toeplitz_operator`` takes for a symbol; also its provenance.
+
+    ``"diagonal-gamma"`` for quasi-radial symbols with a radial profile,
+    ``"f-form"`` / ``"g-form"`` for direction / modulus-phase payloads on
+    one block, and ``"oracle"`` (the sampling oracle) for everything else.
+    """
+    if a.klass.implies(QUASI_RADIAL) and a.radial_profile is not None:
+        return "diagonal-gamma"
+    if a.j is not None and a.f_payload is not None:
+        return "f-form"
+    if a.j is not None and a.g_payload is not None:
+        return "g-form"
+    return "oracle"
+
+
 def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
                       spec: QuadratureSpec, rng=None) -> BlockOperator:
-    """Assemble all blocks with |kappa| <= degree, choosing the best path.
+    """Assemble all blocks with |kappa| <= degree on the symbol's path.
 
-    Quasi-radial symbols with a radial profile go through the diagonal
-    scalar path, direction/phase payloads through the deterministic
-    single-block quadratures, and everything else through the sampling
-    oracle.  For symbols without block-torus invariance the result is the
-    compression to total degree <= degree and a warning is recorded.
+    The path comes from ``assembly_path``.  For symbols without block-torus
+    invariance the oracle result is the compression to total degree <=
+    degree and a warning is recorded.
     """
     if a.partition != p:
         raise ValueError("symbol partition does not match")
-    warnings = []
-    if a.klass.implies(QUASI_RADIAL) and a.radial_profile is not None:
+    path = assembly_path(a)
+    if path == "diagonal-gamma":
         op = assemble_diagonal(
             lambda kappa: gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec),
             p, degree, lam)
         op.meta.update(symbol=a.name, seed=spec.seed)
         return op
+    warnings = []
     blocks, errors, stderrs = {}, {}, {}
-    if a.j is not None and (a.f_payload is not None
-                            or a.g_payload is not None):
-        f_form = a.f_payload is not None
-        provenance = "f-form" if f_form else "g-form"
-        block = toeplitz_block_f if f_form else toeplitz_block_g
+    if path != "oracle":
+        block = toeplitz_block_f if path == "f-form" else toeplitz_block_g
         for kappa in enumerate_kappas(p, degree):
             blocks[kappa] = block(a, a.j, kappa, lam, spec)
             errors[kappa] = DETERMINISTIC_TOL
     else:
-        provenance = "oracle"
         if not a.klass.implies(TM_INVARIANT):
             warnings.append(
                 "symbol is not declared block-torus invariant: the result is "
@@ -431,7 +440,7 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
             blocks[kappa] = G
             stderrs[kappa] = SE
             errors[kappa] = float(np.max(SE)) if SE.size else 0.0
-    return BlockOperator(p, lam, degree, blocks, provenance, errors, stderrs,
+    return BlockOperator(p, lam, degree, blocks, path, errors, stderrs,
                          meta={"symbol": a.name, "seed": spec.seed,
                                "warnings": warnings})
 

@@ -98,6 +98,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown check"):
             parse_config(base_config(checks=["nonsense"]))
 
+    @pytest.mark.parametrize("command, overrides", [
+        ("verify", {"degree": 1, "trace_kappas": [[2, 2]],
+                    "checks": ["trace_integral"]}),
+        ("verify", {"trace_kappas": [[-1, 0]], "checks": ["trace_identity"]}),
+        ("verify", {"equivariance_rotations": "two",
+                    "checks": ["equivariance"]}),
+        ("sequence", {"sequence_max_kappa": -2}),
+        ("sequence", {"sequence_max_kappa": "x"}),
+    ], ids=["kappa-above-degree", "negative-kappa", "rotations-not-int",
+            "negative-max-kappa", "max-kappa-not-int"])
+    def test_bad_extras_exit_config(self, tmp_path, capsys, command,
+                                    overrides):
+        doc = base_config(output_dir=str(tmp_path / "o"), **overrides)
+        if command == "sequence":
+            doc.update(partition=[2], trace_kappas=[[1]], symbols=[
+                {"name": "one", "kind": "constant", "value": 1.0}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), command]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_build_symbol_kinds(self):
         p = Partition((2, 2))
         h = np.eye(4).tolist()
@@ -192,6 +213,34 @@ class TestVerify:
             main(["--config", str(cfg), "verify", "--jobs", "2"])
         assert exc.value.code == EXIT_CONFIG
 
+    def test_all_checks_in_registry_order(self, tmp_path):
+        checks = ["offblock", "tensor", "commutators", "trace_identity",
+                  "trace_integral", "equivariance", "sequence"]
+        reports = []
+        for name, order in (("fwd", checks), ("rev", checks[::-1])):
+            doc = base_config(
+                output_dir=str(tmp_path / name), partition=[3], degree=2,
+                checks=order, trace_kappas=[[1]], equivariance_rotations=1,
+                sequence_max_kappa=3,
+                quadrature={"ball_samples": 4000, "haar_samples": 100,
+                            "radial_nodes": 6, "sphere_nodes": 6,
+                            "torus_nodes": 6},
+                symbols=[
+                    {"name": "one", "kind": "constant", "value": 1.0},
+                    {"name": "rad", "kind": "radial_poly",
+                     "terms": [{"coeff": 1.0, "powers": [1]}]},
+                    {"name": "phi", "kind": "phi", "j": 1, "p": [1, 0, 0],
+                     "q": [0, 1, 0]},
+                ])
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+            reports.append(json.loads(
+                (tmp_path / name / "verify_report.json").read_text())["reports"])
+        assert list(dict.fromkeys(r["check"] for r in reports[0])) == [
+            "offblock-leakage", "tensor-constancy", "commutator",
+            "trace-identity", "trace-integral", "equivariance", "sequence"]
+        assert reports[0] == reports[1]
+
     def test_genuine_failure_flips_exit(self, tmp_path):
         # declaring an unbalanced direction monomial torus-invariant is a lie
         # the offblock check must catch
@@ -218,13 +267,40 @@ class TestTables:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["--config", str(cfg), "trace-table"]) == EXIT_OK
-        rows = list(csv.DictReader(
-            (tmp_path / "o" / "trace_r2_lam0.csv").open()))
+        with (tmp_path / "o" / "trace_r2_lam0.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 7
         for kap, row in enumerate(rows):
             want = (kap + 1) / (kap + 2)
             assert float(row["normalized_re"]) == pytest.approx(want, abs=1e-9)
             assert float(row["dim"]) == 1
+
+    def test_trace_table_oracle_rows_are_numbers(self, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "partition": [1, 1],
+            "lambdas": [0.0],
+            "degree": 1,
+            "quadrature": {"ball_samples": 4000},
+            "symbols": [{"name": "z", "kind": "zpoly", "declared_class": "tm",
+                         "terms": [{"coeff": 1.0, "z": [1, 0],
+                                    "zbar": [1, 0]}]}],
+            "output_dir": str(tmp_path / "o"),
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "trace-table"]) == EXIT_OK
+        with (tmp_path / "o" / "trace_z_lam0.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            for key in ("trace_re", "trace_im", "normalized_re",
+                        "normalized_im"):
+                float(row[key])
+            assert float(row["stderr"]) > 0  # sampled by the oracle
+        # <|z_1|^2 e_0, e_0> = E|z_1|^2 = 1/3 on the unweighted ball of C^2
+        first = rows[0]
+        assert abs(float(first["trace_re"]) - 1 / 3) \
+            <= 5 * float(first["stderr"])
 
     def test_sequence_command(self, tmp_path):
         doc = {
@@ -241,6 +317,24 @@ class TestTables:
         data = json.loads(
             (tmp_path / "o" / "sequence_one_lam0.json").read_text())
         assert all(abs(v[0] - 1.0) < 1e-10 for v in data["values"])
+
+    def test_sequence_skips_non_invariant_symbols(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "partition": [2],
+            "lambdas": [0.0],
+            "degree": 2,
+            "sequence_max_kappa": 2,
+            "symbols": [{"name": "one", "kind": "constant", "value": 1.0},
+                        {"name": "ctrl", "kind": "xi_monomial", "j": 1,
+                         "p": [1, 0], "q": [0, 0]}],
+            "output_dir": str(tmp_path / "o"),
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "sequence"]) == EXIT_OK
+        assert "skipping 'ctrl'" in capsys.readouterr().err
+        assert sorted(f.name for f in (tmp_path / "o").iterdir()) \
+            == ["sequence_one_lam0.json"]
 
     def test_sequence_rejects_multi_block(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

@@ -191,43 +191,31 @@ def test_substreams_reproducible_and_distinct():
 
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(lam=-1.0)
-    with pytest.raises(ValueError):
         QuadratureSpec(radial_nodes=0)
     with pytest.raises(ValueError):
         QuadratureSpec(ball_samples=0)
 
 
 def test_polar_coords_invariants():
-    from toepblocks import polar_coords
+    from toepblocks.quad import block_direction, block_radii, phase_split
 
     p = Partition((1, 2))
     rng = substream(0, "polar")
     Z = sample_ball(p.n, 0.0, 500, rng)
-    pc = polar_coords(Z, p)
-    assert np.all(np.sum(pc.r**2, axis=1) < 1.0)
-    for j in range(p.m):
-        assert np.linalg.norm(pc.xi[j], axis=1) == pytest.approx(
+    r = block_radii(Z, p)
+    assert np.all(np.sum(r**2, axis=1) < 1.0)
+    for j in range(1, p.m + 1):
+        xi = block_direction(Z, p, j)
+        s, t = phase_split(xi)
+        assert np.linalg.norm(xi, axis=1) == pytest.approx(
             np.ones(len(Z)), abs=1e-12)
-        assert np.max(np.abs(pc.t[j] * pc.s[j] - pc.xi[j])) < 1e-14
-        assert np.all(pc.s[j] >= 0)
-        assert np.abs(pc.t[j]) == pytest.approx(np.ones_like(pc.s[j]),
-                                                abs=1e-12)
+        assert np.max(np.abs(t * s - xi)) < 1e-14
+        assert np.all(s >= 0)
+        assert np.abs(t) == pytest.approx(np.ones_like(s), abs=1e-12)
     # degenerate block radius falls back to the first coordinate direction
     Z0 = np.zeros((1, 3), dtype=complex)
-    pc0 = polar_coords(Z0, p)
-    assert pc0.xi[1][0, 0] == 1.0 and pc0.xi[1][0, 1] == 0.0
-
-
-def test_ball_sampler_stream():
-    from toepblocks import ball_sampler
-
-    gen = ball_sampler(2, 1.0, substream(0, "stream"), batch=128)
-    first = next(gen)
-    second = next(gen)
-    assert first.shape == (128, 2) and second.shape == (128, 2)
-    assert not np.array_equal(first, second)
-    assert np.all(np.linalg.norm(first, axis=1) < 1)
+    xi0 = block_direction(Z0, p, 2)
+    assert xi0[0, 0] == 1.0 and xi0[0, 1] == 0.0
 
 
 def test_haar_unitary_batch_matches_contract():
