@@ -8,12 +8,22 @@ Three assembly methods exist:
   ball measure (works for every bounded symbol, carries standard errors),
 * ``toeplitz_block_f`` / ``toeplitz_block_g`` -- deterministic quadrature of
   the single-block matrix of a phase-invariant payload, f(r, xi) or its
-  modulus/phase chart g(r, s, t) with xi = t * s, on one radial x sphere
-  grid, with the off-slice entries exactly zero,
+  modulus/phase chart g(r, s, t) with xi = t * s, on one radial x
+  phase-reduced sphere grid, with the off-slice entries exactly zero,
 * ``gamma_quasi_radial`` + ``assemble_diagonal`` -- scalar action per block
   for symbols that depend on the block radii only.
 
 ``toeplitz_operator`` dispatches on ``assembly_path``.
+
+Phase reduction: a payload on block j is invariant under a common phase on
+xi_(j) (``_require_payload`` demands the class ``kj_quasi_homogeneous(j)``,
+which ``symbols.from_f``/``from_g`` check on samples), and so is the
+single-block integrand payload * xi^alpha * conj(xi)^beta with |alpha| =
+|beta| = kappa_j.  The common phases exp(2 pi i l / torus_nodes) map the
+equispaced torus grid onto itself, and each of their orbits holds exactly one
+node with t_1 = 1, so on such an integrand the full sphere rule's sum equals
+torus_nodes times the sum over its t_1 = 1 slice, exactly up to roundoff:
+the kernel integrates over that slice only.
 """
 
 from __future__ import annotations
@@ -222,12 +232,25 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     quadrature of payload(r, *coords(xi)) xi^alpha_(j) conj(xi)^beta_(j)
     against the radial weight and the sphere surface measure, times the
     closed-form prefactor.
+
+    The payload must be invariant under a common phase on xi (the class
+    ``kj_quasi_homogeneous(j)``); one that is not is integrated wrongly.
+    The sphere rule is phase-reduced: of ``complex_sphere_rule``'s nodes
+    only those with t_1 = 1 are kept, weights times torus_nodes.  The common
+    torus phases permute the full rule's nodes, leave the integrand
+    unchanged and meet t_1 = 1 once per orbit, so the full and the reduced
+    sums agree up to roundoff.
     """
     kappa = tuple(int(v) for v in kappa)
     kj = p.k[j - 1]
     block_basis = list(compositions(kappa[j - 1], kj))
     R, wr = radial_rule(p, kappa, spec, lam)
     Xi, wxi = complex_sphere_rule(kj, spec)
+    # per positive-sphere node keep the torus nodes with t_1 = 1 (the first
+    # angle varies slowest), each standing for its Q_t-node orbit
+    Qt = spec.torus_nodes
+    keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
+    Xi, wxi = Xi[keep], wxi[keep] * Qt
     args = coords(Xi)  # once per grid; tiled below for each radial chunk
     Qx = Xi.shape[0]
     Wx = np.zeros(Qx, dtype=complex)

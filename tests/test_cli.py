@@ -119,6 +119,14 @@ class TestConfigValidation:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
+        assert main(["--config", str(cfg), "--seed", "-5", "build"]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: seed must be a nonnegative integer" in err
+        assert not (tmp_path / "o").exists()
+
     def test_build_symbol_kinds(self):
         p = Partition((2, 2))
         h = np.eye(4).tolist()
@@ -240,6 +248,28 @@ class TestVerify:
             "offblock-leakage", "tensor-constancy", "commutator",
             "trace-identity", "trace-integral", "equivariance", "sequence"]
         assert reports[0] == reports[1]
+
+    def test_sequence_skipped_on_multi_block_with_note(self, tmp_path,
+                                                       capsys):
+        # one stderr note per run; stdout, reports and exit code are those
+        # of the same run without the sequence check
+        runs = []
+        for name, checks in (("seq", ["offblock", "sequence"]),
+                             ("plain", ["offblock"])):
+            doc = base_config(output_dir=str(tmp_path / name),
+                              partition=[2, 2], lambdas=[0.0, 1.0],
+                              checks=checks)
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            code = main(["--config", str(cfg), "verify"])
+            report = json.loads(
+                (tmp_path / name / "verify_report.json").read_text())
+            runs.append((code, report["passed"], report["reports"],
+                         capsys.readouterr()))
+        (code, passed, reports, out), (code0, passed0, reports0, out0) = runs
+        assert (code, passed, reports) == (code0, passed0, reports0)
+        assert out.out == out0.out and out0.err == ""
+        assert out.err.count("skipping check 'sequence'") == 1
+        assert "m = 1" in out.err
 
     def test_genuine_failure_flips_exit(self, tmp_path):
         # declaring an unbalanced direction monomial torus-invariant is a lie

@@ -18,6 +18,7 @@ from toepblocks import (
     gamma_quasi_radial,
     haar_uk_sample,
     mblock_f,
+    mblock_g,
     monomial_norm_sq,
     noncommuting_pair,
     operator_from_json,
@@ -34,8 +35,14 @@ from toepblocks import (
     unitary_action_matrix,
     xi_monomial,
 )
+from toepblocks.mindex import compositions
 from toepblocks.quad import SIGMA_BAND
-from toepblocks.toeplitz import block_to_csv, load_operator, save_operator
+from toepblocks.toeplitz import (
+    block_to_csv,
+    load_operator,
+    log_slice_prefactor,
+    save_operator,
+)
 
 P22 = Partition((2, 2))
 P12 = Partition((1, 2))
@@ -45,6 +52,41 @@ FAST = QuadratureSpec(ball_samples=40_000, radial_nodes=16, sphere_nodes=16,
 
 def sigma_close(G, SE, target, band=SIGMA_BAND):
     return np.all(np.abs(G - target) <= band * np.maximum(SE, 1e-300))
+
+
+def _sphere_st_integral(k, s_exp, t_exp):
+    """Integral of s^s_exp t^t_exp over the unit sphere of C^k, xi = t * s.
+
+    The torus integral vanishes unless t_exp == 0; then s_exp must be even
+    and the integrand is |xi^mu|^2 with mu = s_exp / 2.
+    """
+    if np.any(t_exp):
+        return 0.0
+    assert not np.any(np.asarray(s_exp) % 2), s_exp
+    mu = tuple(int(e) // 2 for e in s_exp)
+    return sphere_monomial_integral(k, mu, mu)
+
+
+def _closed_form_single_block(p, j, kappa, lam, basis, st_exponents):
+    """Exact single-block matrix of a radial-profile-1 payload on P_kappa.
+
+    Entry [beta, alpha] is the sphere integral of payload * xi^alpha *
+    conj(xi)^beta over the norms of xi^alpha and xi^beta on the sphere,
+    times the radial Beta (Dirichlet) integral of the block weight and the
+    slice prefactor; ``st_exponents(alpha, beta)`` gives that integrand's
+    s and t exponents.
+    """
+    kj = p.k[j - 1]
+    radial = -p.m * math.log(2.0) + math.lgamma(lam + 1)
+    radial += sum(math.lgamma(kl + cl) for kl, cl in zip(p.k, kappa))
+    radial -= math.lgamma(p.n + sum(kappa) + lam + 1)
+    scale = math.exp(log_slice_prefactor(p, kappa, lam) + radial)
+    norm = {al: sphere_monomial_integral(kj, al, al) for al in basis}
+    return np.array([[
+        scale * _sphere_st_integral(kj, *st_exponents(np.array(al),
+                                                      np.array(be)))
+        / math.sqrt(norm[al] * norm[be])
+        for al in basis] for be in basis])
 
 
 class TestMonomialNorms:
@@ -154,6 +196,55 @@ class TestReducedFormulas:
         rng = substream(0, "f-oracle")
         G, SE = toeplitz_block_oracle(a, (1, 1), lam, FAST, rng)
         assert sigma_close(G, SE, B)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    @pytest.mark.parametrize("k, j, kappas", [
+        ((3,), 1, [(0,), (3,), (8,)]),
+        ((2, 2), 2, [(0, 0), (1, 1), (3, 0), (0, 4), (2, 2)]),
+        ((1, 2), 2, [(0, 1), (2, 0), (1, 3)]),
+    ])
+    def test_single_block_matrix_closed_form(self, k, j, kappas, lam):
+        # one xi-monomial (f-form) and one s/t-monomial (g-form) per block,
+        # radial profile 1; s and t exponents share their parities so that
+        # every nonzero sphere moment is an even one
+        p, kj, spec = Partition(k), k[j - 1], QuadratureSpec()
+        (fp, fq), (gs, gt) = {
+            3: (((1, 0, 1), (0, 2, 0)), ((1, 1, 2), (1, -1, 0))),
+            2: (((2, 0), (1, 1)), ((1, 3), (1, -1))),
+        }[kj]
+        f_sym, g_sym = phi_factor(p, j, fp, fq), pseudo_factor(p, j, gs, gt)
+
+        # s and t exponents of payload * xi^alpha * conj(xi)^beta
+        def f_st(al, be):
+            return np.add(fp, fq) + al + be, np.subtract(fp, fq) + al - be
+
+        def g_st(al, be):
+            return np.add(gs, al) + be, np.add(gt, al) - be
+
+        for kappa in kappas:
+            basis = list(compositions(kappa[j - 1], kj))
+            for sym, block, st in ((f_sym, mblock_f, f_st),
+                                   (g_sym, mblock_g, g_st)):
+                want = _closed_form_single_block(p, j, kappa, lam, basis, st)
+                got = block(sym, j, kappa, lam, spec)
+                assert np.max(np.abs(got - want)) <= 1e-12, (sym.name, kappa)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_single_block_matrix_circle_block(self, lam):
+        # k_j = 1: the phase-reduced torus is one node of weight 2 pi and
+        # every phase-invariant payload is a function of r only
+        a = phi_factor(P12, 1, (2,), (2,), radial_terms=[(1.0, (1, 0))])
+        for kappa in [(0, 0), (2, 1), (3, 2)]:
+            M = mblock_f(a, 1, kappa, lam, FAST)
+            want = gamma_quasi_radial(lambda r: np.atleast_2d(r)[:, 0] ** 2,
+                                      kappa, lam, P12, FAST)
+            # the mean of r_1^2 under the radial weight, a ratio of two
+            # Dirichlet integrals: (k_1 + kappa_1) / (n + |kappa| + lam + 1)
+            assert want == pytest.approx((1 + kappa[0])
+                                         / (3 + sum(kappa) + lam + 1),
+                                         abs=1e-13)
+            assert M.shape == (1, 1)
+            assert abs(M[0, 0] - want) <= 1e-13
 
     def test_wrong_class_rejected(self):
         a = xi_monomial(P22, 1, (1, 0), (0, 0))
