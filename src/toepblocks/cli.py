@@ -76,25 +76,34 @@ def _require_keys(doc: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing keys {sorted(missing)} in {where}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; booleans are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_real(v) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair")
 
 
 def _nonneg_int(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _is_int(value) or value < 0:
         raise ConfigError(f"{key} must be a nonnegative integer")
     return value
 
 
 def _as_int_list(value, length: int | None, where: str) -> tuple:
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
         raise ConfigError(f"{where}: expected a list of integers")
     if length is not None and len(value) != length:
         raise ConfigError(f"{where}: expected length {length}, got {len(value)}")
@@ -129,7 +138,7 @@ _CLASS_NAMES = {
 
 def _block_index(p: Partition, j, where: str) -> tuple[int, int]:
     """Validated 1-based block index j and its block size k_j."""
-    if not isinstance(j, int) or not 1 <= j <= p.m:
+    if not _is_int(j) or not 1 <= j <= p.m:
         raise ConfigError(f"{where}.j: block index out of range")
     return j, p.k[j - 1]
 
@@ -236,15 +245,15 @@ def parse_config(doc: dict, seed_override: int | None = None,
             f"this build understands {SCHEMA_VERSION}")
     part = doc["partition"]
     if (not isinstance(part, list) or not part
-            or not all(isinstance(v, int) and v >= 1 for v in part)):
+            or not all(_is_int(v) and v >= 1 for v in part)):
         raise ConfigError("partition must be a list of positive integers")
     p = Partition(tuple(part))
-    if "n" in doc and doc["n"] != p.n:
+    if "n" in doc and (not _is_int(doc["n"]) or doc["n"] != p.n):
         raise ConfigError(
             f"partition entries sum to {p.n} but n = {doc['n']} was declared")
     lambdas = doc["lambdas"]
     if (not isinstance(lambdas, list) or not lambdas
-            or not all(isinstance(v, (int, float)) for v in lambdas)):
+            or not all(_is_real(v) for v in lambdas)):
         raise ConfigError("lambdas must be a non-empty list of numbers")
     if any(not v > -1 for v in lambdas):
         raise ConfigError("every lambda must be > -1")
@@ -257,7 +266,7 @@ def parse_config(doc: dict, seed_override: int | None = None,
         raise ConfigError("quadrature must be an object")
     _require_keys(quad_doc, _QUAD_KEYS, set(), "quadrature")
     for key, value in quad_doc.items():
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigError(f"quadrature.{key} must be a positive integer")
     spec = QuadratureSpec(seed=seed, **quad_doc)
     checks = doc.get("checks", list(CHECKS))

@@ -4,8 +4,10 @@ Operators are stored blockwise: one dense complex matrix per isotypic degree
 vector kappa, rows and columns following the graded-lex basis enumeration.
 Three assembly methods exist:
 
-* ``toeplitz_block_oracle`` -- brute-force Monte Carlo against the weighted
-  ball measure (works for every bounded symbol, carries standard errors),
+* ``oracle_matrix`` / ``toeplitz_block_oracle`` -- brute-force Monte Carlo
+  against the weighted ball measure (works for every bounded symbol,
+  carries standard errors); an oracle operator draws one sample set and
+  estimates every slice block from it,
 * ``toeplitz_block_f`` / ``toeplitz_block_g`` -- deterministic quadrature of
   the single-block matrix of a phase-invariant payload, f(r, xi) or its
   modulus/phase chart g(r, s, t) with xi = t * s, on one radial x
@@ -138,26 +140,44 @@ class BlockOperator:
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-_CHUNK_BUDGET = 4_000_000  # complex numbers per evaluation chunk
+_ORACLE_CHUNK = 400_000  # monomial-row-table entries per sampling chunk
 
 
 def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
-                  rng, n_samples: int | None = None):
+                  rng, n_samples: int | None = None, *, sizes=None):
     """Monte Carlo estimate of the Gram-type matrix <a e_alpha, e_beta>.
 
     Entries are expectations of a(z) e_alpha(z) conj(e_beta(z)) under the
     normalized weighted ball measure.  Returns (mean, stderr) with stderr
     the entrywise standard error of the mean.
+
+    ``sizes`` splits ``alphas`` (which must then equal ``betas``) into
+    consecutive slices, and only the square diagonal blocks are estimated:
+    the result is a list of (mean, stderr) pairs, one per slice.  Every
+    block comes from the same draws; each chunk of ball samples is drawn,
+    evaluated by the symbol and turned into monomial rows once for all
+    slices.  Each entry is still the mean of the same estimator over N
+    samples, so its distribution is unchanged; blocks of different slices
+    are correlated.  A chunk holds about ``_ORACLE_CHUNK`` row-table entries.
     """
     p = a.partition
     alphas = [tuple(al) for al in alphas]
     betas = [tuple(be) for be in betas]
     same = alphas == betas
+    if sizes is None:
+        cuts = [(slice(0, len(betas)), slice(0, len(alphas)))]
+    elif same and sum(sizes) == len(alphas):
+        ends = np.cumsum(sizes, dtype=int)
+        cuts = [(slice(e - d, e),) * 2 for d, e in zip(sizes, ends)]
+    else:
+        raise ValueError("sizes must split alphas, and betas must equal "
+                         "alphas")
     N = int(n_samples if n_samples is not None else spec.ball_samples)
-    rows = max(len(alphas), len(betas), 1)
-    chunk = max(1024, min(N, _CHUNK_BUDGET // rows))
-    S1 = np.zeros((len(betas), len(alphas)), dtype=complex)
-    S2 = np.zeros((len(betas), len(alphas)))
+    rows = len(alphas) + (0 if same else len(betas))
+    chunk = max(1024, min(N, _ORACLE_CHUNK // max(rows, 1)))
+    S1 = [np.zeros((rb.stop - rb.start, ca.stop - ca.start), dtype=complex)
+          for rb, ca in cuts]
+    S2 = [np.zeros(s.shape) for s in S1]
     done = 0
     while done < N:
         c = min(chunk, N - done)
@@ -165,12 +185,19 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
         av = a(Z)
         Ea = orthonormal_rows(Z, alphas, p.n, lam)
         Eb = Ea if same else orthonormal_rows(Z, betas, p.n, lam)
-        S1 += np.conj(Eb) @ (av[:, None] * Ea.T)
-        S2 += np.abs(Eb) ** 2 @ (np.abs(av[:, None]) ** 2 * np.abs(Ea.T) ** 2)
+        aEa = av * Ea  # (len(alphas), c)
+        Pb = np.abs(Eb) ** 2
+        Pa = np.abs(av) ** 2 * (Pb if same else np.abs(Ea) ** 2)
+        for (rb, ca), s1, s2 in zip(cuts, S1, S2):
+            s1 += np.conj(Eb[rb]) @ aEa[ca].T
+            s2 += Pb[rb] @ Pa[ca].T
         done += c
-    mean = S1 / N
-    var = np.maximum(S2 / N - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / N)
+    out = []
+    for s1, s2 in zip(S1, S2):
+        mean = s1 / N
+        var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
+        out.append((mean, np.sqrt(var / N)))
+    return out if sizes is not None else out[0]
 
 
 def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
@@ -183,6 +210,8 @@ def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 # deterministic single-block paths
 # ---------------------------------------------------------------------------
+
+_CHUNK_BUDGET = 4_000_000  # complex numbers per kernel evaluation chunk
 
 
 def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
@@ -254,7 +283,9 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     args = coords(Xi)  # once per grid; tiled below for each radial chunk
     Qx = Xi.shape[0]
     Wx = np.zeros(Qx, dtype=complex)
-    r_chunk = max(1, _CHUNK_BUDGET // Qx)
+    # a radial chunk holds the radii, the tiled coordinates and the payload
+    cols = R.shape[1] + sum(x.shape[1] for x in args) + 1
+    r_chunk = max(1, _CHUNK_BUDGET // (Qx * cols))
     for start in range(0, R.shape[0], r_chunk):
         Rc = R[start:start + r_chunk]
         wc = wr[start:start + r_chunk]
@@ -263,8 +294,12 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
         F = payload(rr, *(np.tile(x, (nc, 1)) for x in args))
         Wx += wc @ np.asarray(F, dtype=complex).reshape(nc, Qx)
     Wx *= wxi  # radial contraction done; apply sphere weights
-    X = _monomial_rows(Xi, block_basis)  # (d_j, Qx)
-    inner = (X * Wx) @ np.conj(X.T)  # [alpha, beta]
+    inner = np.zeros((len(block_basis),) * 2, dtype=complex)  # [alpha, beta]
+    # a sphere chunk holds X, X * Wx and conj(X.T)
+    x_chunk = max(1, _CHUNK_BUDGET // (3 * len(block_basis)))
+    for start in range(0, Qx, x_chunk):
+        X = _monomial_rows(Xi[start:start + x_chunk], block_basis)
+        inner += (X * Wx[start:start + x_chunk]) @ np.conj(X.T)
     # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
     # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)
     base = log_slice_prefactor(p, kappa, lam) - math.log(2.0)
@@ -425,13 +460,33 @@ def assembly_path(a: Symbol) -> str:
     return "oracle"
 
 
+def _effort(path: str, p: Partition, j, spec: QuadratureSpec) -> dict:
+    """Grid nodes or ball samples behind each block of an operator.
+
+    ``radial_nodes`` counts the radial grid (radial_nodes^m nodes),
+    ``sphere_nodes`` block j's phase-reduced sphere grid
+    ((sphere_nodes * torus_nodes)^(k_j - 1) nodes) and ``ball_samples`` the
+    oracle's draws, which all of its blocks share.
+    """
+    if path == "oracle":
+        return {"ball_samples": spec.ball_samples}
+    effort = {"radial_nodes": spec.radial_nodes ** p.m}
+    if path != "diagonal-gamma":
+        grid = spec.sphere_nodes * spec.torus_nodes
+        effort["sphere_nodes"] = grid ** (p.k[j - 1] - 1)
+    return effort
+
+
 def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
                       spec: QuadratureSpec, rng=None) -> BlockOperator:
     """Assemble all blocks with |kappa| <= degree on the symbol's path.
 
-    The path comes from ``assembly_path``.  For symbols without block-torus
-    invariance the oracle result is the compression to total degree <=
-    degree and a warning is recorded.
+    The path comes from ``assembly_path``.  The oracle path draws one sample
+    stream per (symbol, lambda), ``rng`` or the substream (seed, "oracle",
+    name, repr(lam)), and estimates all slice blocks from it.  For symbols
+    without block-torus invariance the oracle result is the compression to
+    total degree <= degree and a warning is recorded.  ``meta["effort"]``
+    records the nodes or samples behind the blocks (``_effort``).
     """
     if a.partition != p:
         raise ValueError("symbol partition does not match")
@@ -440,7 +495,8 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
         op = assemble_diagonal(
             lambda kappa: gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec),
             p, degree, lam)
-        op.meta.update(symbol=a.name, seed=spec.seed)
+        op.meta.update(symbol=a.name, seed=spec.seed,
+                       effort=_effort(path, p, a.j, spec))
         return op
     warnings = []
     blocks, errors, stderrs = {}, {}, {}
@@ -456,16 +512,21 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
                 "the compression to total degree <= "
                 f"{degree}; off-block entries are dropped"
             )
-        for kappa in enumerate_kappas(p, degree):
-            block_rng = rng if rng is not None else substream(
-                spec.seed, "oracle", a.name, repr(lam), repr(kappa))
-            G, SE = toeplitz_block_oracle(a, kappa, lam, spec, block_rng)
+        kappas = enumerate_kappas(p, degree)
+        bases = [enumerate_basis(p, kappa).alphas for kappa in kappas]
+        rng = rng if rng is not None else substream(
+            spec.seed, "oracle", a.name, repr(lam))
+        alphas = [al for basis in bases for al in basis]
+        estimates = oracle_matrix(a, alphas, alphas, lam, spec, rng,
+                                  sizes=[len(basis) for basis in bases])
+        for kappa, (G, SE) in zip(kappas, estimates):
             blocks[kappa] = G
             stderrs[kappa] = SE
             errors[kappa] = float(np.max(SE)) if SE.size else 0.0
     return BlockOperator(p, lam, degree, blocks, path, errors, stderrs,
                          meta={"symbol": a.name, "seed": spec.seed,
-                               "warnings": warnings})
+                               "warnings": warnings,
+                               "effort": _effort(path, p, a.j, spec)})
 
 
 # ---------------------------------------------------------------------------

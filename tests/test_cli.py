@@ -119,6 +119,21 @@ class TestConfigValidation:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"partition": [True, 2]},
+        {"partition": [1], "n": True, "trace_kappas": [[1]], "symbols": [
+            {"name": "one", "kind": "constant", "value": 1.0}]},
+        {"lambdas": [True]},
+        {"quadrature": {"ball_samples": True}},
+        {"symbols": [{"name": "one", "kind": "constant", "value": True}]},
+    ], ids=["partition", "n", "lambdas", "ball-samples", "constant-value"])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, overrides):
+        doc = base_config(output_dir=str(tmp_path / "o"), **overrides)
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
         assert main(["--config", str(cfg), "--seed", "-5", "build"]) \
@@ -394,3 +409,22 @@ def test_build_parallel_matches_serial(tmp_path):
         b = (tmp_path / "par" / name).read_text()
         assert a.replace(str(tmp_path / "serial"), "") \
             == b.replace(str(tmp_path / "par"), "")
+
+
+def test_oracle_build_independent_of_jobs(tmp_path):
+    oracle = {"name": "x", "kind": "xi_monomial", "j": 2, "p": [1, 0],
+              "q": [0, 0]}
+    texts = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        doc = base_config(output_dir=str(out), lambdas=[0.0, 1.5],
+                          symbols=[oracle, base_config()["symbols"][1]])
+        cfg = write_config(tmp_path, doc, f"jobs{jobs}.json")
+        assert main(["--config", str(cfg), "build", "--jobs", jobs]) == EXIT_OK
+        texts[jobs] = {f.name: f.read_text().replace(str(out), "")
+                       for f in out.glob("op_*.json")}
+    assert sorted(texts["1"]) == ["op_phi_lam0.json", "op_phi_lam1.5.json",
+                                  "op_x_lam0.json", "op_x_lam1.5.json"]
+    assert texts["1"] == texts["2"]
+    assert load_operator(tmp_path / "jobs2" / "op_x_lam1.5.json").provenance \
+        == "oracle"

@@ -11,6 +11,8 @@ from toepblocks import (
     QuadratureSpec,
     assemble_diagonal,
     average_operator,
+    block_hermitian,
+    complex_sphere_rule,
     constant_symbol,
     dim_P,
     enumerate_basis,
@@ -35,6 +37,7 @@ from toepblocks import (
     unitary_action_matrix,
     xi_monomial,
 )
+from toepblocks import toeplitz
 from toepblocks.mindex import compositions
 from toepblocks.quad import SIGMA_BAND
 from toepblocks.toeplitz import (
@@ -46,6 +49,11 @@ from toepblocks.toeplitz import (
 
 P22 = Partition((2, 2))
 P12 = Partition((1, 2))
+# block-diagonal Hermitian matrix for a T^m-invariant oracle-path symbol
+H22 = np.array([[1.0, 0.5 + 0.25j, 0.0, 0.0],
+                [0.5 - 0.25j, -0.5, 0.0, 0.0],
+                [0.0, 0.0, 0.75, 0.5j],
+                [0.0, 0.0, -0.5j, 0.25]])
 FAST = QuadratureSpec(ball_samples=40_000, radial_nodes=16, sphere_nodes=16,
                       torus_nodes=10)
 
@@ -370,6 +378,29 @@ class TestDispatchAndSerialization:
         assert T.provenance == "oracle"
         assert T.meta["warnings"]
 
+    def test_meta_records_effort(self):
+        spec = QuadratureSpec(ball_samples=5000, radial_nodes=8,
+                              sphere_nodes=8, torus_nodes=6)
+        ops = {
+            "diagonal-gamma": radial_poly(P22, [(1.0, (1, 0))]),
+            "f-form": phi_factor(P22, 1, (1, 0), (0, 1)),
+            "g-form": pseudo_factor(P22, 2, (1, 1), (1, -1)),
+            "oracle": xi_monomial(P22, 1, (1, 0), (0, 0)),
+        }
+        # the kernel keeps one torus angle's worth of the full sphere grid
+        sphere = len(complex_sphere_rule(2, spec)[0]) // spec.torus_nodes
+        expected = {
+            "diagonal-gamma": {"radial_nodes": 64},
+            "f-form": {"radial_nodes": 64, "sphere_nodes": sphere},
+            "g-form": {"radial_nodes": 64, "sphere_nodes": sphere},
+            "oracle": {"ball_samples": 5000},
+        }
+        for path, a in ops.items():
+            T = toeplitz_operator(a, P22, 1, 0.0, spec)
+            assert T.provenance == path
+            assert T.meta["effort"] == expected[path]
+            assert operator_from_json(operator_to_json(T)).meta == T.meta
+
     def test_quasi_radial_oracle_agreement(self):
         a = radial_poly(P22, [(1.0, (1, 0)), (-0.25, (0, 1))])
         T = toeplitz_operator(a, P22, 2, 1.5, FAST)
@@ -403,6 +434,51 @@ class TestDispatchAndSerialization:
         assert len(lines) == d + 1
         assert lines[0].startswith("alpha\\beta,")
         assert len(lines[0].split(",")) == d + 1
+
+
+class TestSharedOracleDraws:
+    """One ball sample set per oracle operator, shared by all its slices."""
+
+    def test_operator_draws_ball_samples_once(self, monkeypatch):
+        drawn = []
+        sample_ball = toeplitz.sample_ball
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
+        spec = QuadratureSpec(ball_samples=30_000)
+        a = block_hermitian(P22, H22)
+        T = toeplitz_operator(a, P22, 3, 0.0, spec)
+        assert len(T.kappas()) == 10
+        assert sum(drawn) == spec.ball_samples
+
+    def test_degree_zero_matches_block_oracle(self):
+        # the operator and the single-block oracle run the same loop: on the
+        # same stream their one block agrees bit for bit, and without an
+        # explicit stream the operator draws from the (symbol, lambda) one
+        a = block_hermitian(P22, H22)
+        spec = QuadratureSpec(ball_samples=20_000, seed=5)
+        for lam, rng, stream in [
+                (0.0, substream(9, "explicit"), substream(9, "explicit")),
+                (1.5, None, substream(5, "oracle", a.name, repr(1.5)))]:
+            T = toeplitz_operator(a, P22, 0, lam, spec, rng=rng)
+            assert T.provenance == "oracle"
+            G, SE = toeplitz_block_oracle(a, (0, 0), lam, spec, stream)
+            assert np.array_equal(T.blocks[(0, 0)], G)
+            assert np.array_equal(T.block_stderr[(0, 0)], SE)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_blocks_match_per_slice_oracle(self, lam):
+        a = block_hermitian(P22, H22, name="herm")
+        T = toeplitz_operator(a, P22, 2, lam, FAST)
+        for kappa in T.kappas():
+            G, SE = toeplitz_block_oracle(
+                a, kappa, lam, FAST, substream(3, "per-slice", repr(kappa)))
+            band = SIGMA_BAND * np.maximum(
+                np.hypot(SE, T.block_stderr[kappa]), 1e-300)
+            assert np.all(np.abs(G - T.blocks[kappa]) <= band), kappa
 
 
 def test_gamma_real_profile_has_negligible_imaginary_part():
