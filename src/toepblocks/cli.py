@@ -565,25 +565,20 @@ def cmd_trace_table(cfg: RunConfig) -> int:
         for sym in eligible:
             lines = ["kappa,dim,trace_re,trace_im,normalized_re,"
                      "normalized_im,stderr"]
+            kappas = enumerate_kappas(p, cfg.degree)
             if assembly_path(sym) != "oracle":
                 T = toeplitz_operator(sym, p, cfg.degree, lam, spec)
                 traces = st.block_traces(T)
-                for kappa in T.kappas():
-                    tr, norm = traces[kappa]
-                    lines.append(
-                        f"{';'.join(map(str, kappa))},{dim_P(p, kappa)},"
-                        f"{tr.real!r},{tr.imag!r},{norm.real!r},"
-                        f"{norm.imag!r},0.0")
+                rows = [(traces[kappa][0], 0.0) for kappa in kappas]
             else:
-                for kappa in enumerate_kappas(p, cfg.degree):
-                    rng = substream(spec.seed, "trace-table", sym.name,
-                                    repr(lam), repr(kappa))
-                    tr, se = st._oracle_trace(sym, kappa, lam, spec, rng)
-                    d = dim_P(p, kappa)
-                    norm = tr / d
-                    lines.append(
-                        f"{';'.join(map(str, kappa))},{d},{tr.real!r},"
-                        f"{tr.imag!r},{norm.real!r},{norm.imag!r},{se!r}")
+                rng = substream(spec.seed, "trace-table", sym.name, repr(lam))
+                rows = st.oracle_traces(sym, kappas, lam, spec, rng)
+            for kappa, (tr, se) in zip(kappas, rows):
+                d = dim_P(p, kappa)
+                norm = tr / d
+                lines.append(
+                    f"{';'.join(map(str, kappa))},{d},{tr.real!r},"
+                    f"{tr.imag!r},{norm.real!r},{norm.imag!r},{se!r}")
             path = out / f"trace_{_safe_name(sym.name)}_lam{lam:g}.csv"
             _write_atomic(path, "\n".join(lines) + "\n")
             print(f"wrote {path}")

@@ -181,21 +181,19 @@ def enumerate_basis(p: Partition, kappa) -> BasisP:
     return BasisP(p, kappa, _basis_alphas(p.k, kappa))
 
 
-def enumerate_kappas(p: Partition, max_degree: int) -> list[tuple[int, ...]]:
-    """All kappa in N^m with |kappa| <= max_degree, graded-lex ordered."""
+def _graded(parts: int, max_degree: int):
+    """All vectors in N^parts with sum <= max_degree, graded-lex ordered."""
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    out = []
     for deg in range(max_degree + 1):
-        out.extend(compositions(deg, p.m))
-    return out
+        yield from compositions(deg, parts)
+
+
+def enumerate_kappas(p: Partition, max_degree: int) -> list[tuple[int, ...]]:
+    """All kappa in N^m with |kappa| <= max_degree, graded-lex ordered."""
+    return list(_graded(p.m, max_degree))
 
 
 def enumerate_multiindices(n: int, max_degree: int) -> list[tuple[int, ...]]:
     """All alpha in N^n with |alpha| <= max_degree, graded-lex ordered."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    out = []
-    for deg in range(max_degree + 1):
-        out.extend(compositions(deg, n))
-    return out
+    return list(_graded(n, max_degree))

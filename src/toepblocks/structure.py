@@ -7,6 +7,13 @@ identities against the Haar-averaged symbol, and normalized-trace
 sequences.  Deterministic comparisons use an absolute tolerance; anything
 involving a Monte Carlo estimate is judged against a 5-sigma band of the
 propagated standard error (``sigma_band``).
+
+A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
+(``oracle_traces``).  By the multinomial theorem per block, the kernel
+diagonal sum_{alpha in P_kappa} |e_alpha(z)|^2 depends on the block radii
+r_j = |z_(j)| only: K_kappa(z, z) = G(n+lam+|kappa|+1) / G(n+lam+1) *
+prod_j r_j^(2 kappa_j) / kappa_j!, that is r^(2 kappa) / ``monomial_norm_sq(n,
+lam, kappa)``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     SIGMA_BAND,
+    block_radii,
     haar_unitary_batch,
     radial_rule,
     sample_ball,
@@ -35,11 +43,12 @@ from .quad import (
 )
 from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
+    _ORACLE_CHUNK,
     BlockOperator,
     gamma_quasi_radial,
     log_slice_prefactor,
+    monomial_norm_sq,
     oracle_matrix,
-    orthonormal_rows,
     toeplitz_block_oracle,
     unitary_action_matrix,
 )
@@ -204,26 +213,28 @@ def block_traces(T: BlockOperator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_trace(a: Symbol, kappa, lam: float, spec: QuadratureSpec, rng):
-    """Monte Carlo estimate of tr(T_a | P_kappa) with its standard error."""
+def oracle_traces(a: Symbol, kappas, lam: float, spec: QuadratureSpec, rng):
+    """Monte Carlo tr(T_a | P_kappa): one (trace, stderr) pair per kappa.
+
+    Per-sample values are a(z) K_kappa(z, z) (module docstring).  Every
+    kappa shares the same ``spec.ball_samples`` draws, so the estimates are
+    correlated across slices; a chunk holds about ``_ORACLE_CHUNK`` values.
+    """
     p = a.partition
-    basis = enumerate_basis(p, kappa)
+    K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
+    inv_norms = 1.0 / np.array([monomial_norm_sq(p.n, lam, k) for k in kappas])
     N = spec.ball_samples
-    chunk = max(1024, 2_000_000 // max(len(basis), 1))
-    s1 = 0.0 + 0.0j
-    s2 = 0.0
-    done = 0
-    while done < N:
-        c = min(chunk, N - done)
-        Z = sample_ball(p.n, lam, c, rng)
-        E = orthonormal_rows(Z, basis.alphas, p.n, lam)
-        X = a(Z) * np.sum(np.abs(E) ** 2, axis=0)
-        s1 += X.sum()
-        s2 += float(np.sum(np.abs(X) ** 2))
-        done += c
+    chunk = max(1024, _ORACLE_CHUNK // max(len(kappas), 1))
+    s1, s2 = np.zeros(len(kappas), dtype=complex), np.zeros(len(kappas))
+    for done in range(0, N, chunk):
+        Z = sample_ball(p.n, lam, min(chunk, N - done), rng)
+        R2 = block_radii(Z, p).T ** 2  # (m, c)
+        X = a(Z) * inv_norms[:, None] * np.prod(R2 ** K, axis=1)
+        s1 += X.sum(axis=1)
+        s2 += np.sum(np.abs(X) ** 2, axis=1)
     mean = s1 / N
-    var = max(s2 / N - abs(mean) ** 2, 0.0)
-    return complex(mean), math.sqrt(var / N)
+    se = np.sqrt(np.maximum(s2 / N - np.abs(mean) ** 2, 0.0) / N)
+    return [(complex(t), float(e)) for t, e in zip(mean, se)]
 
 
 def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
@@ -276,6 +287,8 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     rng = rng if rng is not None else substream(
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
     N = int(n_samples if n_samples is not None else spec.haar_samples)
+    if N < 1:
+        raise ValueError(f"n_samples must be >= 1, got {N}")
     return _haar_trace(a, kappa, lam, u_vectors, spec, rng, N)
 
 
@@ -292,12 +305,12 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     kappa = tuple(int(v) for v in kappa)
     if not a.klass.implies(TM_INVARIANT):
         raise ValueError("trace identity needs a block-torus invariant symbol")
+    d = dim_P(p, kappa)  # also rejects a malformed kappa
     rng = rng if rng is not None else substream(
         spec.seed, "trace-identity", a.name, repr(lam), repr(kappa))
-    lhs, lhs_se = _oracle_trace(a, kappa, lam, spec, rng)
+    [(lhs, lhs_se)] = oracle_traces(a, [kappa], lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
     rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng, spec.haar_samples)
-    d = dim_P(p, kappa)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
     return StructureReport(
@@ -353,19 +366,17 @@ def sequence_ST(a: Symbol, lam: float, max_kappa: int, spec: QuadratureSpec,
         raise ValueError("trace sequences require the single-block partition")
     if not a.klass.implies(TM_INVARIANT):
         raise ValueError("trace sequences need a torus-invariant symbol")
-    xs = np.empty(max_kappa + 1, dtype=complex)
-    ses = np.zeros(max_kappa + 1)
+    kappas = [(kap,) for kap in range(max_kappa + 1)]
     if a.radial_profile is not None and a.klass.implies(QUASI_RADIAL):
-        for kap in range(max_kappa + 1):
-            xs[kap] = gamma_quasi_radial(a.radial_profile, (kap,), lam, p, spec)
+        xs = np.array([gamma_quasi_radial(a.radial_profile, k, lam, p, spec)
+                       for k in kappas])
+        ses = np.zeros(len(kappas))
     else:
-        for kap in range(max_kappa + 1):
-            block_rng = rng if rng is not None else substream(
-                spec.seed, "sequence", a.name, repr(lam), kap)
-            tr, se = _oracle_trace(a, (kap,), lam, spec, block_rng)
-            d = dim_P(p, (kap,))
-            xs[kap] = tr / d
-            ses[kap] = se / d
+        rng = rng if rng is not None else substream(
+            spec.seed, "sequence", a.name, repr(lam))
+        d = np.array([dim_P(p, k) for k in kappas])
+        tr, se = zip(*oracle_traces(a, kappas, lam, spec, rng))
+        xs, ses = np.array(tr) / d, np.array(se) / d
     osc = {}
     for delta in deltas:
         worst = 0.0

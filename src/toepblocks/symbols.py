@@ -336,6 +336,8 @@ def quasi_radialize(a: Symbol, n_samples: int, rng=None) -> AveragedSymbol:
     section r -> (r_1 e_1, ..., r_m e_1); per-point standard errors are
     available through ``evaluate_with_stderr``.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     p = a.partition
     rng = rng or substream(0, "quasi-radialize", a.name)
     U = np.stack([haar_uk_sample(p, rng) for _ in range(n_samples)])
@@ -416,6 +418,17 @@ def radial_poly(p: Partition, terms, name: str | None = None) -> Symbol:
                                name=name or "radial-poly")
 
 
+def _monomial(X: np.ndarray, pexp, qexp, coeff=1.0) -> np.ndarray:
+    """coeff * X^p * conj(X)^q for row-stacked points X, factor by factor."""
+    out = np.full(X.shape[0], coeff, dtype=complex)
+    for i, (pe, qe) in enumerate(zip(pexp, qexp)):
+        if pe:
+            out = out * X[:, i] ** pe
+        if qe:
+            out = out * np.conj(X[:, i]) ** qe
+    return out
+
+
 def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
                name: str | None = None) -> Symbol:
     """Single-block quasi-homogeneous factor: profile(r) * xi^p * conj(xi)^q.
@@ -438,13 +451,7 @@ def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
             if radial_terms is not None else None)
 
     def f(r, xi):
-        xi = np.atleast_2d(xi)
-        out = np.ones(xi.shape[0], dtype=complex)
-        for i, (pe, qe) in enumerate(zip(pexp, qexp)):
-            if pe:
-                out = out * xi[:, i] ** pe
-            if qe:
-                out = out * np.conj(xi[:, i]) ** qe
+        out = _monomial(np.atleast_2d(xi), pexp, qexp)
         if prof is not None:
             out = out * prof(r)
         return out
@@ -505,14 +512,7 @@ def xi_monomial(p: Partition, j: int, pexp, qexp, name: str | None = None) -> Sy
         return phi_factor(p, j, pexp, qexp, name=name)
 
     def evaluator(Z):
-        xi = block_direction(Z, p, j)
-        out = np.ones(xi.shape[0], dtype=complex)
-        for i, (pe, qe) in enumerate(zip(pexp, qexp)):
-            if pe:
-                out = out * xi[:, i] ** pe
-            if qe:
-                out = out * np.conj(xi[:, i]) ** qe
-        return out
+        return _monomial(block_direction(Z, p, j), pexp, qexp)
 
     return Symbol(p, evaluator, GENERAL, 1.0,
                   name=name or f"xi[j={j},p={pexp},q={qexp}]")
@@ -555,13 +555,7 @@ def zpoly(p: Partition, terms, klass: InvarianceClass = GENERAL,
         Z = np.atleast_2d(Z)
         out = np.zeros(Z.shape[0], dtype=complex)
         for c, za, zb in terms:
-            term = np.full(Z.shape[0], c)
-            for i in range(p.n):
-                if za[i]:
-                    term = term * Z[:, i] ** za[i]
-                if zb[i]:
-                    term = term * np.conj(Z[:, i]) ** zb[i]
-            out += term
+            out += _monomial(Z, za, zb, c)
         return out
 
     bound = sum(abs(c) for c, _, _ in terms)

@@ -173,6 +173,8 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
         raise ValueError("sizes must split alphas, and betas must equal "
                          "alphas")
     N = int(n_samples if n_samples is not None else spec.ball_samples)
+    if N < 1:
+        raise ValueError(f"n_samples must be >= 1, got {N}")
     rows = len(alphas) + (0 if same else len(betas))
     chunk = max(1024, min(N, _ORACLE_CHUNK // max(rows, 1)))
     S1 = [np.zeros((rb.stop - rb.start, ca.stop - ca.start), dtype=complex)
@@ -424,6 +426,8 @@ def average_operator(T: BlockOperator, p: Partition, n_samples: int, rng
     """
     if p != T.partition:
         raise ValueError("partition does not match the operator")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from .quad import haar_uk_sample
 
     acc = {kappa: np.zeros_like(B) for kappa, B in T.blocks.items()}

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from toepblocks import structure
 from toepblocks.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -16,6 +17,7 @@ from toepblocks.cli import (
     parse_config,
 )
 from toepblocks.mindex import Partition
+from toepblocks.quad import sample_ball
 from toepblocks.toeplitz import load_operator
 
 
@@ -394,6 +396,31 @@ class TestTables:
         data = json.loads((tmp_path / "o" / "witness.json").read_text())
         assert data["witness_found"] is True
         assert data["max_frobenius"] > 1e-2
+
+    def test_trace_table_draws_once_per_symbol_and_lambda(self, tmp_path,
+                                                          monkeypatch):
+        drawn = []
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(structure, "sample_ball", counting)
+        doc = {
+            "schema_version": 1,
+            "partition": [1, 1],
+            "lambdas": [0.0, 2.5],
+            "degree": 2,
+            "quadrature": {"ball_samples": 3000},
+            "symbols": [{"name": "z", "kind": "zpoly", "declared_class": "tm",
+                         "terms": [{"coeff": 1.0, "z": [1, 0],
+                                    "zbar": [1, 0]}]}],
+            "output_dir": str(tmp_path / "o"),
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "trace-table"]) == EXIT_OK
+        # six slices per table, one sample set per (symbol, lambda)
+        assert sum(drawn) == 2 * 3000
 
 
 def test_build_parallel_matches_serial(tmp_path):

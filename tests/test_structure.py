@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from toepblocks import structure
 from toepblocks import (
     Partition,
     QuadratureSpec,
+    TM_INVARIANT,
     assemble_diagonal,
     average_operator,
     block_hermitian,
@@ -16,6 +18,8 @@ from toepblocks import (
     constant_symbol,
     cross_block_control,
     dim_P,
+    enumerate_basis,
+    enumerate_kappas,
     equivariance_check,
     extract_M,
     gamma_quasi_radial,
@@ -23,16 +27,22 @@ from toepblocks import (
     mblock_f,
     noncommuting_pair,
     offblock_leakage,
+    oracle_matrix,
     phi_factor,
     pseudo_factor,
+    quasi_radialize,
     radial_poly,
+    sample_ball,
     sequence_ST,
     substream,
     toeplitz_operator,
     trace_identity_check,
     trace_integral,
     xi_monomial,
+    zpoly,
 )
+from toepblocks.structure import oracle_traces
+from toepblocks.toeplitz import orthonormal_rows
 
 P22 = Partition((2, 2))
 FAST = QuadratureSpec(ball_samples=40_000, haar_samples=600, radial_nodes=12,
@@ -198,6 +208,29 @@ class TestTraceIntegral:
                            [np.array([2, 0], dtype=complex)] * 2, FAST)
 
 
+class TestOracleTraces:
+    @pytest.mark.parametrize("k", [(3,), (2, 2), (1, 2)])
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_matches_monomial_rows_on_the_same_draws(self, k, lam):
+        p = Partition(k)
+        n = p.n
+        e = [tuple(int(i == l) for i in range(n)) for l in range(n)]
+        a = zpoly(p, [(1.0, (0,) * n, (0,) * n), (2.0, e[0], e[0]),
+                      (0.5j, e[0], e[-1])])
+        kappas = enumerate_kappas(p, 3)
+        spec = QuadratureSpec(ball_samples=3000)
+        got = oracle_traces(a, kappas, lam, spec, substream(0, "ot-ref"))
+        # one chunk holds every sample, so these are the estimator's draws
+        Z = sample_ball(n, lam, spec.ball_samples, substream(0, "ot-ref"))
+        assert len(got) == len(kappas)
+        for kappa, (tr, se) in zip(kappas, got):
+            E = orthonormal_rows(Z, enumerate_basis(p, kappa).alphas, n, lam)
+            X = a(Z) * np.sum(np.abs(E) ** 2, axis=0)
+            assert tr == pytest.approx(X.mean(), rel=1e-12, abs=0)
+            assert se == pytest.approx(X.std() / math.sqrt(X.size), rel=1e-12,
+                                       abs=0)
+
+
 class TestSequence:
     def test_constant_sequence_is_one(self):
         p = Partition((3,))
@@ -223,6 +256,31 @@ class TestSequence:
     def test_requires_single_block(self):
         with pytest.raises(ValueError):
             sequence_ST(constant_symbol(P22), 0.0, 4, FAST)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_oracle_branch_matches_closed_form(self, lam):
+        # the U(n) average of |z_1|^2 is |z|^2 / n, which acts on P_kappa by
+        # (n + kappa) / (n + lam + kappa + 1)
+        p = Partition((3,))
+        a = zpoly(p, [(1.0, (1, 0, 0), (1, 0, 0))], TM_INVARIANT)
+        seq = sequence_ST(a, lam, 6, FAST)
+        for kap in range(7):
+            want = (3 + kap) / (3 * (3 + lam + kap + 1))
+            assert 0 < seq.stderr[kap]
+            assert abs(seq.values[kap] - want) <= 5 * seq.stderr[kap]
+
+    def test_oracle_branch_draws_once(self, monkeypatch):
+        drawn = []
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(structure, "sample_ball", counting)
+        p = Partition((2,))
+        a = zpoly(p, [(1.0, (1, 0), (1, 0))], TM_INVARIANT)
+        sequence_ST(a, 0.0, 6, FAST)
+        assert sum(drawn) == FAST.ball_samples
 
 
 class TestEquivariance:
@@ -265,3 +323,22 @@ def test_trace_identity_error_scales_with_haar_samples():
         assert rep.passed
     # the averaged-symbol side shrinks like 1/sqrt(N): factor 8 for 64x N
     assert ses[6400] < ses[100] / 4
+
+
+_P1 = Partition((1,))
+_ONE = constant_symbol(_P1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle_matrix(_ONE, [(0,)], [(0,)], 0.0, FAST,
+                          substream(0, "count"), n_samples=0),
+    lambda: trace_integral(_ONE, (0,), 0.0, [np.ones(1, dtype=complex)],
+                           FAST, n_samples=0),
+    lambda: average_operator(toeplitz_operator(_ONE, _P1, 1, 0.0, FAST), _P1,
+                             0, substream(0, "count")),
+    lambda: quasi_radialize(_ONE, 0),
+], ids=["oracle_matrix", "trace_integral", "average_operator",
+        "quasi_radialize"])
+def test_sample_counts_below_one_are_rejected(call):
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+        call()
