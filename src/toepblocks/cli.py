@@ -465,7 +465,8 @@ def _check_trace_integral(cfg, lam, kappas, operator_for):
                          "band_u1_u2": band12},
                 per_kappa={kappa: {"dim": d}},
                 tolerances={"sigma_band": st.SIGMA_BAND},
-                provenance={"symbol": sym.name, "lambda": lam},
+                provenance={"symbol": sym.name, "lambda": lam,
+                            "haar_path": assembly_path(sym)},
             )
 
 

@@ -45,10 +45,12 @@ from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _ORACLE_CHUNK,
     BlockOperator,
+    assembly_path,
     gamma_quasi_radial,
     log_slice_prefactor,
     monomial_norm_sq,
     oracle_matrix,
+    payload_chart,
     toeplitz_block_oracle,
     unitary_action_matrix,
 )
@@ -243,26 +245,45 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
 
     Each sampled block unitary A contributes the radial integral of
     a(r_1 A_1^{-1} u_1, ...), times the slice prefactor and dim P_kappa.
+    The symbol is read on its own coordinates, per ``assembly_path``:
+
+    * ``"diagonal-gamma"``: a(r_1 A_1^{-1} u_1, ...) = profile(r) for every
+      A, so the result is dim P_kappa * ``gamma_quasi_radial`` with stderr
+      0.0, and no unitary is drawn;
+    * ``"f-form"`` / ``"g-form"``: the payload at the radial nodes and the
+      directions xi_j = A_j^{-1} u_j of its block, through ``payload_chart``;
+    * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j.
+
+    The last two draw ``n_samples`` unitaries per block, block by block in
+    chunks of ``2_000_000 // Qr`` (Qr radial nodes), so on the same stream
+    a payload symbol gives its evaluator's numbers up to roundoff.
     """
     p = a.partition
+    d = dim_P(p, kappa)
+    path = assembly_path(a)
+    if path == "diagonal-gamma":
+        return d * gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec), 0.0
+    if path != "oracle":
+        payload, coords = payload_chart(a, path)
     R, w = radial_rule(p, kappa, spec, lam)
     Qr = R.shape[0]
     raw = np.empty(n_samples, dtype=complex)
     chunk = max(1, 2_000_000 // max(Qr, 1))
-    done = 0
-    while done < n_samples:
+    for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        Z = np.empty((c, Qr, p.n), dtype=complex)
-        for j0, (sl, kj) in enumerate(zip(p.block_slices(), p.k)):
-            U = haar_unitary_batch(kj, c, rng)  # (c, k_j, k_j)
-            v = np.conj(np.swapaxes(U, -1, -2)) @ u_vectors[j0]  # A^{-1} u
-            Z[:, :, sl] = R[None, :, j0, None] * v[:, None, :]
-        av = a(Z.reshape(c * Qr, p.n)).reshape(c, Qr)
-        raw[done:done + c] = av @ w
-        done += c
-    # dim P_kappa = prod_j C(k_j+kappa_j-1, kappa_j) turns gamma into a trace
-    pref = dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
-    vals = pref * raw
+        # A_j^{-1} u_j per block, shape (c, k_j)
+        V = [np.conj(np.swapaxes(haar_unitary_batch(kj, c, rng), -1, -2)) @ u
+             for kj, u in zip(p.k, u_vectors)]
+        if path == "oracle":
+            Z = np.concatenate([R[None, :, j0, None] * v[:, None, :]
+                                for j0, v in enumerate(V)], axis=2)
+            av = a(Z.reshape(c * Qr, p.n))
+        else:
+            args = coords(V[a.j - 1])
+            av = payload(np.tile(R, (c, 1)),
+                         *(np.repeat(x, Qr, axis=0) for x in args))
+        raw[done:done + c] = np.asarray(av, dtype=complex).reshape(c, Qr) @ w
+    vals = d * math.exp(log_slice_prefactor(p, kappa, lam)) * raw
     mean = complex(vals.mean())
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
@@ -273,6 +294,9 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
 
     ``u_vectors`` is one unit vector per block; the result does not depend
     on the choice (up to Monte Carlo error).  Returns (value, stderr).
+    ``n_samples`` (default ``spec.haar_samples``, at least 1) Haar unitaries
+    per block are drawn, except for a quasi-radial symbol with a profile:
+    its integral is exact, with stderr 0.0 and no draws (``_haar_trace``).
     """
     p = a.partition
     kappa = tuple(int(v) for v in kappa)
@@ -298,8 +322,11 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
 
     The left side is the sampling-oracle trace; the right side averages the
     radial scalar over Haar samples of the block unitary group (the same
-    construction that defines the averaged symbol).  Agreement is required
-    within a 5-sigma band of the combined standard errors.
+    construction that defines the averaged symbol; exact for a quasi-radial
+    symbol, see ``_haar_trace``).  Agreement is required within a 5-sigma
+    band of the combined standard errors.  The provenance records the path
+    the right side took (``haar_path``, the symbol's ``assembly_path``) and
+    the Haar unitaries it drew per block (``haar_samples``, 0 when exact).
     """
     p = a.partition
     kappa = tuple(int(v) for v in kappa)
@@ -311,6 +338,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     [(lhs, lhs_se)] = oracle_traces(a, [kappa], lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
     rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng, spec.haar_samples)
+    path = assembly_path(a)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
     return StructureReport(
@@ -328,7 +356,9 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
         per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,
-                    "haar_samples": spec.haar_samples,
+                    "haar_path": path,
+                    "haar_samples": (0 if path == "diagonal-gamma"
+                                     else spec.haar_samples),
                     "ball_samples": spec.ball_samples},
     )
 

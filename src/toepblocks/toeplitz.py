@@ -240,18 +240,35 @@ def _embed_single_block(M: np.ndarray, p: Partition, kappa, j: int) -> np.ndarra
     return reduce(np.kron, mats)
 
 
-def _require_payload(a: Symbol, j: int, which: str):
-    payload = getattr(a, which)
+#: path -> (payload field, chart); the chart maps unit directions xi of the
+#: payload's block to the payload's arguments after the radii
+_CHARTS = {"f-form": ("f_payload", lambda xi: (xi,)),
+           "g-form": ("g_payload", phase_split)}
+
+
+def payload_chart(a: Symbol, path: str):
+    """(payload, coords) of a symbol on the ``"f-form"`` or ``"g-form"`` path.
+
+    ``coords(xi)`` is (xi,) for the f-form and ``phase_split(xi)`` = (s, t)
+    for the g-form, so a(z) = payload(r, *coords(xi_(j))).  The payload is
+    None when the symbol carries none.
+    """
+    field, coords = _CHARTS[path]
+    return getattr(a, field), coords
+
+
+def _require_payload(a: Symbol, j: int, path: str):
+    payload, coords = payload_chart(a, path)
     if payload is None or a.j != j:
         raise ValueError(
-            f"symbol {a.name!r} has no {which} on block {j}"
+            f"symbol {a.name!r} has no {_CHARTS[path][0]} on block {j}"
         )
     if not a.klass.implies(kj_quasi_homogeneous(j)):
         raise ValueError(
             f"symbol {a.name!r} (class {a.klass.kind}) is not declared "
             f"invariant for the circle-times-blocks group of block {j}"
         )
-    return payload
+    return payload, coords
 
 
 def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
@@ -315,17 +332,15 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
 def mblock_f(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
              ) -> np.ndarray:
     """Single-block matrix of T_a on P_kappa from the direction payload."""
-    f = _require_payload(a, j, "f_payload")
-    return _single_block_matrix(f, lambda Xi: (Xi,), a.partition, j, kappa,
-                                lam, spec)
+    return _single_block_matrix(*_require_payload(a, j, "f-form"),
+                                a.partition, j, kappa, lam, spec)
 
 
 def mblock_g(a: Symbol, j: int, kappa, lam: float, spec: QuadratureSpec
              ) -> np.ndarray:
     """Single-block matrix from the modulus/phase payload g(r, s, t)."""
-    g = _require_payload(a, j, "g_payload")
-    return _single_block_matrix(g, phase_split, a.partition, j, kappa, lam,
-                                spec)
+    return _single_block_matrix(*_require_payload(a, j, "g-form"),
+                                a.partition, j, kappa, lam, spec)
 
 
 def toeplitz_block_f(a: Symbol, j: int, kappa, lam: float,

@@ -266,6 +266,43 @@ class TestVerify:
             "trace-identity", "trace-integral", "equivariance", "sequence"]
         assert reports[0] == reports[1]
 
+    def test_trace_reports_record_the_haar_effort(self, tmp_path):
+        # the README symbols; ctrl is not block-torus invariant and skipped
+        doc = base_config(
+            output_dir=str(tmp_path / "o"), partition=[2, 2],
+            checks=["trace_identity", "trace_integral"],
+            quadrature={"ball_samples": 3000, "haar_samples": 40,
+                        "radial_nodes": 6, "sphere_nodes": 6,
+                        "torus_nodes": 6},
+            symbols=[
+                {"name": "one", "kind": "constant", "value": 1.0},
+                {"name": "rad", "kind": "radial_poly",
+                 "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+                {"name": "phi1", "kind": "phi", "j": 1, "p": [1, 0],
+                 "q": [0, 1]},
+                {"name": "psi2", "kind": "pseudo", "j": 2, "s_powers": [2, 0],
+                 "t_exp": [1, -1]},
+                {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
+                 "q": [0, 0]},
+            ])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        reports = json.loads(
+            (tmp_path / "o" / "verify_report.json").read_text())["reports"]
+        paths = {"one": "diagonal-gamma", "rad": "diagonal-gamma",
+                 "phi1": "f-form", "psi2": "g-form"}
+        seen = set()
+        for r in reports:
+            prov = r["provenance"]
+            seen.add((r["check"], prov["symbol"]))
+            assert prov["haar_path"] == paths[prov["symbol"]]
+            exact = prov["haar_path"] == "diagonal-gamma"
+            if r["check"] == "trace-identity":
+                assert prov["haar_samples"] == (0 if exact else 40)
+                assert (r["metrics"]["gamma_stderr"] == 0.0) == exact
+        assert seen == {(c, name) for c in ("trace-identity", "trace-integral")
+                        for name in paths}
+
     def test_sequence_skipped_on_multi_block_with_note(self, tmp_path,
                                                        capsys):
         # one stderr note per run; stdout, reports and exit code are those

@@ -41,8 +41,9 @@ from toepblocks import (
     xi_monomial,
     zpoly,
 )
-from toepblocks.structure import oracle_traces
-from toepblocks.toeplitz import orthonormal_rows
+from toepblocks.quad import haar_unitary_batch, radial_rule
+from toepblocks.structure import _haar_trace, oracle_traces
+from toepblocks.toeplitz import log_slice_prefactor, orthonormal_rows
 
 P22 = Partition((2, 2))
 FAST = QuadratureSpec(ball_samples=40_000, haar_samples=600, radial_nodes=12,
@@ -206,6 +207,115 @@ class TestTraceIntegral:
         with pytest.raises(ValueError, match="unit"):
             trace_integral(a, (1, 1), 0.0,
                            [np.array([2, 0], dtype=complex)] * 2, FAST)
+
+
+def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng, n_samples):
+    """Reference Haar trace: the symbol's evaluator at r_j A_j^{-1} u_j.
+
+    Draws the unitaries as ``_haar_trace`` does (chunks of 2_000_000 // Qr,
+    blocks in order), so both see the same A's on the same stream.
+    """
+    p = a.partition
+    R, w = radial_rule(p, kappa, spec, lam)
+    Qr = R.shape[0]
+    chunk = max(1, 2_000_000 // Qr)
+    raw = []
+    for done in range(0, n_samples, chunk):
+        c = min(chunk, n_samples - done)
+        Z = np.empty((c, Qr, p.n), dtype=complex)
+        for j0, (sl, kj) in enumerate(zip(p.block_slices(), p.k)):
+            A = haar_unitary_batch(kj, c, rng)
+            v = np.conj(np.swapaxes(A, -1, -2)) @ u_vectors[j0]
+            Z[:, :, sl] = R[None, :, j0, None] * v[:, None, :]
+        raw.append(a(Z.reshape(c * Qr, p.n)).reshape(c, Qr) @ w)
+    vals = (dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
+            * np.concatenate(raw))
+    return vals.mean(), vals.std() / math.sqrt(n_samples)
+
+
+def _u_vectors(p):
+    return [np.ones(kj, dtype=complex) / math.sqrt(kj) for kj in p.k]
+
+
+_PAYLOAD_CASES = {
+    "phi-22": (lambda: phi_factor(P22, 1, (1, 1), (1, 1), [(1.0, (0, 1))]),
+               (1, 1)),
+    "pseudo-22": (lambda: pseudo_factor(P22, 2, (2, 0), (1, -1),
+                                        [(0.5, (1, 0))]), (1, 2)),
+    "phi-3": (lambda: phi_factor(Partition((3,)), 1, (1, 0, 0), (0, 1, 0),
+                                 [(1.0, (1,))]), (2,)),
+    "pseudo-3": (lambda: pseudo_factor(Partition((3,)), 1, (1, 0, 2),
+                                       (1, 0, -1)), (1,)),
+}
+
+
+class TestHaarTrace:
+    @pytest.mark.parametrize("case", list(_PAYLOAD_CASES))
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_payload_path_matches_evaluator_on_the_same_draws(self, case,
+                                                              lam):
+        make, kappa = _PAYLOAD_CASES[case]
+        a = make()
+        spec = QuadratureSpec(radial_nodes=8)
+        u = _u_vectors(a.partition)
+        got = _haar_trace(a, kappa, lam, u, spec, substream(0, "ht", case), 400)
+        ref = _evaluator_haar_trace(a, kappa, lam, u, spec,
+                                    substream(0, "ht", case), 400)
+        assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
+
+    def test_payload_path_matches_evaluator_over_several_chunks(self):
+        # Qr = 24^3 = 13824 radial nodes: chunks of 144, 144 and 12 draws
+        p = Partition((2, 1, 1))
+        a = phi_factor(p, 1, (2, 0), (1, 1), [(1.0, (0, 1, 1))])
+        spec = QuadratureSpec(radial_nodes=24)
+        u = _u_vectors(p)
+        got = _haar_trace(a, (2, 1, 0), 1.0, u, spec, substream(0, "ht3"), 300)
+        ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, u, spec,
+                                    substream(0, "ht3"), 300)
+        assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: constant_symbol(P22, 0.5 - 2j),
+        lambda: radial_poly(P22, [(1.0, (1, 0)), (-0.5j, (1, 2))]),
+    ], ids=["constant", "radial_poly"])
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_quasi_radial_is_exact_and_draws_nothing(self, make, lam,
+                                                     monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a quasi-radial Haar trace drew a unitary")
+
+        monkeypatch.setattr(structure, "haar_unitary_batch", no_draws)
+        a = make()
+        val, se = trace_integral(a, (2, 1), lam, _u_vectors(P22), FAST)
+        exact = dim_P(P22, (2, 1)) * gamma_quasi_radial(
+            a.radial_profile, (2, 1), lam, P22, FAST)
+        assert se == 0.0
+        assert val == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_trace_identity_records_the_haar_effort(self, monkeypatch):
+        drawn = []
+
+        def counting(d, count, rng):
+            drawn.append(count)
+            return haar_unitary_batch(d, count, rng)
+
+        monkeypatch.setattr(structure, "haar_unitary_batch", counting)
+        spec = QuadratureSpec(ball_samples=2000, haar_samples=50,
+                              radial_nodes=6)
+        for a, path, draws in (
+                (radial_poly(P22, [(1.0, (1, 0))]), "diagonal-gamma", 0),
+                (phi_factor(P22, 1, (1, 0), (0, 1)), "f-form", 50),
+                (pseudo_factor(P22, 2, (2, 0), (1, -1)), "g-form", 50),
+                (block_hermitian(P22, np.eye(4, dtype=complex)), "oracle",
+                 50)):
+            drawn.clear()
+            rep = trace_identity_check(a, (1, 1), 0.0, spec)
+            assert rep.provenance["haar_path"] == path
+            assert rep.provenance["haar_samples"] == draws
+            assert sum(drawn) == draws * P22.m
+            assert (rep.metrics["gamma_stderr"] == 0.0) == (draws == 0)
 
 
 class TestOracleTraces:
