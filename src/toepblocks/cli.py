@@ -68,6 +68,8 @@ class RunConfig:
 
 
 def _require_keys(doc: dict, allowed: set, required: set, where: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -115,8 +117,6 @@ def _parse_radial_terms(value, m: int, where: str):
         raise ConfigError(f"{where}: expected a non-empty list of terms")
     terms = []
     for i, term in enumerate(value):
-        if not isinstance(term, dict):
-            raise ConfigError(f"{where}[{i}]: expected an object")
         _require_keys(term, {"coeff", "powers"}, {"coeff", "powers"},
                       f"{where}[{i}]")
         coeff = _as_complex(term["coeff"], f"{where}[{i}].coeff")
@@ -186,7 +186,8 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
             _require_keys(doc, {"kind", "name", "matrix"}, {"matrix"}, where)
             rows = doc["matrix"]
             if (not isinstance(rows, list) or len(rows) != p.n
-                    or any(len(r) != p.n for r in rows)):
+                    or any(not isinstance(r, list) or len(r) != p.n
+                           for r in rows)):
                 raise ConfigError(f"{where}.matrix: expected an n x n array")
             H = np.array([[_as_complex(v, f"{where}.matrix") for v in r]
                           for r in rows])
@@ -202,7 +203,7 @@ def build_symbol(p: Partition, doc: dict) -> Symbol:
             _require_keys(doc, {"kind", "name", "terms", "declared_class"},
                           {"terms", "declared_class"}, where)
             cls = doc["declared_class"]
-            if cls not in _CLASS_NAMES:
+            if not isinstance(cls, str) or cls not in _CLASS_NAMES:
                 raise ConfigError(
                     f"{where}.declared_class: one of {sorted(_CLASS_NAMES)}")
             terms = []
@@ -231,8 +232,6 @@ _EXTRA_KEYS = {"trace_kappas", "equivariance_rotations", "sequence_max_kappa"}
 
 def parse_config(doc: dict, seed_override: int | None = None,
                  out_override: str | None = None) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level config must be an object")
     allowed = {"schema_version", "n", "partition", "lambdas", "degree",
                "symbols", "quadrature", "checks", "seed", "output_dir"}
     allowed |= _EXTRA_KEYS
@@ -262,8 +261,6 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if seed_override is not None:
         seed = _nonneg_int({"seed": seed_override}, "seed")
     quad_doc = doc.get("quadrature", {})
-    if not isinstance(quad_doc, dict):
-        raise ConfigError("quadrature must be an object")
     _require_keys(quad_doc, _QUAD_KEYS, set(), "quadrature")
     for key, value in quad_doc.items():
         if not _is_int(value) or value < 1:
@@ -286,6 +283,13 @@ def parse_config(doc: dict, seed_override: int | None = None,
     out_dir = doc.get("output_dir", "out")
     if out_override is not None:
         out_dir = out_override
+    files = [_output_path("", "op", s.name, lam, ".json")
+             for s in symbols for lam in lambdas]
+    if len(set(files)) != len(files):
+        raise ConfigError(
+            "two (symbol, lambda) pairs would share an output file: names "
+            "must differ outside the characters written as '_', and lambdas "
+            "in their first 6 significant digits")
     extras = {"equivariance_rotations":
               _nonneg_int(doc, "equivariance_rotations", 2),
               "sequence_max_kappa": _nonneg_int(doc, "sequence_max_kappa", 10)}
@@ -324,8 +328,15 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     return parse_config(doc, seed_override, out_override)
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
+def _output_path(out_dir, prefix: str, name: str, lam: float,
+                 suffix: str) -> Path:
+    """<out_dir>/<prefix>_<name>_lam<lam:g><suffix> for one (symbol, lambda).
+
+    Characters of the name outside [A-Za-z0-9._-] are written as '_';
+    ``parse_config`` rejects a config in which two pairs share a file.
+    """
+    safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)
+    return Path(out_dir) / f"{prefix}_{safe}_lam{lam:g}{suffix}"
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -348,7 +359,7 @@ def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
         T = toeplitz_operator(sym, cfg.partition, cfg.degree, lam, cfg.spec)
         doc = operator_to_json(T)
         doc["meta"]["resolved_config"] = cfg.resolved
-        path = out / f"op_{_safe_name(sym.name)}_lam{lam:g}.json"
+        path = _output_path(out, "op", sym.name, lam, ".json")
         _write_atomic(path, json.dumps(doc, indent=1))
         return path
 
@@ -580,7 +591,7 @@ def cmd_trace_table(cfg: RunConfig) -> int:
                 lines.append(
                     f"{';'.join(map(str, kappa))},{d},{tr.real!r},"
                     f"{tr.imag!r},{norm.real!r},{norm.imag!r},{se!r}")
-            path = out / f"trace_{_safe_name(sym.name)}_lam{lam:g}.csv"
+            path = _output_path(out, "trace", sym.name, lam, ".csv")
             _write_atomic(path, "\n".join(lines) + "\n")
             print(f"wrote {path}")
     return EXIT_OK
@@ -598,7 +609,7 @@ def cmd_sequence(cfg: RunConfig) -> int:
             seq = st.sequence_ST(sym, lam, K, cfg.spec)
             doc = {"symbol": sym.name, "lambda": lam,
                    "resolved_config": cfg.resolved, **seq.to_dict()}
-            path = out / f"sequence_{_safe_name(sym.name)}_lam{lam:g}.json"
+            path = _output_path(out, "sequence", sym.name, lam, ".json")
             _write_atomic(path, json.dumps(doc, indent=1))
             print(f"wrote {path}")
     return EXIT_OK

@@ -44,6 +44,7 @@ from .quad import (
 from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _ORACLE_CHUNK,
+    _radial_contract,
     BlockOperator,
     assembly_path,
     gamma_quasi_radial,
@@ -255,34 +256,29 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
     * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j.
 
     The last two draw ``n_samples`` unitaries per block, block by block in
-    chunks of ``2_000_000 // Qr`` (Qr radial nodes), so on the same stream
-    a payload symbol gives its evaluator's numbers up to roundoff.
+    chunks of ``2_000_000 // Qr`` (Qr radial nodes) that ``_radial_contract``
+    sums; on one stream a payload gives its evaluator's numbers to roundoff.
     """
     p = a.partition
     d = dim_P(p, kappa)
     path = assembly_path(a)
     if path == "diagonal-gamma":
         return d * gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec), 0.0
-    if path != "oracle":
-        payload, coords = payload_chart(a, path)
+    if path == "oracle":
+        F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
+            [r[:, j0, None] * x for j0, x in enumerate(xi)], axis=1))
+    else:
+        F, coords = payload_chart(a, path)
     R, w = radial_rule(p, kappa, spec, lam)
-    Qr = R.shape[0]
     raw = np.empty(n_samples, dtype=complex)
-    chunk = max(1, 2_000_000 // max(Qr, 1))
+    chunk = max(1, 2_000_000 // max(R.shape[0], 1))
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
         # A_j^{-1} u_j per block, shape (c, k_j)
         V = [np.conj(np.swapaxes(haar_unitary_batch(kj, c, rng), -1, -2)) @ u
              for kj, u in zip(p.k, u_vectors)]
-        if path == "oracle":
-            Z = np.concatenate([R[None, :, j0, None] * v[:, None, :]
-                                for j0, v in enumerate(V)], axis=2)
-            av = a(Z.reshape(c * Qr, p.n))
-        else:
-            args = coords(V[a.j - 1])
-            av = payload(np.tile(R, (c, 1)),
-                         *(np.repeat(x, Qr, axis=0) for x in args))
-        raw[done:done + c] = np.asarray(av, dtype=complex).reshape(c, Qr) @ w
+        args = V if path == "oracle" else coords(V[a.j - 1])
+        raw[done:done + c] = _radial_contract(F, R, w, args)
     vals = d * math.exp(log_slice_prefactor(p, kappa, lam)) * raw
     mean = complex(vals.mean())
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))

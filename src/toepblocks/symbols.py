@@ -60,13 +60,11 @@ class InvarianceClass:
             return True
         if self.kind == "radial":
             return True
-        order = {"tm": 0, "kj": 1, "quasi_radial": 2}
-        if self.kind == "sep_radial":
+        if self.kind == "quasi_radial":
+            # U(k) contains T^n, T^m and every circle-times-blocks group
+            return other.kind != "radial"
+        if self.kind in ("sep_radial", "kj"):
             return other.kind == "tm"
-        if self.kind in order and other.kind in order:
-            if other.kind == "kj":
-                return self.kind == "quasi_radial"
-            return order[self.kind] >= order[other.kind]
         return False
 
     def intersect(self, other: "InvarianceClass") -> "InvarianceClass":
@@ -183,15 +181,21 @@ def from_radial_profile(p: Partition, profile, *, bound: float | None = None,
                   name=name, radial_profile=profile)
 
 
-def _from_payload(p: Partition, j: int, payload, coords, form: str, rng,
+#: form -> (payload field, chart: the block's directions xi -> arguments)
+_PAYLOAD_CHARTS = {"f": ("f_payload", lambda xi: (xi,)),
+                  "g": ("g_payload", phase_split)}
+
+
+def _from_payload(p: Partition, j: int, payload, form: str, rng,
                   bound: float | None, name: str) -> Symbol:
     """Symbol a(z) = payload(r, *coords(xi_(j))) for ``from_f``/``from_g``.
 
-    ``form`` ("f" or "g") names the payload field and the message chart; the
-    common phase acts on the last payload argument (xi for f, t for g).
+    ``form`` ("f" or "g") keys ``_PAYLOAD_CHARTS``; the common phase acts on
+    the last payload argument (xi for f, t for g).
     """
     if not 1 <= j <= p.m:
         raise ValueError(f"block index {j} out of range 1..{p.m}")
+    field, coords = _PAYLOAD_CHARTS[form]
     labels, on = {"f": (("xi",), ""), "g": (("s", "t"), " on t")}[form]
     Z = _validation_points(p, _VALIDATION_SAMPLES, rng)
     r = block_radii(Z, p)
@@ -227,7 +231,7 @@ def _from_payload(p: Partition, j: int, payload, coords, form: str, rng,
     return Symbol(p, evaluator, klass,
                   bound if bound is not None else observed,
                   name=name, radial_profile=profile, j=j,
-                  **{f"{form}_payload": payload})
+                  **{field: payload})
 
 
 def from_f(p: Partition, j: int, f, *, bound: float | None = None,
@@ -238,14 +242,14 @@ def from_f(p: Partition, j: int, f, *, bound: float | None = None,
     witness point.  For k_j = 1 the common-phase invariance makes the symbol
     quasi-radial and the class label is normalized accordingly.
     """
-    return _from_payload(p, j, f, lambda xi: (xi,), "f",
+    return _from_payload(p, j, f, "f",
                          substream(0, "symbol-validate", name, j), bound, name)
 
 
 def from_g(p: Partition, j: int, g, *, bound: float | None = None,
            name: str = "g-form") -> Symbol:
     """Symbol a(z) = g(r, s_(j), t_(j)), g invariant under a common phase on t."""
-    return _from_payload(p, j, g, phase_split, "g",
+    return _from_payload(p, j, g, "g",
                          substream(0, "symbol-validate", name, j, "g"), bound,
                          name)
 

@@ -15,7 +15,8 @@ Three assembly methods exist:
 * ``gamma_quasi_radial`` + ``assemble_diagonal`` -- scalar action per block
   for symbols that depend on the block radii only.
 
-``toeplitz_operator`` dispatches on ``assembly_path``.
+``toeplitz_operator`` dispatches on ``assembly_path``.  Every radial rule is
+contracted by ``_radial_contract``, in chunks of ``_CHUNK_BUDGET`` numbers.
 
 Phase reduction: a payload on block j is invariant under a common phase on
 xi_(j) (``_require_payload`` demands the class ``kj_quasi_homogeneous(j)``,
@@ -52,12 +53,12 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     complex_sphere_rule,
-    phase_split,
     radial_rule,
     sample_ball,
     substream,
 )
 from .symbols import (
+    _PAYLOAD_CHARTS,
     QUASI_RADIAL,
     TM_INVARIANT,
     Symbol,
@@ -213,7 +214,7 @@ def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
 # deterministic single-block paths
 # ---------------------------------------------------------------------------
 
-_CHUNK_BUDGET = 4_000_000  # complex numbers per kernel evaluation chunk
+_CHUNK_BUDGET = 4_000_000  # numbers per radial or sphere evaluation chunk
 
 
 def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
@@ -229,6 +230,24 @@ def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
     return log_pref
 
 
+def _radial_contract(F, R, w, args=()) -> np.ndarray:
+    """sum_r w_r F(R_r, *(x_i for x in args)) per direction row i of args.
+
+    With no args, the plain radial sum (one row).  A chunk of radial nodes
+    holds at most ``_CHUNK_BUDGET`` radii, tiled args and values of F.
+    """
+    Qx = args[0].shape[0] if args else 1
+    out = np.zeros(Qx, dtype=complex)
+    cols = R.shape[1] + sum(x.shape[1] for x in args) + 1
+    r_chunk = max(1, _CHUNK_BUDGET // (Qx * cols))
+    for start in range(0, R.shape[0], r_chunk):
+        Rc, wc = R[start:start + r_chunk], w[start:start + r_chunk]
+        vals = F(np.repeat(Rc, Qx, axis=0),
+                 *(np.tile(x, (len(Rc), 1)) for x in args))
+        out += wc @ np.asarray(vals, complex).reshape(-1, Qx)
+    return out
+
+
 def _embed_single_block(M: np.ndarray, p: Partition, kappa, j: int) -> np.ndarray:
     """Kronecker-embed the block-j matrix M into the full P_kappa layout."""
     mats = []
@@ -240,20 +259,14 @@ def _embed_single_block(M: np.ndarray, p: Partition, kappa, j: int) -> np.ndarra
     return reduce(np.kron, mats)
 
 
-#: path -> (payload field, chart); the chart maps unit directions xi of the
-#: payload's block to the payload's arguments after the radii
-_CHARTS = {"f-form": ("f_payload", lambda xi: (xi,)),
-           "g-form": ("g_payload", phase_split)}
-
-
 def payload_chart(a: Symbol, path: str):
     """(payload, coords) of a symbol on the ``"f-form"`` or ``"g-form"`` path.
 
     ``coords(xi)`` is (xi,) for the f-form and ``phase_split(xi)`` = (s, t)
-    for the g-form, so a(z) = payload(r, *coords(xi_(j))).  The payload is
-    None when the symbol carries none.
+    for the g-form (``symbols._PAYLOAD_CHARTS``), so a(z) = payload(r,
+    *coords(xi_(j))).  The payload is None when the symbol carries none.
     """
-    field, coords = _CHARTS[path]
+    field, coords = _PAYLOAD_CHARTS[path.removesuffix("-form")]
     return getattr(a, field), coords
 
 
@@ -261,8 +274,7 @@ def _require_payload(a: Symbol, j: int, path: str):
     payload, coords = payload_chart(a, path)
     if payload is None or a.j != j:
         raise ValueError(
-            f"symbol {a.name!r} has no {_CHARTS[path][0]} on block {j}"
-        )
+            f"symbol {a.name!r} has no {path} payload on block {j}")
     if not a.klass.implies(kj_quasi_homogeneous(j)):
         raise ValueError(
             f"symbol {a.name!r} (class {a.klass.kind}) is not declared "
@@ -299,24 +311,11 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     Qt = spec.torus_nodes
     keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
     Xi, wxi = Xi[keep], wxi[keep] * Qt
-    args = coords(Xi)  # once per grid; tiled below for each radial chunk
-    Qx = Xi.shape[0]
-    Wx = np.zeros(Qx, dtype=complex)
-    # a radial chunk holds the radii, the tiled coordinates and the payload
-    cols = R.shape[1] + sum(x.shape[1] for x in args) + 1
-    r_chunk = max(1, _CHUNK_BUDGET // (Qx * cols))
-    for start in range(0, R.shape[0], r_chunk):
-        Rc = R[start:start + r_chunk]
-        wc = wr[start:start + r_chunk]
-        nc = Rc.shape[0]
-        rr = np.repeat(Rc, Qx, axis=0)
-        F = payload(rr, *(np.tile(x, (nc, 1)) for x in args))
-        Wx += wc @ np.asarray(F, dtype=complex).reshape(nc, Qx)
-    Wx *= wxi  # radial contraction done; apply sphere weights
+    Wx = _radial_contract(payload, R, wr, coords(Xi)) * wxi
     inner = np.zeros((len(block_basis),) * 2, dtype=complex)  # [alpha, beta]
     # a sphere chunk holds X, X * Wx and conj(X.T)
     x_chunk = max(1, _CHUNK_BUDGET // (3 * len(block_basis)))
-    for start in range(0, Qx, x_chunk):
+    for start in range(0, Xi.shape[0], x_chunk):
         X = _monomial_rows(Xi[start:start + x_chunk], block_basis)
         inner += (X * Wx[start:start + x_chunk]) @ np.conj(X.T)
     # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
@@ -365,9 +364,8 @@ def gamma_quasi_radial(profile, kappa, lam: float, p: Partition,
     radial integral of the profile against the block weight.
     """
     kappa = tuple(int(v) for v in kappa)
-    R, w = radial_rule(p, kappa, spec, lam)
-    vals = np.asarray(profile(R), dtype=complex)
-    return complex(math.exp(log_slice_prefactor(p, kappa, lam)) * (w @ vals))
+    radial = _radial_contract(profile, *radial_rule(p, kappa, spec, lam))[0]
+    return complex(math.exp(log_slice_prefactor(p, kappa, lam)) * radial)
 
 
 def assemble_diagonal(gamma, p: Partition, degree: int, lam: float

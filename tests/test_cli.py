@@ -136,6 +136,35 @@ class TestConfigValidation:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"symbols": [{"name": "a b", "kind": "constant", "value": 1.0},
+                     {"name": "a_b", "kind": "constant", "value": 2.0}]},
+        {"lambdas": [2.5, 2.5000001]},
+    ], ids=["names", "lambdas"])
+    def test_colliding_output_files(self, tmp_path, capsys, overrides):
+        # both pairs would write op_a_b_lam0.json / op_one_lam2.5.json twice
+        doc = base_config(output_dir=str(tmp_path / "o"), **overrides)
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("symbol", [
+        {"kind": "zpoly", "declared_class": "tm", "terms": [5]},
+        {"kind": "zpoly", "declared_class": "tm", "terms": [None]},
+        {"kind": "zpoly", "declared_class": ["tm"], "terms": [
+            {"coeff": 1.0, "z": [1, 0, 0, 0], "zbar": [1, 0, 0, 0]}]},
+        {"kind": "block_hermitian", "matrix": [1, 2, 3, 4]},
+    ], ids=["zpoly-term-number", "zpoly-term-null", "zpoly-class-list",
+            "matrix-rows-not-lists"])
+    def test_malformed_symbol_entries(self, tmp_path, capsys, symbol):
+        doc = base_config(output_dir=str(tmp_path / "o"), partition=[2, 2],
+                          symbols=[{"name": "s", **symbol}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
         assert main(["--config", str(cfg), "--seed", "-5", "build"]) \

@@ -1,11 +1,12 @@
 """Structural checks: block-diagonality, tensor constancy, traces, commutators."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from toepblocks import structure
+from toepblocks import structure, toeplitz
 from toepblocks import (
     Partition,
     QuadratureSpec,
@@ -273,6 +274,31 @@ class TestHaarTrace:
         got = _haar_trace(a, (2, 1, 0), 1.0, u, spec, substream(0, "ht3"), 300)
         ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, u, spec,
                                     substream(0, "ht3"), 300)
+        assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
+        assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["phi-22", "pseudo-22"])
+    def test_payload_calls_stay_within_the_chunk_budget(self, case,
+                                                        monkeypatch):
+        # Qr = 8^2 = 64 radial nodes and 400 draws: 25 600 (node, draw) rows
+        make, kappa = _PAYLOAD_CASES[case]
+        a = make()
+        spec = QuadratureSpec(radial_nodes=8)
+        u = _u_vectors(P22)
+        ref = _haar_trace(a, kappa, 0.0, u, spec, substream(0, "hb", case),
+                          400)
+        field = "f_payload" if a.f_payload is not None else "g_payload"
+        payload, numbers = getattr(a, field), []
+
+        def recording(r, *args):
+            cols = r.shape[1] + sum(x.shape[1] for x in args) + 1
+            numbers.append(r.shape[0] * cols)
+            return payload(r, *args)
+
+        monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 20_000)
+        got = _haar_trace(dataclasses.replace(a, **{field: recording}), kappa,
+                          0.0, u, spec, substream(0, "hb", case), 400)
+        assert len(numbers) > 1 and max(numbers) <= 20_000
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
         assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
 

@@ -51,6 +51,9 @@ class TestInvarianceClass:
         assert not kj1.implies(kj2)
         assert not TM_INVARIANT.implies(kj1)
         assert not SEPARATELY_RADIAL.implies(QUASI_RADIAL)
+        # T^n is a subgroup of U(k)
+        assert QUASI_RADIAL.implies(SEPARATELY_RADIAL)
+        assert QUASI_RADIAL.intersect(SEPARATELY_RADIAL) == SEPARATELY_RADIAL
         assert all(c.implies(GENERAL) for c in
                    (RADIAL, QUASI_RADIAL, kj1, TM_INVARIANT, GENERAL))
 
@@ -154,7 +157,8 @@ class TestCheckInvariance:
     def test_class_lattice_in_sampling(self):
         # anything passing the block unitary group passes its subgroups too
         a = radial_poly(P22, [(1.0, (1, 1))])
-        for grp, j in (("uk", None), ("ukjt", 1), ("ukjt", 2), ("tm", None)):
+        for grp, j in (("uk", None), ("ukjt", 1), ("ukjt", 2), ("tm", None),
+                       ("tn", None)):
             assert check_invariance(a, grp, j=j).passed
 
 
