@@ -17,6 +17,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -154,11 +155,27 @@ def sphere_monomial_integral(k: int, alpha, beta) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
-    """Nodes/weights for integral over [0,1] of x^exp_x (1-x)^exp_1mx f(x)."""
-    t, w = roots_jacobi(nodes, exp_1mx, exp_x)
-    x = 0.5 * (t + 1.0)
-    w = w * 0.5 ** (exp_x + exp_1mx + 1.0)
+    """Nodes/weights for integral over [0,1] of x^exp_x (1-x)^exp_1mx f(x).
+
+    Raises ValueError when the rule is not finite: its weights carry
+    2^(exp_x + exp_1mx + 1), which overflows for exponents past about 1000.
+    Cached (the arrays are read-only): the config check and every slice of
+    every symbol at one lambda ask for the same few rules.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            t, w = roots_jacobi(nodes, exp_1mx, exp_x)
+            x = 0.5 * (t + 1.0)
+            w = w * 0.5 ** (exp_x + exp_1mx + 1.0)
+    except ValueError:  # roots_jacobi's eigensolver met infs or NaNs
+        x = w = np.array([np.nan])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError(
+            f"the {nodes}-node Gauss-Jacobi rule with exponents "
+            f"({exp_x:g}, {exp_1mx:g}) has non-finite nodes or weights")
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -172,7 +189,8 @@ def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
 
     The substitution u_j = r_j^2 maps the domain to the simplex; an iterated
     (Duffy-type) factorization then turns the weight into a product of
-    classical Jacobi weights, one per dimension.
+    classical Jacobi weights, one per dimension.  Raises ValueError when one
+    of those factors is not finite in double precision (a large lam).
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
@@ -331,13 +349,20 @@ def sample_group(p: Partition, group: str, rng: np.random.Generator,
 def sample_ball(n: int, lam: float, size: int, rng: np.random.Generator) -> np.ndarray:
     """Points of B^n distributed per the normalized weighted measure.
 
-    The squared radius follows Beta(n, lam + 1) (the one-dimensional
-    marginal of the weight (1 - |z|^2)^lam) and the direction is uniform.
+    Under that measure z = sqrt(v) xi with xi uniform on the unit sphere of
+    C^n and, independently, v = |z|^2 ~ Beta(n, lam + 1) (the weight
+    (1 - |z|^2)^lam times the sphere-area factor v^(n-1)).  One gamma draw
+    per point gives both (the gamma-ratio construction of a beta variate):
+    for X ~ N(0, I_2n) and G ~ Gamma(lam + 1) independent, |X|^2 / 2 ~
+    Gamma(n), so v = |X|^2 / (|X|^2 + 2G) ~ Beta(n, lam + 1); and X / |X| is
+    uniform on the sphere and independent of |X|, hence of v.  So
+    z = X / sqrt(|X|^2 + 2G), read as n complex coordinates, has the law
+    above.
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
-    v = rng.beta(n, lam + 1.0, size)
-    W = rng.standard_normal((size, n)) + 1j * rng.standard_normal((size, n))
-    W /= np.linalg.norm(W, axis=1)[:, None]
-    return np.sqrt(v)[:, None] * W
+    X = rng.standard_normal((size, 2 * n))
+    G = rng.standard_gamma(lam + 1.0, size)
+    X /= np.sqrt(np.einsum("ij,ij->i", X, X) + 2.0 * G)[:, None]
+    return X.view(complex)
 

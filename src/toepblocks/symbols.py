@@ -512,6 +512,8 @@ def xi_monomial(p: Partition, j: int, pexp, qexp, name: str | None = None) -> Sy
     qexp = tuple(int(v) for v in qexp)
     if len(pexp) != kj or len(qexp) != kj:
         raise ValueError(f"exponent length must equal k_j = {kj}")
+    if any(v < 0 for v in pexp + qexp):
+        raise ValueError("exponents must be nonnegative")
     if sum(pexp) == sum(qexp):
         return phi_factor(p, j, pexp, qexp, name=name)
 
@@ -554,6 +556,8 @@ def zpoly(p: Partition, terms, klass: InvarianceClass = GENERAL,
     for _, za, zb in terms:
         if len(za) != p.n or len(zb) != p.n:
             raise ValueError("exponent vectors must have length n")
+        if any(v < 0 for v in za + zb):
+            raise ValueError("exponents must be nonnegative")
 
     def evaluator(Z):
         Z = np.atleast_2d(Z)

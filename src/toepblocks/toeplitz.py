@@ -77,21 +77,47 @@ def monomial_norm_sq(n: int, lam: float, alpha) -> float:
     return float(math.exp(log))
 
 
+def _parent(alpha: tuple) -> tuple[tuple, int]:
+    """(alpha minus one unit in its last nonzero coordinate i, i)."""
+    i = len(alpha) - 1
+    while not alpha[i]:
+        i -= 1
+    return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], i
+
+
 def _monomial_rows(Z: np.ndarray, alphas) -> np.ndarray:
-    """Rows z^alpha over the sample points; shape (len(alphas), N)."""
+    """Rows z^alpha over the sample points; shape (len(alphas), N).
+
+    Row alpha is its parent's row (``_parent``) times z_i, one multiply per
+    row in order of total degree; parents not asked for are built in extra
+    rows that are dropped on return.
+    """
     Z = np.atleast_2d(Z)
-    A = np.asarray(list(alphas), dtype=int)
-    out = np.ones((A.shape[0], Z.shape[0]), dtype=complex)
-    for i in range(Z.shape[1]):
-        d = A[:, i]
-        mx = int(d.max()) if len(d) else 0
-        if mx == 0:
-            continue
-        pw = np.empty((mx + 1, Z.shape[0]), dtype=complex)
-        pw[0] = 1.0
-        for e in range(1, mx + 1):
-            pw[e] = pw[e - 1] * Z[:, i]
-        out *= pw[d]
+    keys = [tuple(int(v) for v in al) for al in alphas]
+    n_out = len(keys)
+    known = set(keys)
+    for al in keys[:n_out]:
+        while any(al):
+            al = _parent(al)[0]
+            if al in known:
+                break
+            known.add(al)
+            keys.append(al)
+    out = np.empty((n_out, Z.shape[0]), dtype=complex)
+    extra = np.empty((len(keys) - n_out, Z.shape[0]), dtype=complex)
+    Zt = Z.T
+    built = {}
+    for r in sorted(range(len(keys)), key=lambda r: sum(keys[r])):
+        al = keys[r]
+        row = out[r] if r < n_out else extra[r - n_out]
+        if al in built:  # a repeated alpha
+            row[:] = built[al]
+        elif not any(al):
+            row.fill(1.0)
+        else:
+            parent, i = _parent(al)
+            np.multiply(built[parent], Zt[i], out=row)
+        built.setdefault(al, row)
     return out
 
 
@@ -160,6 +186,11 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
     slices.  Each entry is still the mean of the same estimator over N
     samples, so its distribution is unchanged; blocks of different slices
     are correlated.  A chunk holds about ``_ORACLE_CHUNK`` row-table entries.
+
+    The sums run over the raw rows z^alpha; each block is normalized once at
+    the end, e_alpha = z^alpha / sqrt(monomial_norm_sq(n, lam, alpha)), by
+    the outer product of the row and column scales (squared for the second
+    moment), so no sample is divided.
     """
     p = a.partition
     alphas = [tuple(al) for al in alphas]
@@ -186,19 +217,24 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
         c = min(chunk, N - done)
         Z = sample_ball(p.n, lam, c, rng)
         av = a(Z)
-        Ea = orthonormal_rows(Z, alphas, p.n, lam)
-        Eb = Ea if same else orthonormal_rows(Z, betas, p.n, lam)
+        Ea = _monomial_rows(Z, alphas)
+        Eb = Ea if same else _monomial_rows(Z, betas)
         aEa = av * Ea  # (len(alphas), c)
+        np.conjugate(aEa, out=aEa)  # so S1 sums the conjugate first moment
         Pb = np.abs(Eb) ** 2
         Pa = np.abs(av) ** 2 * (Pb if same else np.abs(Ea) ** 2)
         for (rb, ca), s1, s2 in zip(cuts, S1, S2):
-            s1 += np.conj(Eb[rb]) @ aEa[ca].T
+            s1 += Eb[rb] @ aEa[ca].T
             s2 += Pb[rb] @ Pa[ca].T
         done += c
+    scale_a = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
+    scale_b = scale_a if same else np.array(
+        [monomial_norm_sq(p.n, lam, be) for be in betas]) ** -0.5
     out = []
-    for s1, s2 in zip(S1, S2):
-        mean = s1 / N
-        var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
+    for (rb, ca), s1, s2 in zip(cuts, S1, S2):
+        D = np.outer(scale_b[rb], scale_a[ca])
+        mean = np.conj(s1) * D / N
+        var = np.maximum(s2 * D**2 / N - np.abs(mean) ** 2, 0.0)
         out.append((mean, np.sqrt(var / N)))
     return out if sizes is not None else out[0]
 

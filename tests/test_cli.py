@@ -77,6 +77,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="lambda"):
             parse_config(base_config(lambdas=[-1.0]))
 
+    @pytest.mark.parametrize("lam", [1e6, 1e300, float("inf")],
+                             ids=["1e6", "1e300", "Infinity"])
+    def test_unusable_lambda_exit_config(self, tmp_path, capsys, lam):
+        # 1e6 made all-NaN radial rules (and NaN blocks with exit 0), 1e300
+        # and Infinity a traceback from the Gauss-Jacobi eigensolver
+        doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[lam])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "lambda" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_large_lambda_oracle_build(self, tmp_path):
+        # an oracle-only build builds no radial rule, so it is not rejected
+        doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[1e6],
+                          quadrature={"ball_samples": 2000}, symbols=[
+                              {"name": "x", "kind": "xi_monomial", "j": 2,
+                               "p": [1, 0], "q": [0, 0]}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        T = load_operator(tmp_path / "o" / "op_x_lam1e+06.json")
+        assert all(np.all(np.isfinite(B)) for B in T.blocks.values())
+
+    @pytest.mark.parametrize("symbol", [
+        {"kind": "xi_monomial", "j": 2, "p": [-1, 0], "q": [0, 0]},
+        {"kind": "xi_monomial", "j": 2, "p": [1, 0], "q": [0, -1]},
+        {"kind": "zpoly", "declared_class": "tm", "terms": [
+            {"coeff": 1.0, "z": [0, -2, 0], "zbar": [0, 0, 0]}]},
+        {"kind": "zpoly", "declared_class": "general", "terms": [
+            {"coeff": 1.0, "z": [1, 0, 0], "zbar": [0, 0, -1]}]},
+    ], ids=["xi_monomial-p", "xi_monomial-q", "zpoly-z", "zpoly-zbar"])
+    def test_negative_exponents_exit_config(self, tmp_path, capsys, symbol):
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          symbols=[{"name": "s", **symbol}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        assert ("config error: symbol 's': exponents must be nonnegative"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_phi_balance_enforced(self):
         doc = base_config()
         doc["symbols"][1]["q"] = [0, 0]

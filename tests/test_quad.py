@@ -22,7 +22,7 @@ from toepblocks import (
     substream,
     torus_rule,
 )
-from toepblocks.toeplitz import _monomial_rows
+from toepblocks.toeplitz import _monomial_rows, monomial_norm_sq
 
 SPEC = QuadratureSpec()
 
@@ -66,6 +66,14 @@ def test_radial_rule_polynomial_exactness():
 def test_radial_rule_rejects_bad_lambda():
     with pytest.raises(ValueError):
         radial_rule(Partition((1,)), (0,), SPEC, -1.0)
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e300])
+def test_radial_rule_rejects_overflowing_lambda(lam):
+    # the Gauss-Jacobi weights carry 2^lam: NaN at 1e6, an eigensolver
+    # failure at 1e300; both must raise instead of returning a NaN rule
+    with pytest.raises(ValueError, match="non-finite"):
+        radial_rule(Partition((1, 1)), (0, 0), SPEC, lam)
 
 
 def test_torus_rule_characters():
@@ -179,6 +187,35 @@ def test_ball_sampler_higher_weight():
     r2 = np.linalg.norm(Z, axis=1) ** 2
     se = r2.std() / math.sqrt(len(r2))
     assert abs(r2.mean() - 0.4) <= 5 * se
+
+
+# per dimension: |z^alpha|^2 moments (single-coordinate, cross-block and
+# high-degree alphas) and one alpha != beta pair whose mixed moment vanishes
+_LAW_ALPHAS = {
+    1: ([(1,), (3,), (7,)], ((2,), (1,))),
+    3: ([(1, 0, 0), (0, 1, 1), (1, 1, 1), (0, 4, 2)], ((1, 0, 0), (0, 1, 0))),
+    4: ([(0, 0, 0, 1), (1, 0, 1, 0), (2, 1, 0, 2), (0, 3, 3, 0)],
+        ((1, 1, 0, 0), (0, 0, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 2.5])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_ball_sampler_law(n, lam):
+    """Moments of sample_ball against the weighted Bergman norms."""
+    N = 100_000
+    Z = sample_ball(n, lam, N, substream(0, "ball-law", n, repr(lam)))
+    assert Z.shape == (N, n) and Z.dtype == complex
+    assert np.all(np.linalg.norm(Z, axis=1) <= 1.0)
+    alphas, (al, be) = _LAW_ALPHAS[n]
+    for alpha in alphas:
+        v = np.abs(np.prod(Z ** np.array(alpha), axis=1)) ** 2
+        se = v.std() / math.sqrt(N)
+        assert abs(v.mean() - monomial_norm_sq(n, lam, alpha)) <= 5 * se, alpha
+    mixed = np.prod(Z ** np.array(al), axis=1) * np.conj(
+        np.prod(Z ** np.array(be), axis=1))
+    se = math.sqrt(np.mean(np.abs(mixed - mixed.mean()) ** 2) / N)
+    assert abs(mixed.mean()) <= 5 * se
 
 
 def test_substreams_reproducible_and_distinct():

@@ -481,6 +481,101 @@ class TestSharedOracleDraws:
             assert np.all(np.abs(G - T.blocks[kappa]) <= band), kappa
 
 
+def _direct_rows(Z, alphas):
+    """prod_i z_i^alpha_i, one power per coordinate."""
+    return np.array([np.prod(Z ** np.array(al), axis=1) for al in alphas]
+                    ).reshape(len(alphas), Z.shape[0])
+
+
+class TestMonomialRows:
+    Z = toeplitz.sample_ball(3, 0.5, 500, substream(0, "rows"))
+
+    @pytest.mark.parametrize("alphas", [
+        [(2, 0, 1), (0, 0, 0), (1, 1, 1), (0, 3, 0), (1, 0, 0)],
+        [(1, 2, 0), (0, 0, 0), (1, 2, 0), (0, 1, 0), (0, 1, 0)],
+        [al + (0,) for al in compositions(8, 2)],
+        [],
+    ], ids=["unsorted", "duplicates", "not-downward-closed", "empty"])
+    def test_matches_direct_product(self, alphas):
+        X = toeplitz._monomial_rows(self.Z, alphas)
+        assert X.shape == (len(alphas), len(self.Z))
+        assert np.max(np.abs(X - _direct_rows(self.Z, alphas)),
+                      initial=0.0) <= 1e-14
+
+
+class TestOracleNormalization:
+    """oracle_matrix against the per-sample orthonormal-row estimator."""
+
+    @staticmethod
+    def _reference(a, Z, alphas, betas, lam):
+        n = a.partition.n
+        Ea = toeplitz.orthonormal_rows(Z, alphas, n, lam)
+        Eb = toeplitz.orthonormal_rows(Z, betas, n, lam)
+        av = a(Z)
+        N = len(Z)
+        mean = np.conj(Eb) @ (av * Ea).T / N
+        m2 = np.abs(Eb) ** 2 @ (np.abs(av) ** 2 * np.abs(Ea) ** 2).T / N
+        return mean, np.sqrt(np.maximum(m2 - np.abs(mean) ** 2, 0.0) / N)
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def _draws(self, monkeypatch):
+        drawn = []
+        sample_ball = toeplitz.sample_ball
+
+        def recording(n, lam, size, rng):
+            drawn.append(sample_ball(n, lam, size, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(toeplitz, "sample_ball", recording)
+        return drawn
+
+    # more samples than one chunk holds, so the sums run over several
+    SPEC = QuadratureSpec(ball_samples=30_000)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_sizes_path(self, monkeypatch, lam):
+        drawn = self._draws(monkeypatch)
+        a = block_hermitian(P22, H22)
+        bases = [enumerate_basis(P22, k).alphas for k in enumerate_kappas(P22, 3)]
+        alphas = [al for basis in bases for al in basis]
+        got = toeplitz.oracle_matrix(a, alphas, alphas, lam, self.SPEC,
+                                     substream(1, "norm"),
+                                     sizes=[len(b) for b in bases])
+        assert len(drawn) > 1
+        Z = np.concatenate(drawn)
+        for basis, (G, SE) in zip(bases, got):
+            mean, se = self._reference(a, Z, basis, basis, lam)
+            self._close(G, mean)
+            self._close(SE, se)
+
+    def test_single_slice(self, monkeypatch):
+        drawn = self._draws(monkeypatch)
+        a = xi_monomial(P12, 2, (1, 0), (0, 1))
+        alphas = enumerate_basis(P12, (1, 2)).alphas
+        G, SE = toeplitz.oracle_matrix(a, alphas, alphas, 0.5, self.SPEC,
+                                       substream(2, "norm"))
+        mean, se = self._reference(a, np.concatenate(drawn), alphas, alphas,
+                                   0.5)
+        self._close(G, mean)
+        self._close(SE, se)
+
+    def test_betas_differ_from_alphas(self, monkeypatch):
+        drawn = self._draws(monkeypatch)
+        a = xi_monomial(P22, 1, (1, 0), (0, 0))  # not block-torus invariant
+        alphas = enumerate_basis(P22, (1, 1)).alphas
+        betas = enumerate_basis(P22, (2, 1)).alphas
+        G, SE = toeplitz.oracle_matrix(a, alphas, betas, 1.5, self.SPEC,
+                                       substream(3, "norm"))
+        mean, se = self._reference(a, np.concatenate(drawn), alphas, betas,
+                                   1.5)
+        self._close(G, mean)
+        self._close(SE, se)
+
+
 def test_gamma_real_profile_has_negligible_imaginary_part():
     p = Partition((2, 2))
     prof = lambda r: np.atleast_2d(r)[:, 0] ** 2 + 0.5
