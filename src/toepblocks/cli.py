@@ -23,7 +23,7 @@ import numpy as np
 
 from . import structure as st
 from .mindex import Partition, dim_P, enumerate_kappas
-from .quad import QuadratureSpec, haar_uk_sample, radial_rule, substream
+from .quad import QuadratureSpec, RadialRuleError, haar_uk_sample, substream
 from .symbols import (
     GENERAL,
     QUASI_RADIAL,
@@ -328,27 +328,6 @@ def load_config(path, seed_override=None, out_override=None) -> RunConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(doc, seed_override, out_override)
-
-
-def _check_radial_rules(cfg: RunConfig, command: str) -> None:
-    """Config error for a lambda whose radial rule is not finite.
-
-    The Gauss-Jacobi weights overflow for a large lambda (about 1000 and up),
-    which would give NaN blocks.  Every rule of the slices |kappa| <= degree
-    is built once (``radial_rule`` caches its axes for the run) before any
-    output is written; a build whose symbols all take the oracle path builds
-    no rule and is not checked.
-    """
-    if command == "build" and all(assembly_path(s) == "oracle"
-                                  for s in cfg.symbols):
-        return
-    for lam in cfg.lambdas:
-        for kappa in enumerate_kappas(cfg.partition, cfg.degree):
-            try:
-                radial_rule(cfg.partition, kappa, cfg.spec, lam)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"lambda {lam!r} at kappa {kappa}: {exc}") from exc
 
 
 def _output_path(out_dir, prefix: str, name: str, lam: float,
@@ -699,13 +678,12 @@ def main(argv=None) -> int:
         if config is None:
             raise ConfigError("--config is required")
         cfg = load_config(config, seed, out)
-        _check_radial_rules(cfg, args.command)
         if args.command == "build":
             return cmd_build(cfg, jobs=max(1, args.jobs))
         return {"verify": cmd_verify, "trace-table": cmd_trace_table,
                 "sequence": cmd_sequence, "witness": cmd_witness,
                 }[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, RadialRuleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

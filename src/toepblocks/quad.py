@@ -17,7 +17,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -155,14 +154,15 @@ def sphere_monomial_integral(k: int, alpha, beta) -> float:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
+class RadialRuleError(ValueError):
+    """A Gauss-Jacobi radial rule that is not finite in double precision."""
+
+
 def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     """Nodes/weights for integral over [0,1] of x^exp_x (1-x)^exp_1mx f(x).
 
-    Raises ValueError when the rule is not finite: its weights carry
+    Raises RadialRuleError when the rule is not finite: its weights carry
     2^(exp_x + exp_1mx + 1), which overflows for exponents past about 1000.
-    Cached (the arrays are read-only): the config check and every slice of
-    every symbol at one lambda ask for the same few rules.
     """
     try:
         with np.errstate(all="ignore"):
@@ -172,10 +172,10 @@ def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     except ValueError:  # roots_jacobi's eigensolver met infs or NaNs
         x = w = np.array([np.nan])
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise ValueError(
+        raise RadialRuleError(
             f"the {nodes}-node Gauss-Jacobi rule with exponents "
-            f"({exp_x:g}, {exp_1mx:g}) has non-finite nodes or weights")
-    x.flags.writeable = w.flags.writeable = False
+            f"({exp_x:g}, {exp_1mx:g}) has non-finite nodes or weights: "
+            f"lambda is too large for double precision")
     return x, w
 
 
@@ -189,8 +189,8 @@ def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
 
     The substitution u_j = r_j^2 maps the domain to the simplex; an iterated
     (Duffy-type) factorization then turns the weight into a product of
-    classical Jacobi weights, one per dimension.  Raises ValueError when one
-    of those factors is not finite in double precision (a large lam).
+    classical Jacobi weights, one per dimension.  Raises RadialRuleError when
+    one of those factors is not finite in double precision (a large lam).
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")

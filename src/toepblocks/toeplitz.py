@@ -187,10 +187,10 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
     samples, so its distribution is unchanged; blocks of different slices
     are correlated.  A chunk holds about ``_ORACLE_CHUNK`` row-table entries.
 
-    The sums run over the raw rows z^alpha; each block is normalized once at
-    the end, e_alpha = z^alpha / sqrt(monomial_norm_sq(n, lam, alpha)), by
-    the outer product of the row and column scales (squared for the second
-    moment), so no sample is divided.
+    Each chunk's raw rows z^alpha are scaled in place to e_alpha = z^alpha /
+    sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
+    lam the raw rows are tiny (|z|^2 is about n / lam), and their products
+    would underflow at half the degree at which the rows do.
     """
     p = a.partition
     alphas = [tuple(al) for al in alphas]
@@ -209,6 +209,9 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
         raise ValueError(f"n_samples must be >= 1, got {N}")
     rows = len(alphas) + (0 if same else len(betas))
     chunk = max(1024, min(N, _ORACLE_CHUNK // max(rows, 1)))
+    scale_a = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
+    scale_b = scale_a if same else np.array(
+        [monomial_norm_sq(p.n, lam, be) for be in betas]) ** -0.5
     S1 = [np.zeros((rb.stop - rb.start, ca.stop - ca.start), dtype=complex)
           for rb, ca in cuts]
     S2 = [np.zeros(s.shape) for s in S1]
@@ -218,7 +221,8 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
         Z = sample_ball(p.n, lam, c, rng)
         av = a(Z)
         Ea = _monomial_rows(Z, alphas)
-        Eb = Ea if same else _monomial_rows(Z, betas)
+        Ea *= scale_a[:, None]  # the e_alpha rows
+        Eb = Ea if same else _monomial_rows(Z, betas) * scale_b[:, None]
         aEa = av * Ea  # (len(alphas), c)
         np.conjugate(aEa, out=aEa)  # so S1 sums the conjugate first moment
         Pb = np.abs(Eb) ** 2
@@ -227,14 +231,10 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
             s1 += Eb[rb] @ aEa[ca].T
             s2 += Pb[rb] @ Pa[ca].T
         done += c
-    scale_a = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
-    scale_b = scale_a if same else np.array(
-        [monomial_norm_sq(p.n, lam, be) for be in betas]) ** -0.5
     out = []
-    for (rb, ca), s1, s2 in zip(cuts, S1, S2):
-        D = np.outer(scale_b[rb], scale_a[ca])
-        mean = np.conj(s1) * D / N
-        var = np.maximum(s2 * D**2 / N - np.abs(mean) ** 2, 0.0)
+    for s1, s2 in zip(S1, S2):
+        mean = np.conj(s1) / N
+        var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
         out.append((mean, np.sqrt(var / N)))
     return out if sizes is not None else out[0]
 

@@ -90,6 +90,46 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    SINGLE_BLOCK = {"partition": [2], "lambdas": [1e6],
+                    "sequence_max_kappa": 3, "trace_kappas": [[1]],
+                    "quadrature": {"ball_samples": 2000, "haar_samples": 50,
+                                   "radial_nodes": 8}}
+
+    @pytest.mark.parametrize("command", ["verify", "trace-table", "sequence"])
+    def test_unusable_lambda_exit_config_any_command(self, tmp_path, capsys,
+                                                     command):
+        # every command that builds a radial rule turns its overflow into a
+        # config error where the rule is built
+        doc = base_config(output_dir=str(tmp_path / "o"), **self.SINGLE_BLOCK,
+                          symbols=[{"name": "one", "kind": "constant",
+                                    "value": 1.0}],
+                          checks=["trace_identity"])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), command]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "lambda" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["trace-table", "sequence"])
+    def test_large_lambda_oracle_traces(self, tmp_path, command):
+        # oracle traces build no radial rule, so a large lambda is usable
+        doc = base_config(output_dir=str(tmp_path / "o"), **self.SINGLE_BLOCK,
+                          symbols=[{"name": "x", "kind": "zpoly",
+                                    "declared_class": "tm", "terms": [
+                                        {"coeff": 1.0, "z": [1, 0],
+                                         "zbar": [1, 0]}]}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), command]) == EXIT_OK
+        [out] = (tmp_path / "o").iterdir()
+        if command == "trace-table":
+            rows = csv.DictReader(out.read_text().splitlines())
+            values = [float(r["trace_re"]) for r in rows]
+        else:
+            values = [v[0] for v in json.loads(out.read_text())["values"]]
+        assert np.all(np.isfinite(values))
+        # at kappa = 0 the trace is E|z_1|^2 = 1/(lambda + 2)
+        assert values[0] == pytest.approx(1e-6, rel=0.1)
+
     def test_large_lambda_oracle_build(self, tmp_path):
         # an oracle-only build builds no radial rule, so it is not rejected
         doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[1e6],

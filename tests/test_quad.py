@@ -22,6 +22,7 @@ from toepblocks import (
     substream,
     torus_rule,
 )
+from toepblocks.quad import RadialRuleError
 from toepblocks.toeplitz import _monomial_rows, monomial_norm_sq
 
 SPEC = QuadratureSpec()
@@ -72,7 +73,7 @@ def test_radial_rule_rejects_bad_lambda():
 def test_radial_rule_rejects_overflowing_lambda(lam):
     # the Gauss-Jacobi weights carry 2^lam: NaN at 1e6, an eigensolver
     # failure at 1e300; both must raise instead of returning a NaN rule
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(RadialRuleError, match="non-finite"):
         radial_rule(Partition((1, 1)), (0, 0), SPEC, lam)
 
 

@@ -575,6 +575,23 @@ class TestOracleNormalization:
         self._close(G, mean)
         self._close(SE, se)
 
+    def test_large_lambda_high_degree(self, monkeypatch):
+        # at lambda 1e6 |z|^2 is about 1e-6, so the raw rows z^alpha of degree
+        # 70 are about 1e-210 and products of two or four of them underflow
+        drawn = self._draws(monkeypatch)
+        p = Partition((1,))
+        a = constant_symbol(p, 2.0)
+        alphas = [(1,), (30,), (70,)]
+        got = toeplitz.oracle_matrix(a, alphas, alphas, 1e6,
+                                     QuadratureSpec(ball_samples=4000),
+                                     substream(4, "norm"), sizes=[1, 1, 1])
+        Z = np.concatenate(drawn)
+        for al, (G, SE) in zip(alphas, got):
+            mean, se = self._reference(a, Z, [al], [al], 1e6)
+            self._close(G, mean)
+            self._close(SE, se)
+            assert G[0, 0].real > 0 and SE[0, 0] > 0
+
 
 def test_gamma_real_profile_has_negligible_imaginary_part():
     p = Partition((2, 2))
