@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mindex import (
-    Partition,
     dim_P,
     enumerate_basis,
     enumerate_multiindices,
@@ -111,8 +110,8 @@ def _plain(obj):
 # ---------------------------------------------------------------------------
 
 
-def offblock_leakage(a: Symbol, p: Partition, degree: int, lam: float,
-                     spec: QuadratureSpec, rng=None) -> StructureReport:
+def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
+                     rng=None) -> StructureReport:
     """Oracle estimate of the cross-slice entries <a e_alpha, e_beta>.
 
     For a block-torus invariant symbol every entry between different slices
@@ -120,10 +119,11 @@ def offblock_leakage(a: Symbol, p: Partition, degree: int, lam: float,
     (``sigma_band``).  The report records the largest modulus and the
     largest modulus-to-stderr ratio over the off-block pairs.
     """
+    p = a.partition
     rng = rng if rng is not None else substream(
         spec.seed, "offblock", a.name, repr(lam))
     alphas = enumerate_multiindices(p.n, degree)
-    G, SE = oracle_matrix(a, alphas, alphas, lam, spec, rng)
+    [(G, SE)] = oracle_matrix(a, alphas, [len(alphas)], lam, spec, rng)
     kappas = [kappa_of(al, p) for al in alphas]
     mask = np.array([[kb != ka for ka in kappas] for kb in kappas])
     off = np.abs(G)[mask]
@@ -241,7 +241,7 @@ def oracle_traces(a: Symbol, kappas, lam: float, spec: QuadratureSpec, rng):
 
 
 def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
-                rng, n_samples: int):
+                rng):
     """Haar-times-radial estimate of tr(T_a | P_kappa) with its standard error.
 
     Each sampled block unitary A contributes the radial integral of
@@ -255,9 +255,10 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
       directions xi_j = A_j^{-1} u_j of its block, through ``payload_chart``;
     * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j.
 
-    The last two draw ``n_samples`` unitaries per block, block by block in
-    chunks of ``2_000_000 // Qr`` (Qr radial nodes) that ``_radial_contract``
-    sums; on one stream a payload gives its evaluator's numbers to roundoff.
+    The last two draw ``spec.haar_samples`` unitaries per block, block by
+    block in chunks of ``2_000_000 // Qr`` (Qr radial nodes) that
+    ``_radial_contract`` sums; on one stream a payload gives its evaluator's
+    numbers to roundoff.
     """
     p = a.partition
     d = dim_P(p, kappa)
@@ -270,6 +271,7 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
     else:
         F, coords = payload_chart(a, path)
     R, w = radial_rule(p, kappa, spec, lam)
+    n_samples = spec.haar_samples
     raw = np.empty(n_samples, dtype=complex)
     chunk = max(1, 2_000_000 // max(R.shape[0], 1))
     for done in range(0, n_samples, chunk):
@@ -285,14 +287,14 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
 
 
 def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
-                   spec: QuadratureSpec, rng=None, n_samples: int | None = None):
+                   spec: QuadratureSpec, rng=None):
     """Trace of T_a on P_kappa as a Haar-times-radial integral.
 
     ``u_vectors`` is one unit vector per block; the result does not depend
     on the choice (up to Monte Carlo error).  Returns (value, stderr).
-    ``n_samples`` (default ``spec.haar_samples``, at least 1) Haar unitaries
-    per block are drawn, except for a quasi-radial symbol with a profile:
-    its integral is exact, with stderr 0.0 and no draws (``_haar_trace``).
+    ``spec.haar_samples`` Haar unitaries per block are drawn, except for a
+    quasi-radial symbol with a profile: its integral is exact, with stderr
+    0.0 and no draws (``_haar_trace``).
     """
     p = a.partition
     kappa = tuple(int(v) for v in kappa)
@@ -306,10 +308,7 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
             raise ValueError("block vectors must be unit vectors")
     rng = rng if rng is not None else substream(
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
-    N = int(n_samples if n_samples is not None else spec.haar_samples)
-    if N < 1:
-        raise ValueError(f"n_samples must be >= 1, got {N}")
-    return _haar_trace(a, kappa, lam, u_vectors, spec, rng, N)
+    return _haar_trace(a, kappa, lam, u_vectors, spec, rng)
 
 
 def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
@@ -333,7 +332,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
         spec.seed, "trace-identity", a.name, repr(lam), repr(kappa))
     [(lhs, lhs_se)] = oracle_traces(a, [kappa], lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng, spec.haar_samples)
+    rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng)
     path = assembly_path(a)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)

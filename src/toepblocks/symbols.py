@@ -394,14 +394,25 @@ def constant_symbol(p: Partition, value: complex = 1.0) -> Symbol:
                                                    complex(value)))
 
 
-def _radial_terms_profile(terms):
-    """Profile r -> sum coeff * prod_j (r_j^2)^powers_j over (coeff, powers)."""
+def _radial_terms_profile(terms, m: int):
+    """Profile r -> sum coeff * prod_j (r_j^2)^powers_j over (coeff, powers).
+
+    Each powers vector must lie in N^m: a negative power makes the profile
+    unbounded at r_j = 0.
+    """
+    terms = [(complex(c), tuple(pw)) for c, pw in terms]
+    for _, pw in terms:
+        if len(pw) != m:
+            raise ValueError(f"power vector length must equal m = {m}")
+        if any(e < 0 or e != int(e) for e in pw):
+            raise ValueError("radial powers must be nonnegative integers")
+    terms = [(c, tuple(int(e) for e in pw)) for c, pw in terms]
 
     def profile(r):
         r2 = np.atleast_2d(np.asarray(r, dtype=float)) ** 2
         out = np.zeros(r2.shape[0], dtype=complex)
         for c, pw in terms:
-            out += complex(c) * np.prod(r2 ** np.asarray(pw), axis=1)
+            out += c * np.prod(r2 ** np.asarray(pw), axis=1)
         return out
 
     return profile
@@ -413,23 +424,23 @@ def radial_poly(p: Partition, terms, name: str | None = None) -> Symbol:
     ``terms`` is an iterable of (coeff, powers) with powers in N^m; the
     profile is sum coeff * prod_j (r_j^2)^powers_j.
     """
-    terms = [(complex(c), tuple(int(e) for e in pw)) for c, pw in terms]
-    for _, pw in terms:
-        if len(pw) != p.m:
-            raise ValueError("power vector length must equal m")
-
-    return from_radial_profile(p, _radial_terms_profile(terms),
+    return from_radial_profile(p, _radial_terms_profile(terms, p.m),
                                name=name or "radial-poly")
 
 
 def _monomial(X: np.ndarray, pexp, qexp, coeff=1.0) -> np.ndarray:
-    """coeff * X^p * conj(X)^q for row-stacked points X, factor by factor."""
+    """coeff * X^p * conj(X)^q for row-stacked points X, factor by factor.
+
+    Each factor multiplies ``out`` in place, so at most one row-sized
+    temporary is alive beside it.
+    """
     out = np.full(X.shape[0], coeff, dtype=complex)
     for i, (pe, qe) in enumerate(zip(pexp, qexp)):
         if pe:
-            out = out * X[:, i] ** pe
+            out *= X[:, i] ** pe
         if qe:
-            out = out * np.conj(X[:, i]) ** qe
+            xq = X[:, i] ** qe
+            out *= np.conjugate(xq, out=xq)  # conj(x^q) = conj(x)^q
     return out
 
 
@@ -451,7 +462,7 @@ def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
         raise ValueError("exponents must be nonnegative")
     if sum(pexp) != sum(qexp):
         raise ValueError("|p| must equal |q| for a phase-invariant factor")
-    prof = (_radial_terms_profile(list(radial_terms))
+    prof = (_radial_terms_profile(radial_terms, p.m)
             if radial_terms is not None else None)
 
     def f(r, xi):
@@ -481,16 +492,21 @@ def pseudo_factor(p: Partition, j: int, s_powers, t_exp, radial_terms=None,
         raise ValueError("s exponents must be nonnegative")
     if sum(t_exp) != 0:
         raise ValueError("torus exponents must sum to zero")
-    prof = (_radial_terms_profile(list(radial_terms))
+    prof = (_radial_terms_profile(radial_terms, p.m)
             if radial_terms is not None else None)
+    # on |t| = 1, t^c = conj(t)^(-c) for c < 0
+    t_p = tuple(max(c, 0) for c in t_exp)
+    t_q = tuple(max(-c, 0) for c in t_exp)
 
     def g(r, s, t):
         s = np.atleast_2d(np.asarray(s, dtype=float))
         t = np.atleast_2d(np.asarray(t, dtype=complex))
-        out = np.prod(s ** np.asarray(s_powers), axis=1).astype(complex)
-        for i, c in enumerate(t_exp):
-            if c:
-                out = out * t[:, i] ** c
+        out = _monomial(t, t_p, t_q)
+        # s in place: a second _monomial table would be one more complex
+        # temporary per payload chunk
+        for i, e in enumerate(s_powers):
+            if e:
+                out *= s[:, i] ** e
         if prof is not None:
             out = out * prof(r)
         return out

@@ -31,7 +31,6 @@ the kernel integrates over that slice only.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -170,20 +169,18 @@ class BlockOperator:
 _ORACLE_CHUNK = 400_000  # monomial-row-table entries per sampling chunk
 
 
-def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
-                  rng, n_samples: int | None = None, *, sizes=None):
-    """Monte Carlo estimate of the Gram-type matrix <a e_alpha, e_beta>.
+def oracle_matrix(a: Symbol, alphas, sizes, lam: float, spec: QuadratureSpec,
+                  rng):
+    """Monte Carlo estimates of the Gram-type blocks <a e_alpha, e_beta>.
 
-    Entries are expectations of a(z) e_alpha(z) conj(e_beta(z)) under the
-    normalized weighted ball measure.  Returns (mean, stderr) with stderr
-    the entrywise standard error of the mean.
-
-    ``sizes`` splits ``alphas`` (which must then equal ``betas``) into
-    consecutive slices, and only the square diagonal blocks are estimated:
-    the result is a list of (mean, stderr) pairs, one per slice.  Every
-    block comes from the same draws; each chunk of ball samples is drawn,
-    evaluated by the symbol and turned into monomial rows once for all
-    slices.  Each entry is still the mean of the same estimator over N
+    ``sizes`` splits ``alphas`` into consecutive slices, and only the square
+    diagonal blocks are estimated: the result is a list of (mean, stderr)
+    pairs, one per slice, with stderr the entrywise standard error of the
+    mean.  Entries are expectations of a(z) e_alpha(z) conj(e_beta(z)) under
+    the normalized weighted ball measure, over ``spec.ball_samples`` draws.
+    Every block comes from the same draws; each chunk of ball samples is
+    drawn, evaluated by the symbol and turned into monomial rows once for
+    all slices.  Each entry is still the mean of the same estimator over N
     samples, so its distribution is unchanged; blocks of different slices
     are correlated.  A chunk holds about ``_ORACLE_CHUNK`` row-table entries.
 
@@ -194,56 +191,42 @@ def oracle_matrix(a: Symbol, alphas, betas, lam: float, spec: QuadratureSpec,
     """
     p = a.partition
     alphas = [tuple(al) for al in alphas]
-    betas = [tuple(be) for be in betas]
-    same = alphas == betas
-    if sizes is None:
-        cuts = [(slice(0, len(betas)), slice(0, len(alphas)))]
-    elif same and sum(sizes) == len(alphas):
-        ends = np.cumsum(sizes, dtype=int)
-        cuts = [(slice(e - d, e),) * 2 for d, e in zip(sizes, ends)]
-    else:
-        raise ValueError("sizes must split alphas, and betas must equal "
-                         "alphas")
-    N = int(n_samples if n_samples is not None else spec.ball_samples)
-    if N < 1:
-        raise ValueError(f"n_samples must be >= 1, got {N}")
-    rows = len(alphas) + (0 if same else len(betas))
-    chunk = max(1024, min(N, _ORACLE_CHUNK // max(rows, 1)))
-    scale_a = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
-    scale_b = scale_a if same else np.array(
-        [monomial_norm_sq(p.n, lam, be) for be in betas]) ** -0.5
-    S1 = [np.zeros((rb.stop - rb.start, ca.stop - ca.start), dtype=complex)
-          for rb, ca in cuts]
+    ends = np.cumsum(sizes, dtype=int)
+    cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
+    N = spec.ball_samples
+    chunk = max(1024, min(N, _ORACLE_CHUNK // max(len(alphas), 1)))
+    scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
+    S1 = [np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
     S2 = [np.zeros(s.shape) for s in S1]
     done = 0
     while done < N:
         c = min(chunk, N - done)
         Z = sample_ball(p.n, lam, c, rng)
         av = a(Z)
-        Ea = _monomial_rows(Z, alphas)
-        Ea *= scale_a[:, None]  # the e_alpha rows
-        Eb = Ea if same else _monomial_rows(Z, betas) * scale_b[:, None]
-        aEa = av * Ea  # (len(alphas), c)
-        np.conjugate(aEa, out=aEa)  # so S1 sums the conjugate first moment
-        Pb = np.abs(Eb) ** 2
-        Pa = np.abs(av) ** 2 * (Pb if same else np.abs(Ea) ** 2)
-        for (rb, ca), s1, s2 in zip(cuts, S1, S2):
-            s1 += Eb[rb] @ aEa[ca].T
-            s2 += Pb[rb] @ Pa[ca].T
+        E = _monomial_rows(Z, alphas)
+        E *= scale[:, None]  # the e_alpha rows
+        aE = av * E  # (len(alphas), c)
+        np.conjugate(aE, out=aE)  # so S1 sums the conjugate first moment
+        P = np.abs(E) ** 2
+        aP = np.abs(av) ** 2 * P
+        for cut, s1, s2 in zip(cuts, S1, S2):
+            s1 += E[cut] @ aE[cut].T
+            s2 += P[cut] @ aP[cut].T
         done += c
     out = []
     for s1, s2 in zip(S1, S2):
         mean = np.conj(s1) / N
         var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
         out.append((mean, np.sqrt(var / N)))
-    return out if sizes is not None else out[0]
+    return out
 
 
 def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
                           rng):
     """Monte Carlo estimate of the block of T_a on the slice P_kappa."""
-    basis = enumerate_basis(a.partition, kappa)
-    return oracle_matrix(a, basis.alphas, basis.alphas, lam, spec, rng)
+    alphas = enumerate_basis(a.partition, kappa).alphas
+    [block] = oracle_matrix(a, alphas, [len(alphas)], lam, spec, rng)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +448,14 @@ def _mul_linear(poly: dict, row: np.ndarray, k: int) -> dict:
     return out
 
 
-def average_operator(T: BlockOperator, p: Partition, n_samples: int, rng
-                     ) -> BlockOperator:
+def average_operator(T: BlockOperator, n_samples: int, rng) -> BlockOperator:
     """Haar average of R(A) T R(A)* over block-diagonal unitaries A.
 
     Traces are preserved per block (similarity invariance); the reported
     per-block error is the Frobenius distance to the nearest scalar matrix,
     which measures how far the finite average still is from the Haar limit.
     """
-    if p != T.partition:
-        raise ValueError("partition does not match the operator")
+    p = T.partition
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from .quad import haar_uk_sample
@@ -530,8 +511,8 @@ def _effort(path: str, p: Partition, j, spec: QuadratureSpec) -> dict:
     return effort
 
 
-def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
-                      spec: QuadratureSpec, rng=None) -> BlockOperator:
+def toeplitz_operator(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
+                      rng=None) -> BlockOperator:
     """Assemble all blocks with |kappa| <= degree on the symbol's path.
 
     The path comes from ``assembly_path``.  The oracle path draws one sample
@@ -541,8 +522,7 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
     total degree <= degree and a warning is recorded.  ``meta["effort"]``
     records the nodes or samples behind the blocks (``_effort``).
     """
-    if a.partition != p:
-        raise ValueError("symbol partition does not match")
+    p = a.partition
     path = assembly_path(a)
     if path == "diagonal-gamma":
         op = assemble_diagonal(
@@ -570,8 +550,8 @@ def toeplitz_operator(a: Symbol, p: Partition, degree: int, lam: float,
         rng = rng if rng is not None else substream(
             spec.seed, "oracle", a.name, repr(lam))
         alphas = [al for basis in bases for al in basis]
-        estimates = oracle_matrix(a, alphas, alphas, lam, spec, rng,
-                                  sizes=[len(basis) for basis in bases])
+        estimates = oracle_matrix(a, alphas, [len(basis) for basis in bases],
+                                  lam, spec, rng)
         for kappa, (G, SE) in zip(kappas, estimates):
             blocks[kappa] = G
             stderrs[kappa] = SE
@@ -651,19 +631,3 @@ def save_operator(T: BlockOperator, path) -> None:
 def load_operator(path) -> BlockOperator:
     with open(path) as fh:
         return operator_from_json(json.load(fh))
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
-def block_to_csv(T: BlockOperator, kappa, fh) -> None:
-    """One CSV per block: beta labels across, alpha labels down."""
-    kappa = tuple(int(v) for v in kappa)
-    basis = enumerate_basis(T.partition, kappa)
-    B = T.blocks[kappa]
-    writer = csv.writer(fh)
-    labels = [";".join(str(v) for v in al) for al in basis]
-    writer.writerow(["alpha\\beta"] + labels)
-    for col, al in enumerate(labels):
-        writer.writerow([al] + [_fmt_complex(B[row, col]) for row in range(len(basis))])

@@ -74,13 +74,13 @@ def test_criterion_01_identity_symbol_all_paths():
             p, lambda Z: np.ones(np.atleast_2d(Z).shape[0], dtype=complex),
             TM_INVARIANT, name="one-oracle")
         for lam in (0.0, 2.5):
-            diag = toeplitz_operator(constant_symbol(p), p, 4, lam, SPEC_DET)
+            diag = toeplitz_operator(constant_symbol(p), 4, lam, SPEC_DET)
             f_one = phi_factor(p, 2, (0,) * p.k[1], (0,) * p.k[1],
                                name="one-f")
             g_one = pseudo_factor(p, 2, (0,) * p.k[1], (0,) * p.k[1],
                                   name="one-g")
-            Tf = toeplitz_operator(f_one, p, 4, lam, SPEC_DET)
-            Tg = toeplitz_operator(g_one, p, 4, lam, SPEC_DET)
+            Tf = toeplitz_operator(f_one, 4, lam, SPEC_DET)
+            Tg = toeplitz_operator(g_one, 4, lam, SPEC_DET)
             assert Tf.provenance == "f-form" and Tg.provenance == "g-form"
             for kappa in enumerate_kappas(p, 4):
                 eye = np.eye(dim_P(p, kappa))
@@ -132,10 +132,10 @@ def test_criterion_04_block_diagonality():
     ]
     worst = 0.0
     for a in symbols:
-        rep = offblock_leakage(a, p, 4, 0.0, SPEC)
+        rep = offblock_leakage(a, 4, 0.0, SPEC)
         worst = max(worst, rep.metrics["max_sigma_ratio"])
     control = xi_monomial(p, 1, (1, 0), (0, 0))
-    ctrl_rep = offblock_leakage(control, p, 4, 0.0, SPEC)
+    ctrl_rep = offblock_leakage(control, 4, 0.0, SPEC)
     ctrl_ratio = ctrl_rep.metrics["max_sigma_ratio"]
     emit(4, "torus-invariant symbols keep slices; direction monomial leaks",
          worst <= SIGMA and ctrl_ratio > SIGMA,
@@ -157,12 +157,12 @@ def test_criterion_05_tensor_block_constancy():
     for j in (1, 2):
         a = phi_factor(p, j, (1, 0), (0, 1),
                        radial_terms=[(1.0, (0, 0)), (-0.25, (0, 1))])
-        T = toeplitz_operator(a, p, 4, 0.0, SPEC_DET)
+        T = toeplitz_operator(a, 4, 0.0, SPEC_DET)
         for kappa in enumerate_kappas(p, 4):
             _, res = extract_M(T, j, kappa)
             worst = max(worst, res)
     control = cross_block_control(p)
-    Tc = toeplitz_operator(control, p, 2, 0.0, SPEC)
+    Tc = toeplitz_operator(control, 2, 0.0, SPEC)
     _, res_ctrl = extract_M(Tc, 1, (1, 1))
     emit(5, "single-block matrix repeats along the diagonal",
          worst <= 1e-6 and res_ctrl >= 1e-2,
@@ -210,7 +210,7 @@ def test_criterion_08_trace_integral():
     p = Partition((2, 2))
     a = block_hermitian(p, np.diag([1.0, 0.25, -0.5, 0.5]).astype(complex)
                         + _offdiag_hermitian())
-    T = toeplitz_operator(a, p, 3, 0.0, SPEC)
+    T = toeplitz_operator(a, 3, 0.0, SPEC)
     traces = block_traces(T)
     u1 = [np.array([1, 0], dtype=complex)] * 2
     u2 = [np.array([1, 1j], dtype=complex) / math.sqrt(2)] * 2
@@ -254,18 +254,18 @@ def test_criterion_09_commutativity():
     for _ in range(5):
         a = _random_f_form(p, 1, rng)
         b = _random_f_form(p, 2, rng)
-        Ta = toeplitz_operator(a, p, 4, 0.0, SPEC_DET)
-        Tb = toeplitz_operator(b, p, 4, 0.0, SPEC_DET)
+        Ta = toeplitz_operator(a, 4, 0.0, SPEC_DET)
+        Tb = toeplitz_operator(b, 4, 0.0, SPEC_DET)
         worst_cross = max(worst_cross, max(
             v["frobenius"] for v in commutator(Ta, Tb).values()))
     qr = radial_poly(p, [(1.0, (1, 0)), (0.5, (0, 1))])
-    Tq = toeplitz_operator(qr, p, 4, 0.0, SPEC_DET)
+    Tq = toeplitz_operator(qr, 4, 0.0, SPEC_DET)
     for other in (Ta, Tb):
         worst_center = max(worst_center, max(
             v["frobenius"] for v in commutator(Tq, other).values()))
     na, nb = noncommuting_pair(p, 1)
-    Tna = toeplitz_operator(na, p, 4, 0.0, SPEC_DET)
-    Tnb = toeplitz_operator(nb, p, 4, 0.0, SPEC_DET)
+    Tna = toeplitz_operator(na, 4, 0.0, SPEC_DET)
+    Tnb = toeplitz_operator(nb, 4, 0.0, SPEC_DET)
     witness = max(v["frobenius"] for v in commutator(Tna, Tnb).values())
     emit(9, "different-block and center pairs commute; designed pair does not",
          worst_cross <= 1e-6 and worst_center <= 1e-6 and witness > 1e-2,
@@ -290,7 +290,7 @@ def test_criterion_10_equivariance():
 def test_criterion_11_averaging_invariants():
     p = Partition((2,))
     a, _ = noncommuting_pair(p, 1)
-    T = toeplitz_operator(a, p, 2, 0.0, SPEC)
+    T = toeplitz_operator(a, 2, 0.0, SPEC)
     # restrict to the irreducible slice kappa = (2,)
     from toepblocks import BlockOperator
 
@@ -302,7 +302,7 @@ def test_criterion_11_averaging_invariants():
     for n in (100, 1000, 10_000):
         devs = []
         for r in range(repeats):
-            avg = average_operator(T1, p, n, substream(SPEC.seed, "acc11", n, r))
+            avg = average_operator(T1, n, substream(SPEC.seed, "acc11", n, r))
             devs.append(avg.block_errors[(2,)] ** 2)
             tr1 = np.trace(avg.blocks[(2,)])
             trace_ok &= abs(tr1 - tr0) <= 1e-12 * (1 + abs(tr0))

@@ -342,6 +342,37 @@ class TestVerify:
         assert ctrl and ctrl[0]["expected_fail"] is True
         assert ctrl[0]["passed"] is False  # it leaked, as designed
 
+    def test_commutator_controls_record_failed_as_expected(self, tmp_path,
+                                                           capsys):
+        # three block-1 symbols: swap = xi_1 conj(xi_2) does not commute with
+        # n1 = |xi_1|^2; n1 and n2 = |xi_2|^2 are diagonal and commute
+        doc = base_config(
+            output_dir=str(tmp_path / "o"), partition=[2, 2],
+            trace_kappas=[[1, 1]], checks=["commutators"], symbols=[
+                {"name": "swap", "kind": "phi", "j": 1, "p": [1, 0],
+                 "q": [0, 1]},
+                {"name": "n1", "kind": "phi", "j": 1, "p": [1, 0],
+                 "q": [1, 0]},
+                {"name": "n2", "kind": "phi", "j": 1, "p": [0, 1],
+                 "q": [0, 1]}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        pairs = {(r["provenance"]["a"], r["provenance"]["b"]): r
+                 for r in report["reports"]}
+        witness, commuting = pairs[("swap", "n1")], pairs[("n1", "n2")]
+        for r in (witness, commuting):
+            assert r["expected_fail"] is True
+            assert r["metrics"]["should_commute"] is False
+        # passed is the statement under test: the pair commutes
+        assert witness["passed"] is False
+        assert witness["metrics"]["failed_as_expected"] is True
+        assert commuting["passed"] is True
+        assert commuting["metrics"]["failed_as_expected"] is False
+        out = capsys.readouterr().out
+        assert "swap/n1: FAIL (expected-fail control)" in out
+        assert "n1/n2: PASS (expected-fail control)" in out
+
     def test_jobs_is_a_build_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,6 @@ from toepblocks import (
     mblock_f,
     noncommuting_pair,
     offblock_leakage,
-    oracle_matrix,
     phi_factor,
     pseudo_factor,
     quasi_radialize,
@@ -54,17 +53,17 @@ FAST = QuadratureSpec(ball_samples=40_000, haar_samples=600, radial_nodes=12,
 class TestOffblockLeakage:
     def test_quasi_radial_statistically_zero(self):
         a = radial_poly(P22, [(1.0, (1, 0))])
-        rep = offblock_leakage(a, P22, 2, 0.0, FAST)
+        rep = offblock_leakage(a, 2, 0.0, FAST)
         assert rep.passed
 
     def test_phi_statistically_zero(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
-        rep = offblock_leakage(a, P22, 2, 0.0, FAST)
+        rep = offblock_leakage(a, 2, 0.0, FAST)
         assert rep.passed
 
     def test_unbalanced_direction_leaks(self):
         a = xi_monomial(P22, 1, (1, 0), (0, 0))
-        rep = offblock_leakage(a, P22, 2, 0.0, FAST)
+        rep = offblock_leakage(a, 2, 0.0, FAST)
         assert not rep.passed
         assert rep.metrics["max_sigma_ratio"] > 5
 
@@ -81,7 +80,7 @@ class TestExtractM:
     @pytest.mark.parametrize("j", [1, 2])
     def test_f_form_operator_reproduces_mblock(self, j):
         a = phi_factor(P22, j, (1, 0), (0, 1))
-        T = toeplitz_operator(a, P22, 3, 0.0, FAST)
+        T = toeplitz_operator(a, 3, 0.0, FAST)
         for kappa in [(1, 1), (2, 1), (1, 2)]:
             M, res = extract_M(T, j, kappa)
             assert res < 1e-12
@@ -89,7 +88,7 @@ class TestExtractM:
 
     def test_cross_block_control_fails(self):
         c = cross_block_control(P22)
-        T = toeplitz_operator(c, P22, 2, 0.0, FAST)
+        T = toeplitz_operator(c, 2, 0.0, FAST)
         _, res = extract_M(T, 1, (1, 1))
         assert res > 1e-2
 
@@ -103,24 +102,24 @@ class TestCommutator:
     def test_different_blocks_commute(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1), radial_terms=[(1.0, (1, 1))])
         b = pseudo_factor(P22, 2, (2, 0), (1, -1))
-        Ta = toeplitz_operator(a, P22, 3, 0.0, FAST)
-        Tb = toeplitz_operator(b, P22, 3, 0.0, FAST)
+        Ta = toeplitz_operator(a, 3, 0.0, FAST)
+        Tb = toeplitz_operator(b, 3, 0.0, FAST)
         norms = commutator(Ta, Tb)
         assert max(v["frobenius"] for v in norms.values()) < 1e-10
         assert max(v["spectral"] for v in norms.values()) < 1e-10
 
     def test_center_commutes_with_everything(self):
         qr = radial_poly(P22, [(1.0, (1, 0)), (0.3, (0, 2))])
-        Tq = toeplitz_operator(qr, P22, 3, 0.0, FAST)
+        Tq = toeplitz_operator(qr, 3, 0.0, FAST)
         a, _ = noncommuting_pair(P22, 1)
-        Ta = toeplitz_operator(a, P22, 3, 0.0, FAST)
+        Ta = toeplitz_operator(a, 3, 0.0, FAST)
         norms = commutator(Tq, Ta)
         assert max(v["frobenius"] for v in norms.values()) < 1e-10
 
     def test_designed_pair_does_not_commute(self):
         a, b = noncommuting_pair(P22, 1)
-        Ta = toeplitz_operator(a, P22, 2, 0.0, FAST)
-        Tb = toeplitz_operator(b, P22, 2, 0.0, FAST)
+        Ta = toeplitz_operator(a, 2, 0.0, FAST)
+        Tb = toeplitz_operator(b, 2, 0.0, FAST)
         norms = commutator(Ta, Tb)
         assert max(v["frobenius"] for v in norms.values()) > 1e-2
 
@@ -140,8 +139,8 @@ class TestTraces:
 
     def test_averaged_traces_equal_source(self):
         a, _ = noncommuting_pair(P22, 1)
-        T = toeplitz_operator(a, P22, 2, 0.0, FAST)
-        avg = average_operator(T, P22, 11, substream(0, "tr-avg"))
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        avg = average_operator(T, 11, substream(0, "tr-avg"))
         t0, t1 = block_traces(T), block_traces(avg)
         for kappa in T.kappas():
             assert abs(t0[kappa][0] - t1[kappa][0]) < 1e-12
@@ -187,7 +186,7 @@ class TestTraceIntegral:
 
     def test_matches_block_trace(self):
         a = block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex))
-        T = toeplitz_operator(a, P22, 2, 0.0, FAST)
+        T = toeplitz_operator(a, 2, 0.0, FAST)
         u = [np.array([1, 0], dtype=complex)] * 2
         val, se = trace_integral(a, (1, 1), 0.0, u, FAST)
         tr = block_traces(T)[(1, 1)][0]
@@ -210,13 +209,14 @@ class TestTraceIntegral:
                            [np.array([2, 0], dtype=complex)] * 2, FAST)
 
 
-def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng, n_samples):
+def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
     """Reference Haar trace: the symbol's evaluator at r_j A_j^{-1} u_j.
 
     Draws the unitaries as ``_haar_trace`` does (chunks of 2_000_000 // Qr,
     blocks in order), so both see the same A's on the same stream.
     """
     p = a.partition
+    n_samples = spec.haar_samples
     R, w = radial_rule(p, kappa, spec, lam)
     Qr = R.shape[0]
     chunk = max(1, 2_000_000 // Qr)
@@ -257,11 +257,11 @@ class TestHaarTrace:
                                                               lam):
         make, kappa = _PAYLOAD_CASES[case]
         a = make()
-        spec = QuadratureSpec(radial_nodes=8)
+        spec = QuadratureSpec(radial_nodes=8, haar_samples=400)
         u = _u_vectors(a.partition)
-        got = _haar_trace(a, kappa, lam, u, spec, substream(0, "ht", case), 400)
+        got = _haar_trace(a, kappa, lam, u, spec, substream(0, "ht", case))
         ref = _evaluator_haar_trace(a, kappa, lam, u, spec,
-                                    substream(0, "ht", case), 400)
+                                    substream(0, "ht", case))
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
         assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
 
@@ -269,11 +269,11 @@ class TestHaarTrace:
         # Qr = 24^3 = 13824 radial nodes: chunks of 144, 144 and 12 draws
         p = Partition((2, 1, 1))
         a = phi_factor(p, 1, (2, 0), (1, 1), [(1.0, (0, 1, 1))])
-        spec = QuadratureSpec(radial_nodes=24)
+        spec = QuadratureSpec(radial_nodes=24, haar_samples=300)
         u = _u_vectors(p)
-        got = _haar_trace(a, (2, 1, 0), 1.0, u, spec, substream(0, "ht3"), 300)
+        got = _haar_trace(a, (2, 1, 0), 1.0, u, spec, substream(0, "ht3"))
         ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, u, spec,
-                                    substream(0, "ht3"), 300)
+                                    substream(0, "ht3"))
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
         assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
 
@@ -283,10 +283,9 @@ class TestHaarTrace:
         # Qr = 8^2 = 64 radial nodes and 400 draws: 25 600 (node, draw) rows
         make, kappa = _PAYLOAD_CASES[case]
         a = make()
-        spec = QuadratureSpec(radial_nodes=8)
+        spec = QuadratureSpec(radial_nodes=8, haar_samples=400)
         u = _u_vectors(P22)
-        ref = _haar_trace(a, kappa, 0.0, u, spec, substream(0, "hb", case),
-                          400)
+        ref = _haar_trace(a, kappa, 0.0, u, spec, substream(0, "hb", case))
         field = "f_payload" if a.f_payload is not None else "g_payload"
         payload, numbers = getattr(a, field), []
 
@@ -297,7 +296,7 @@ class TestHaarTrace:
 
         monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 20_000)
         got = _haar_trace(dataclasses.replace(a, **{field: recording}), kappa,
-                          0.0, u, spec, substream(0, "hb", case), 400)
+                          0.0, u, spec, substream(0, "hb", case))
         assert len(numbers) > 1 and max(numbers) <= 20_000
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
         assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
@@ -440,7 +439,7 @@ class TestEquivariance:
 
 def test_report_serializes():
     a = phi_factor(P22, 1, (1, 0), (0, 1))
-    rep = offblock_leakage(a, P22, 1, 0.0, FAST)
+    rep = offblock_leakage(a, 1, 0.0, FAST)
     doc = rep.to_dict()
     import json
 
@@ -466,15 +465,10 @@ _ONE = constant_symbol(_P1)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: oracle_matrix(_ONE, [(0,)], [(0,)], 0.0, FAST,
-                          substream(0, "count"), n_samples=0),
-    lambda: trace_integral(_ONE, (0,), 0.0, [np.ones(1, dtype=complex)],
-                           FAST, n_samples=0),
-    lambda: average_operator(toeplitz_operator(_ONE, _P1, 1, 0.0, FAST), _P1,
+    lambda: average_operator(toeplitz_operator(_ONE, 1, 0.0, FAST),
                              0, substream(0, "count")),
     lambda: quasi_radialize(_ONE, 0),
-], ids=["oracle_matrix", "trace_integral", "average_operator",
-        "quasi_radialize"])
+], ids=["average_operator", "quasi_radialize"])
 def test_sample_counts_below_one_are_rejected(call):
     with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
         call()

@@ -111,6 +111,23 @@ class TestConstructors:
         with pytest.raises(ValueError):
             pseudo_factor(P22, 1, (1, 1), (1, 0))
 
+    @pytest.mark.parametrize("make", [
+        lambda radial: phi_factor(P22, 1, (1, 0), (0, 1), radial),
+        lambda radial: pseudo_factor(P22, 1, (1, 1), (1, -1), radial),
+    ], ids=["phi", "pseudo"])
+    @pytest.mark.parametrize("powers, match", [
+        ((-1, 0), "radial powers must be nonnegative integers"),
+        ((0.5, 0), "radial powers must be nonnegative integers"),
+        ((1,), "power vector length must equal m = 2"),
+        ((1, 0, 0), "power vector length must equal m = 2"),
+    ], ids=["negative", "fractional", "short", "long"])
+    def test_radial_powers_validated(self, make, powers, match):
+        # a negative power is unbounded at r_j = 0, a fractional one was
+        # truncated by radial_poly, and a short vector would broadcast over
+        # the block radii
+        with pytest.raises(ValueError, match=match):
+            make([(1.0, (0, 0)), (0.5, powers)])
+
     def test_block_hermitian_real_valued(self):
         H = np.zeros((4, 4), dtype=complex)
         H[:2, :2] = [[1.0, 0.3 + 0.1j], [0.3 - 0.1j, -0.5]]

@@ -1,6 +1,5 @@
 """Operator assembly: oracle, reduced formulas, diagonal path, averaging."""
 
-import io
 import math
 
 import numpy as np
@@ -41,7 +40,6 @@ from toepblocks import toeplitz
 from toepblocks.mindex import compositions
 from toepblocks.quad import SIGMA_BAND
 from toepblocks.toeplitz import (
-    block_to_csv,
     load_operator,
     log_slice_prefactor,
     save_operator,
@@ -331,14 +329,14 @@ class TestUnitaryAction:
 class TestAveraging:
     def test_scalar_blocks_fixed(self):
         T = assemble_diagonal(lambda kappa: 1.0 + 0.5 * sum(kappa), P22, 2, 0.0)
-        avg = average_operator(T, P22, 5, substream(0, "avg-fix"))
+        avg = average_operator(T, 5, substream(0, "avg-fix"))
         for kappa in T.kappas():
             assert np.max(np.abs(avg.blocks[kappa] - T.blocks[kappa])) < 1e-12
 
     def test_trace_preserved(self):
         a, _ = noncommuting_pair(P22, 1)
-        T = toeplitz_operator(a, P22, 2, 0.0, FAST)
-        avg = average_operator(T, P22, 37, substream(0, "avg-tr"))
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        avg = average_operator(T, 37, substream(0, "avg-tr"))
         for kappa in T.kappas():
             tr0 = np.trace(T.blocks[kappa])
             tr1 = np.trace(avg.blocks[kappa])
@@ -347,10 +345,10 @@ class TestAveraging:
     def test_deviation_from_scalar_shrinks(self):
         p = Partition((2,))
         a, _ = noncommuting_pair(p, 1)
-        T = toeplitz_operator(a, p, 2, 0.0, FAST)
+        T = toeplitz_operator(a, 2, 0.0, FAST)
         dev = {}
         for n in (40, 4000):
-            avg = average_operator(T, p, n, substream(0, "avg-dec", ))
+            avg = average_operator(T, n, substream(0, "avg-dec", ))
             dev[n] = avg.block_errors[(2,)]
         assert dev[4000] < dev[40] / 3
 
@@ -358,7 +356,7 @@ class TestAveraging:
 class TestDispatchAndSerialization:
     def test_identity_symbol_all_paths(self):
         one = constant_symbol(P12)
-        T = toeplitz_operator(one, P12, 3, 0.0, FAST)
+        T = toeplitz_operator(one, 3, 0.0, FAST)
         assert T.provenance == "diagonal-gamma"
         for kappa in T.kappas():
             d = dim_P(P12, kappa)
@@ -367,13 +365,13 @@ class TestDispatchAndSerialization:
     def test_dispatch_provenances(self):
         spec = QuadratureSpec(ball_samples=5000, radial_nodes=8,
                               sphere_nodes=8, torus_nodes=6)
-        assert toeplitz_operator(radial_poly(P22, [(1.0, (1, 0))]), P22, 1,
+        assert toeplitz_operator(radial_poly(P22, [(1.0, (1, 0))]), 1,
                                  0.0, spec).provenance == "diagonal-gamma"
-        assert toeplitz_operator(phi_factor(P22, 1, (1, 0), (0, 1)), P22, 1,
+        assert toeplitz_operator(phi_factor(P22, 1, (1, 0), (0, 1)), 1,
                                  0.0, spec).provenance == "f-form"
-        assert toeplitz_operator(pseudo_factor(P22, 1, (1, 1), (1, -1)), P22,
+        assert toeplitz_operator(pseudo_factor(P22, 1, (1, 1), (1, -1)),
                                  1, 0.0, spec).provenance == "g-form"
-        T = toeplitz_operator(xi_monomial(P22, 1, (1, 0), (0, 0)), P22, 1,
+        T = toeplitz_operator(xi_monomial(P22, 1, (1, 0), (0, 0)), 1,
                               0.0, spec)
         assert T.provenance == "oracle"
         assert T.meta["warnings"]
@@ -396,14 +394,14 @@ class TestDispatchAndSerialization:
             "oracle": {"ball_samples": 5000},
         }
         for path, a in ops.items():
-            T = toeplitz_operator(a, P22, 1, 0.0, spec)
+            T = toeplitz_operator(a, 1, 0.0, spec)
             assert T.provenance == path
             assert T.meta["effort"] == expected[path]
             assert operator_from_json(operator_to_json(T)).meta == T.meta
 
     def test_quasi_radial_oracle_agreement(self):
         a = radial_poly(P22, [(1.0, (1, 0)), (-0.25, (0, 1))])
-        T = toeplitz_operator(a, P22, 2, 1.5, FAST)
+        T = toeplitz_operator(a, 2, 1.5, FAST)
         rng = substream(0, "qr-agree")
         for kappa in [(1, 0), (1, 1)]:
             G, SE = toeplitz_block_oracle(a, kappa, 1.5, FAST, rng)
@@ -411,7 +409,7 @@ class TestDispatchAndSerialization:
 
     def test_json_round_trip(self, tmp_path):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
-        T = toeplitz_operator(a, P22, 2, 0.5, FAST)
+        T = toeplitz_operator(a, 2, 0.5, FAST)
         doc = operator_to_json(T)
         T2 = operator_from_json(doc)
         assert T2.partition == T.partition
@@ -423,17 +421,6 @@ class TestDispatchAndSerialization:
         T3 = load_operator(path)
         for kappa in T.kappas():
             assert np.array_equal(T3.blocks[kappa], T.blocks[kappa])
-
-    def test_csv_export_shape(self):
-        a = phi_factor(P22, 1, (1, 0), (0, 1))
-        T = toeplitz_operator(a, P22, 2, 0.0, FAST)
-        buf = io.StringIO()
-        block_to_csv(T, (1, 1), buf)
-        lines = buf.getvalue().strip().splitlines()
-        d = dim_P(P22, (1, 1))
-        assert len(lines) == d + 1
-        assert lines[0].startswith("alpha\\beta,")
-        assert len(lines[0].split(",")) == d + 1
 
 
 class TestSharedOracleDraws:
@@ -450,7 +437,7 @@ class TestSharedOracleDraws:
         monkeypatch.setattr(toeplitz, "sample_ball", counting)
         spec = QuadratureSpec(ball_samples=30_000)
         a = block_hermitian(P22, H22)
-        T = toeplitz_operator(a, P22, 3, 0.0, spec)
+        T = toeplitz_operator(a, 3, 0.0, spec)
         assert len(T.kappas()) == 10
         assert sum(drawn) == spec.ball_samples
 
@@ -463,7 +450,7 @@ class TestSharedOracleDraws:
         for lam, rng, stream in [
                 (0.0, substream(9, "explicit"), substream(9, "explicit")),
                 (1.5, None, substream(5, "oracle", a.name, repr(1.5)))]:
-            T = toeplitz_operator(a, P22, 0, lam, spec, rng=rng)
+            T = toeplitz_operator(a, 0, lam, spec, rng=rng)
             assert T.provenance == "oracle"
             G, SE = toeplitz_block_oracle(a, (0, 0), lam, spec, stream)
             assert np.array_equal(T.blocks[(0, 0)], G)
@@ -472,7 +459,7 @@ class TestSharedOracleDraws:
     @pytest.mark.parametrize("lam", [0.0, 2.5])
     def test_blocks_match_per_slice_oracle(self, lam):
         a = block_hermitian(P22, H22, name="herm")
-        T = toeplitz_operator(a, P22, 2, lam, FAST)
+        T = toeplitz_operator(a, 2, lam, FAST)
         for kappa in T.kappas():
             G, SE = toeplitz_block_oracle(
                 a, kappa, lam, FAST, substream(3, "per-slice", repr(kappa)))
@@ -507,14 +494,12 @@ class TestOracleNormalization:
     """oracle_matrix against the per-sample orthonormal-row estimator."""
 
     @staticmethod
-    def _reference(a, Z, alphas, betas, lam):
-        n = a.partition.n
-        Ea = toeplitz.orthonormal_rows(Z, alphas, n, lam)
-        Eb = toeplitz.orthonormal_rows(Z, betas, n, lam)
+    def _reference(a, Z, alphas, lam):
+        E = toeplitz.orthonormal_rows(Z, alphas, a.partition.n, lam)
         av = a(Z)
         N = len(Z)
-        mean = np.conj(Eb) @ (av * Ea).T / N
-        m2 = np.abs(Eb) ** 2 @ (np.abs(av) ** 2 * np.abs(Ea) ** 2).T / N
+        mean = np.conj(E) @ (av * E).T / N
+        m2 = np.abs(E) ** 2 @ (np.abs(av) ** 2 * np.abs(E) ** 2).T / N
         return mean, np.sqrt(np.maximum(m2 - np.abs(mean) ** 2, 0.0) / N)
 
     @staticmethod
@@ -542,13 +527,12 @@ class TestOracleNormalization:
         a = block_hermitian(P22, H22)
         bases = [enumerate_basis(P22, k).alphas for k in enumerate_kappas(P22, 3)]
         alphas = [al for basis in bases for al in basis]
-        got = toeplitz.oracle_matrix(a, alphas, alphas, lam, self.SPEC,
-                                     substream(1, "norm"),
-                                     sizes=[len(b) for b in bases])
+        got = toeplitz.oracle_matrix(a, alphas, [len(b) for b in bases], lam,
+                                     self.SPEC, substream(1, "norm"))
         assert len(drawn) > 1
         Z = np.concatenate(drawn)
         for basis, (G, SE) in zip(bases, got):
-            mean, se = self._reference(a, Z, basis, basis, lam)
+            mean, se = self._reference(a, Z, basis, lam)
             self._close(G, mean)
             self._close(SE, se)
 
@@ -556,22 +540,9 @@ class TestOracleNormalization:
         drawn = self._draws(monkeypatch)
         a = xi_monomial(P12, 2, (1, 0), (0, 1))
         alphas = enumerate_basis(P12, (1, 2)).alphas
-        G, SE = toeplitz.oracle_matrix(a, alphas, alphas, 0.5, self.SPEC,
-                                       substream(2, "norm"))
-        mean, se = self._reference(a, np.concatenate(drawn), alphas, alphas,
-                                   0.5)
-        self._close(G, mean)
-        self._close(SE, se)
-
-    def test_betas_differ_from_alphas(self, monkeypatch):
-        drawn = self._draws(monkeypatch)
-        a = xi_monomial(P22, 1, (1, 0), (0, 0))  # not block-torus invariant
-        alphas = enumerate_basis(P22, (1, 1)).alphas
-        betas = enumerate_basis(P22, (2, 1)).alphas
-        G, SE = toeplitz.oracle_matrix(a, alphas, betas, 1.5, self.SPEC,
-                                       substream(3, "norm"))
-        mean, se = self._reference(a, np.concatenate(drawn), alphas, betas,
-                                   1.5)
+        [(G, SE)] = toeplitz.oracle_matrix(a, alphas, [len(alphas)], 0.5,
+                                           self.SPEC, substream(2, "norm"))
+        mean, se = self._reference(a, np.concatenate(drawn), alphas, 0.5)
         self._close(G, mean)
         self._close(SE, se)
 
@@ -582,12 +553,12 @@ class TestOracleNormalization:
         p = Partition((1,))
         a = constant_symbol(p, 2.0)
         alphas = [(1,), (30,), (70,)]
-        got = toeplitz.oracle_matrix(a, alphas, alphas, 1e6,
+        got = toeplitz.oracle_matrix(a, alphas, [1, 1, 1], 1e6,
                                      QuadratureSpec(ball_samples=4000),
-                                     substream(4, "norm"), sizes=[1, 1, 1])
+                                     substream(4, "norm"))
         Z = np.concatenate(drawn)
         for al, (G, SE) in zip(alphas, got):
-            mean, se = self._reference(a, Z, [al], [al], 1e6)
+            mean, se = self._reference(a, Z, [al], 1e6)
             self._close(G, mean)
             self._close(SE, se)
             assert G[0, 0].real > 0 and SE[0, 0] > 0
@@ -604,7 +575,7 @@ def test_gamma_real_profile_has_negligible_imaginary_part():
 def test_real_symbol_deterministic_blocks_hermitian():
     a, b = noncommuting_pair(P22, 1)  # both real valued
     for sym in (a, b):
-        T = toeplitz_operator(sym, P22, 3, 0.5, FAST)
+        T = toeplitz_operator(sym, 3, 0.5, FAST)
         for kappa in T.kappas():
             B = T.blocks[kappa]
             assert np.max(np.abs(B - B.conj().T)) < 1e-12
