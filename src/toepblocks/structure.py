@@ -3,10 +3,12 @@
 Each check measures how far a computed operator is from the structure its
 symbol class dictates: exact block-diagonality over the isotypic slices,
 constancy of the repeated single-block matrix, commutators, trace
-identities against the Haar-averaged symbol, and normalized-trace
-sequences.  Deterministic comparisons use an absolute tolerance; anything
-involving a Monte Carlo estimate is judged against a 5-sigma band of the
-propagated standard error (``sigma_band``).
+identities against the Haar-averaged symbol (one Haar-trace entry point,
+``trace_integral``), equivariance of a given operator under the block
+unitary action, and normalized-trace sequences.  Deterministic comparisons
+use an absolute tolerance; anything involving a Monte Carlo estimate is
+judged against a 5-sigma band of the propagated standard error
+(``sigma_band``).
 
 A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
 (``oracle_traces``).  By the multinomial theorem per block, the kernel
@@ -240,11 +242,13 @@ def oracle_traces(a: Symbol, kappas, lam: float, spec: QuadratureSpec, rng):
     return [(complex(t), float(e)) for t, e in zip(mean, se)]
 
 
-def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
-                rng):
-    """Haar-times-radial estimate of tr(T_a | P_kappa) with its standard error.
+def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
+                   spec: QuadratureSpec, rng=None):
+    """Trace of T_a on P_kappa as a Haar-times-radial integral.
 
-    Each sampled block unitary A contributes the radial integral of
+    ``u_vectors`` is one unit vector per block; the result does not depend
+    on the choice (up to Monte Carlo error).  Returns (value, stderr).  Each
+    sampled block unitary A contributes the radial integral of
     a(r_1 A_1^{-1} u_1, ...), times the slice prefactor and dim P_kappa.
     The symbol is read on its own coordinates, per ``assembly_path``:
 
@@ -258,13 +262,25 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
     The last two draw ``spec.haar_samples`` unitaries per block, block by
     block in chunks of ``2_000_000 // Qr`` (Qr radial nodes) that
     ``_radial_contract`` sums; on one stream a payload gives its evaluator's
-    numbers to roundoff.
+    numbers to roundoff.  The draws come from ``rng`` or the substream
+    (seed, "trace-integral", name, repr(lam), repr(kappa)).
     """
     p = a.partition
+    kappa = tuple(int(v) for v in kappa)
+    u_vectors = [np.asarray(u, dtype=complex) for u in u_vectors]
+    if len(u_vectors) != p.m:
+        raise ValueError("need one unit vector per block")
+    for u, kj in zip(u_vectors, p.k):
+        if u.shape != (kj,):
+            raise ValueError("unit vector has wrong block dimension")
+        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
+            raise ValueError("block vectors must be unit vectors")
     d = dim_P(p, kappa)
     path = assembly_path(a)
     if path == "diagonal-gamma":
         return d * gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec), 0.0
+    rng = rng if rng is not None else substream(
+        spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
     if path == "oracle":
         F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
             [r[:, j0, None] * x for j0, x in enumerate(xi)], axis=1))
@@ -286,31 +302,6 @@ def _haar_trace(a: Symbol, kappa, lam: float, u_vectors, spec: QuadratureSpec,
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
 
-def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
-                   spec: QuadratureSpec, rng=None):
-    """Trace of T_a on P_kappa as a Haar-times-radial integral.
-
-    ``u_vectors`` is one unit vector per block; the result does not depend
-    on the choice (up to Monte Carlo error).  Returns (value, stderr).
-    ``spec.haar_samples`` Haar unitaries per block are drawn, except for a
-    quasi-radial symbol with a profile: its integral is exact, with stderr
-    0.0 and no draws (``_haar_trace``).
-    """
-    p = a.partition
-    kappa = tuple(int(v) for v in kappa)
-    u_vectors = [np.asarray(u, dtype=complex) for u in u_vectors]
-    if len(u_vectors) != p.m:
-        raise ValueError("need one unit vector per block")
-    for u, kj in zip(u_vectors, p.k):
-        if u.shape != (kj,):
-            raise ValueError("unit vector has wrong block dimension")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise ValueError("block vectors must be unit vectors")
-    rng = rng if rng is not None else substream(
-        spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
-    return _haar_trace(a, kappa, lam, u_vectors, spec, rng)
-
-
 def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
                          rng=None) -> StructureReport:
     """Block trace of T_a versus dim * gamma of the Haar-averaged symbol.
@@ -318,7 +309,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     The left side is the sampling-oracle trace; the right side averages the
     radial scalar over Haar samples of the block unitary group (the same
     construction that defines the averaged symbol; exact for a quasi-radial
-    symbol, see ``_haar_trace``).  Agreement is required within a 5-sigma
+    symbol, see ``trace_integral``).  Agreement is required within a 5-sigma
     band of the combined standard errors.  The provenance records the path
     the right side took (``haar_path``, the symbol's ``assembly_path``) and
     the Haar unitaries it drew per block (``haar_samples``, 0 when exact).
@@ -332,7 +323,7 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
         spec.seed, "trace-identity", a.name, repr(lam), repr(kappa))
     [(lhs, lhs_se)] = oracle_traces(a, [kappa], lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    rhs, rhs_se = _haar_trace(a, kappa, lam, u, spec, rng)
+    rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, rng)
     path = assembly_path(a)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
@@ -418,22 +409,27 @@ def sequence_ST(a: Symbol, lam: float, max_kappa: int, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 
 
-def equivariance_check(a: Symbol, A: np.ndarray, kappa, lam: float,
+def equivariance_check(T: BlockOperator, a: Symbol, A: np.ndarray, kappa,
                        spec: QuadratureSpec, rng=None) -> StructureReport:
     """Compare R(A) T_a R(A)* against the operator of the rotated symbol.
 
-    Both blocks are built by the sampling oracle with independent streams;
-    the Frobenius residual must sit inside a 5-sigma band of the combined
-    propagated standard errors.
+    ``T`` is the operator of ``a``, at the weight ``T.lam``: its block on
+    P_kappa, with the entrywise ``T.block_stderr`` (zero on the
+    deterministic paths), is conjugated by R(A) (``unitary_action_matrix``).
+    Only the rotated symbol a o A^{-1} (``act``) is estimated here, by the
+    sampling oracle on ``rng`` or the substream (seed, "equivariance", name,
+    repr(lam), repr(kappa)).  The Frobenius residual must sit inside a
+    5-sigma band of the combined propagated standard errors
+    (``sigma_band``).
     """
-    p = a.partition
+    p, lam = a.partition, T.lam
     kappa = tuple(int(v) for v in kappa)
     rng = rng if rng is not None else substream(
         spec.seed, "equivariance", a.name, repr(lam), repr(kappa))
     R = unitary_action_matrix(A, p, kappa)
-    Ta, SEa = toeplitz_block_oracle(a, kappa, lam, spec, rng)
-    rotated = act(A, a)
-    Tb, SEb = toeplitz_block_oracle(rotated, kappa, lam, spec, rng)
+    Ta = T.blocks[kappa]
+    SEa = T.block_stderr.get(kappa, np.zeros(Ta.shape))
+    Tb, SEb = toeplitz_block_oracle(act(A, a), kappa, lam, spec, rng)
     D = R @ Ta @ R.conj().T - Tb
     residual = float(np.linalg.norm(D, "fro"))
     P = np.abs(R) ** 2

@@ -119,17 +119,22 @@ class AveragedSymbol(Symbol):
 
     def evaluate_with_stderr(self, Z: np.ndarray):
         """Averaged values and the per-point Monte Carlo standard error."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        N = self.unitaries.shape[0]
-        acc = np.zeros(Z.shape[0], dtype=complex)
-        acc2 = np.zeros(Z.shape[0])
-        for U in self.unitaries:
-            v = self.base(Z @ np.conj(U))
-            acc += v
-            acc2 += np.abs(v) ** 2
-        mean = acc / N
-        var = np.maximum(acc2 / N - np.abs(mean) ** 2, 0.0)
-        return mean, np.sqrt(var / N)
+        return _haar_mean(self.base, self.unitaries, Z)
+
+
+def _haar_mean(a: Symbol, unitaries: np.ndarray, Z: np.ndarray):
+    """Mean of a(Z conj(U)) over the fixed unitaries U, and its stderr."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
+    N = unitaries.shape[0]
+    acc = np.zeros(Z.shape[0], dtype=complex)
+    acc2 = np.zeros(Z.shape[0])
+    for U in unitaries:
+        v = a(Z @ np.conj(U))
+        acc += v
+        acc2 += np.abs(v) ** 2
+    mean = acc / N
+    var = np.maximum(acc2 / N - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / N)
 
 
 def _validation_points(p: Partition, count: int, rng) -> np.ndarray:
@@ -346,12 +351,7 @@ def quasi_radialize(a: Symbol, n_samples: int, rng=None) -> AveragedSymbol:
     rng = rng or substream(0, "quasi-radialize", a.name)
     U = np.stack([haar_uk_sample(p, rng) for _ in range(n_samples)])
 
-    def evaluator(Z):
-        Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-        acc = np.zeros(Z.shape[0], dtype=complex)
-        for Ui in U:
-            acc += a.evaluator(Z @ np.conj(Ui))
-        return acc / n_samples
+    evaluator = lambda Z: _haar_mean(a, U, Z)[0]
 
     def profile(r):
         r = np.atleast_2d(np.asarray(r, dtype=float))

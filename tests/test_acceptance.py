@@ -276,11 +276,12 @@ def test_criterion_09_commutativity():
 def test_criterion_10_equivariance():
     p = Partition((2, 2))
     a = phi_factor(p, 1, (1, 0), (0, 1))
+    T = toeplitz_operator(a, 2, 0.0, SPEC)
     rng = substream(SPEC.seed, "acc10-rotations")
     worst = 0.0
     for _ in range(10):
         A = haar_uk_sample(p, rng)
-        rep = equivariance_check(a, A, (1, 1), 0.0, SPEC)
+        rep = equivariance_check(T, a, A, (1, 1), SPEC)
         worst = max(worst, rep.metrics["sigma_ratio"])
         assert rep.passed
     emit(10, "conjugation by the group action matches the rotated symbol",

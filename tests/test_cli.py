@@ -329,7 +329,7 @@ class TestVerify:
         assert report["resolved_config"]["seed"] == 99
         assert any(r["check"] == "offblock-leakage" for r in report["reports"])
 
-    def test_negative_control_does_not_flip_exit(self, tmp_path):
+    def test_negative_control_does_not_flip_exit(self, tmp_path, capsys):
         doc = base_config(output_dir=str(tmp_path / "o"))
         doc["symbols"].append({"name": "ctrl", "kind": "xi_monomial", "j": 2,
                                "p": [1, 0], "q": [0, 0]})
@@ -341,6 +341,8 @@ class TestVerify:
                 if r["provenance"].get("symbol") == "ctrl"]
         assert ctrl and ctrl[0]["expected_fail"] is True
         assert ctrl[0]["passed"] is False  # it leaked, as designed
+        assert ctrl[0]["metrics"]["failed_as_expected"] is True
+        assert "ctrl: control failed as expected" in capsys.readouterr().out
 
     def test_commutator_controls_record_failed_as_expected(self, tmp_path,
                                                            capsys):
@@ -370,8 +372,28 @@ class TestVerify:
         assert commuting["passed"] is True
         assert commuting["metrics"]["failed_as_expected"] is False
         out = capsys.readouterr().out
-        assert "swap/n1: FAIL (expected-fail control)" in out
-        assert "n1/n2: PASS (expected-fail control)" in out
+        assert "swap/n1: control failed as expected" in out
+        assert "n1/n2: CONTROL DID NOT FAIL" in out
+
+    def test_equivariance_reads_the_run_operator(self, tmp_path, monkeypatch):
+        # one oracle block per rotation: the rotated symbol's; T_a is the
+        # operator the run built, shared with the other checks
+        calls = []
+        oracle = structure.toeplitz_block_oracle
+
+        def counting(a, *args):
+            calls.append(a.name)
+            return oracle(a, *args)
+
+        monkeypatch.setattr(structure, "toeplitz_block_oracle", counting)
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          checks=["equivariance"], equivariance_rotations=3)
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert [r["check"] for r in report["reports"]] == ["equivariance"] * 6
+        assert len(calls) == 6
+        assert all(name.startswith("rot(") for name in calls)
 
     def test_jobs_is_a_build_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))

@@ -42,7 +42,7 @@ from toepblocks import (
     zpoly,
 )
 from toepblocks.quad import haar_unitary_batch, radial_rule
-from toepblocks.structure import _haar_trace, oracle_traces
+from toepblocks.structure import oracle_traces
 from toepblocks.toeplitz import log_slice_prefactor, orthonormal_rows
 
 P22 = Partition((2, 2))
@@ -212,7 +212,7 @@ class TestTraceIntegral:
 def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
     """Reference Haar trace: the symbol's evaluator at r_j A_j^{-1} u_j.
 
-    Draws the unitaries as ``_haar_trace`` does (chunks of 2_000_000 // Qr,
+    Draws the unitaries as ``trace_integral`` does (chunks of 2_000_000 // Qr,
     blocks in order), so both see the same A's on the same stream.
     """
     p = a.partition
@@ -259,7 +259,8 @@ class TestHaarTrace:
         a = make()
         spec = QuadratureSpec(radial_nodes=8, haar_samples=400)
         u = _u_vectors(a.partition)
-        got = _haar_trace(a, kappa, lam, u, spec, substream(0, "ht", case))
+        got = trace_integral(a, kappa, lam, u, spec,
+                             rng=substream(0, "ht", case))
         ref = _evaluator_haar_trace(a, kappa, lam, u, spec,
                                     substream(0, "ht", case))
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
@@ -271,7 +272,8 @@ class TestHaarTrace:
         a = phi_factor(p, 1, (2, 0), (1, 1), [(1.0, (0, 1, 1))])
         spec = QuadratureSpec(radial_nodes=24, haar_samples=300)
         u = _u_vectors(p)
-        got = _haar_trace(a, (2, 1, 0), 1.0, u, spec, substream(0, "ht3"))
+        got = trace_integral(a, (2, 1, 0), 1.0, u, spec,
+                             rng=substream(0, "ht3"))
         ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, u, spec,
                                     substream(0, "ht3"))
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
@@ -285,7 +287,8 @@ class TestHaarTrace:
         a = make()
         spec = QuadratureSpec(radial_nodes=8, haar_samples=400)
         u = _u_vectors(P22)
-        ref = _haar_trace(a, kappa, 0.0, u, spec, substream(0, "hb", case))
+        ref = trace_integral(a, kappa, 0.0, u, spec,
+                             rng=substream(0, "hb", case))
         field = "f_payload" if a.f_payload is not None else "g_payload"
         payload, numbers = getattr(a, field), []
 
@@ -295,8 +298,9 @@ class TestHaarTrace:
             return payload(r, *args)
 
         monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 20_000)
-        got = _haar_trace(dataclasses.replace(a, **{field: recording}), kappa,
-                          0.0, u, spec, substream(0, "hb", case))
+        got = trace_integral(dataclasses.replace(a, **{field: recording}),
+                             kappa, 0.0, u, spec,
+                             rng=substream(0, "hb", case))
         assert len(numbers) > 1 and max(numbers) <= 20_000
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
         assert got[1] == pytest.approx(ref[1], rel=1e-12, abs=0)
@@ -421,20 +425,70 @@ class TestSequence:
 class TestEquivariance:
     def test_identity_rotation_zero(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
-        rep = equivariance_check(a, np.eye(4, dtype=complex), (1, 1), 0.0, FAST)
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        rep = equivariance_check(T, a, np.eye(4, dtype=complex), (1, 1), FAST)
         assert rep.passed
 
     def test_random_rotation(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
+        T = toeplitz_operator(a, 2, 0.0, FAST)
         A = haar_uk_sample(P22, substream(0, "eq-rot"))
-        rep = equivariance_check(a, A, (1, 1), 0.0, FAST)
+        rep = equivariance_check(T, a, A, (1, 1), FAST)
         assert rep.passed
 
     def test_radial_symbol_any_rotation(self):
         a = radial_poly(P22, [(1.0, (0, 1))])
+        T = toeplitz_operator(a, 2, 0.0, FAST)
         A = haar_uk_sample(P22, substream(1, "eq-rad"))
-        rep = equivariance_check(a, A, (1, 1), 0.0, FAST)
+        rep = equivariance_check(T, a, A, (1, 1), FAST)
         assert rep.passed
+
+    @pytest.mark.parametrize("rotation", ["identity", "haar"])
+    def test_wrong_operator_block_fails(self, rotation):
+        # the f-form block of xi_1 conj(xi_2) on (1, 1) has two entries 1/3
+        # above the diagonal: transposed (about 77 sigma), or with a zero
+        # off-diagonal entry moved by 0.1 (about 12 sigma), it is wrong
+        a = phi_factor(P22, 1, (1, 0), (0, 1))
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        A = (np.eye(4, dtype=complex) if rotation == "identity"
+             else haar_uk_sample(P22, substream(0, "eq-rot")))
+        perturbed = T.blocks[(1, 1)].copy()
+        perturbed[0, 1] += 0.1
+        true = equivariance_check(T, a, A, (1, 1), FAST)
+        assert true.passed and true.metrics["sigma_ratio"] < 3
+        for block, margin in ((T.blocks[(1, 1)].T, 50), (perturbed, 10)):
+            bad = dataclasses.replace(T, blocks={**T.blocks, (1, 1): block})
+            rep = equivariance_check(bad, a, A, (1, 1), FAST)
+            assert not rep.passed
+            assert rep.metrics["sigma_ratio"] > margin
+
+    def test_oracle_operator_stderr_is_counted(self):
+        a = block_hermitian(P22, np.array(
+            [[1.0, 0.5 + 0.25j, 0, 0], [0.5 - 0.25j, -0.5, 0, 0],
+             [0, 0, 0.75, 0.5j], [0, 0, -0.5j, 0.25]]))
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        assert T.provenance == "oracle"
+        A = haar_uk_sample(P22, substream(2, "eq-herm"))
+        rep = equivariance_check(T, a, A, (1, 1), FAST)
+        # the same rotated side, with the operator's stderr dropped
+        alone = equivariance_check(dataclasses.replace(T, block_stderr={}),
+                                   a, A, (1, 1), FAST)
+        assert rep.passed
+        assert rep.metrics["residual"] == alone.metrics["residual"]
+        assert (rep.metrics["combined_stderr"]
+                > 1.2 * alone.metrics["combined_stderr"])
+
+    def test_lambda_comes_from_the_operator(self):
+        # with a radial factor the (1, 1) block moves by 0.038 from lambda 0
+        # to 2.5; the rotated side is estimated at T.lam
+        a = phi_factor(P22, 1, (1, 0), (0, 1), [(1.0, (1, 0))])
+        A = haar_uk_sample(P22, substream(0, "eq-rot"))
+        rep = equivariance_check(toeplitz_operator(a, 2, 2.5, FAST), a, A,
+                                 (1, 1), FAST)
+        assert rep.passed and rep.provenance["lambda"] == 2.5
+        mislabeled = dataclasses.replace(toeplitz_operator(a, 2, 0.0, FAST),
+                                         lam=2.5)
+        assert not equivariance_check(mislabeled, a, A, (1, 1), FAST).passed
 
 
 def test_report_serializes():
