@@ -484,9 +484,12 @@ def _check_equivariance(cfg, lam, kappas, operator_for):
     for sym in _tm_symbols(cfg):
         T = operator_for(sym, lam)
         rng = substream(cfg.spec.seed, "equivariance-rot", sym.name, repr(lam))
-        for _ in range(cfg.extras["equivariance_rotations"]):
+        for i in range(cfg.extras["equivariance_rotations"]):
             A = haar_uk_sample(cfg.partition, rng)
-            yield st.equivariance_check(T, sym, A, target, cfg.spec)
+            yield st.equivariance_check(
+                T, sym, A, target, cfg.spec,
+                rng=substream(cfg.spec.seed, "equivariance", sym.name,
+                              repr(lam), repr(target), i))
 
 
 def _check_sequence(cfg, lam, kappas, operator_for):

@@ -10,9 +10,16 @@ Every integral in the package reduces to one of:
 * Haar averages over products of unitary groups.
 
 Deterministic rules are spectrally accurate for smooth integrands; Monte
-Carlo results always carry a standard error.  Randomness is counter-based
-(Philox) with substreams keyed on (seed, task labels) so parallel runs are
-bit-reproducible.
+Carlo results always carry a standard error.  The Gauss rules (Gauss-Jacobi
+on the radial axes, Gauss-Legendre on the sphere angles) come from one
+Golub-Welsch construction on [0, 1] (Golub & Welsch, Math. Comp. 1969):
+nodes are the eigenvalues of the Jacobi matrix of the shifted recurrence,
+weights the Christoffel numbers.  A radial axis with weight
+x^e_x (1 - x)^e_1mx is built only while 2^(e_x + e_1mx + 1) B(e_x + 1,
+e_1mx + 1), the mass of the classical rule on [-1, 1], is finite in
+double precision (lam below about 1000); past that ``radial_rule`` raises
+``RadialRuleError``.  Randomness is counter-based (Philox) with substreams
+keyed on (seed, task labels) so parallel runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
+from numpy.random import Generator, Philox, SeedSequence
 
 from .mindex import Partition
 
@@ -114,8 +121,8 @@ def substream(seed: int, *labels) -> np.random.Generator:
     without losing bit-reproducibility.
     """
     key = tuple(_tag(l) for l in labels)
-    seq = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    seq = SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
+    return Generator(Philox(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +130,19 @@ def substream(seed: int, *labels) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _lgamma(x: float) -> float:
+    """log Gamma(x) for a scalar x > 0; +inf where ``math.lgamma`` overflows."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x past about 2.6e305
+        return math.inf
+
+
 def c_lambda(n: int, lam: float) -> float:
     """Normalizing constant Gamma(n+lam+1) / (pi^n Gamma(lam+1))."""
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
-    return math.exp(gammaln(n + lam + 1) - gammaln(lam + 1) - n * math.log(math.pi))
+    return math.exp(_lgamma(n + lam + 1) - _lgamma(lam + 1) - n * math.log(math.pi))
 
 
 def sphere_monomial_integral(k: int, alpha, beta) -> float:
@@ -158,25 +173,57 @@ class RadialRuleError(ValueError):
     """A Gauss-Jacobi radial rule that is not finite in double precision."""
 
 
+def _gauss_jacobi(nodes: int, p: float, q: float):
+    """Gauss rule on [0,1] for the weight x^p (1-x)^q, p, q > -1 (Golub-Welsch).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the monic Jacobi
+    recurrence shifted to [0,1], its diagonal written without cancellation.
+    Each weight is the Christoffel number B(p+1, q+1) / sum_k P_k(x)^2 over
+    the orthonormal polynomials, which keeps small weights accurate to
+    relative roundoff (squared eigenvector components do not).
+    """
+    k = np.arange(1.0, nodes)
+    u = p + q
+    s = 2.0 * k + u
+    diag = np.empty(nodes)
+    diag[0] = (p + 1.0) / (u + 2.0)
+    diag[1:] = ((2.0 * k * k + 2.0 * k * (u + 1.0) + u * (1.0 + p))
+                / (s * (s + 2.0)))
+    off = np.sqrt(k * (k + p) * (k + q) * (k + u)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    prev, cur = np.zeros(nodes), np.ones(nodes)
+    total = np.ones(nodes)
+    for i in range(nodes - 1):
+        prev, cur = cur, ((x - diag[i]) * cur
+                          - (off[i - 1] * prev if i else 0.0)) / off[i]
+        total += cur * cur
+    log_beta = _lgamma(p + 1.0) + _lgamma(q + 1.0) - _lgamma(p + q + 2.0)
+    return x, math.exp(log_beta) / total
+
+
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
+
+
 def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     """Nodes/weights for integral over [0,1] of x^exp_x (1-x)^exp_1mx f(x).
 
-    Raises RadialRuleError when the rule is not finite: its weights carry
-    2^(exp_x + exp_1mx + 1), which overflows for exponents past about 1000.
+    Raises RadialRuleError when the rule's mass on [-1, 1],
+    2^(exp_x + exp_1mx + 1) B(exp_x + 1, exp_1mx + 1), is not finite in
+    double precision (exponents past about 1000, or infinite), or when the
+    rule itself is not finite.
     """
-    try:
-        with np.errstate(all="ignore"):
-            t, w = roots_jacobi(nodes, exp_1mx, exp_x)
-            x = 0.5 * (t + 1.0)
-            w = w * 0.5 ** (exp_x + exp_1mx + 1.0)
-    except ValueError:  # roots_jacobi's eigensolver met infs or NaNs
-        x = w = np.array([np.nan])
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
-        raise RadialRuleError(
-            f"the {nodes}-node Gauss-Jacobi rule with exponents "
-            f"({exp_x:g}, {exp_1mx:g}) has non-finite nodes or weights: "
-            f"lambda is too large for double precision")
-    return x, w
+    exp_x, exp_1mx = float(exp_x), float(exp_1mx)  # inf - inf: NaN, no warning
+    log_mass = ((exp_x + exp_1mx + 1.0) * math.log(2.0) + _lgamma(exp_x + 1.0)
+                + _lgamma(exp_1mx + 1.0) - _lgamma(exp_x + exp_1mx + 2.0))
+    if log_mass <= _LOG_DBL_MAX:  # False for NaN (an infinite exponent)
+        x, w = _gauss_jacobi(nodes, exp_x, exp_1mx)
+        if np.all(np.isfinite(x)) and np.all(np.isfinite(w)):
+            return x, w
+    raise RadialRuleError(
+        f"the {nodes}-node Gauss-Jacobi rule with exponents "
+        f"({exp_x:g}, {exp_1mx:g}) has non-finite nodes or weights: "
+        f"lambda is too large for double precision")
 
 
 def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
@@ -199,10 +246,9 @@ def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
         raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
     a = [kj + cj for kj, cj in zip(p.k, kappa)]  # u_j exponent is a_j - 1
     m = p.m
-    # trailing degree sums A_i = sum_{l>i} a_l
-    tail = np.concatenate((np.cumsum(a[::-1])[::-1][1:], [0.0]))
+    # axis i carries the trailing degree sum sum_{l>i} a_l in its (1-x) exponent
     axes = [
-        _jacobi_rule_01(spec.radial_nodes, a[i] - 1.0, lam + tail[i])
+        _jacobi_rule_01(spec.radial_nodes, a[i] - 1.0, lam + sum(a[i + 1:]))
         for i in range(m)
     ]
     grids = np.meshgrid(*[x for x, _ in axes], indexing="ij")
@@ -250,9 +296,9 @@ def positive_sphere_rule(k_j: int, nodes: int):
         raise ValueError("k_j must be >= 1")
     if k_j == 1:
         return np.ones((1, 1)), np.ones(1)
-    t, w = roots_legendre(nodes)
-    theta = 0.25 * math.pi * (t + 1.0)
-    wt = 0.25 * math.pi * w
+    x, w = _gauss_jacobi(nodes, 0.0, 0.0)  # Gauss-Legendre on [0, 1]
+    theta = 0.5 * math.pi * x
+    wt = 0.5 * math.pi * w
     grids = np.meshgrid(*([theta] * (k_j - 1)), indexing="ij")
     Th = np.stack([g.reshape(-1) for g in grids], axis=1)  # (Q, k_j-1)
     wgrids = np.meshgrid(*([wt] * (k_j - 1)), indexing="ij")

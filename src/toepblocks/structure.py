@@ -418,8 +418,10 @@ def equivariance_check(T: BlockOperator, a: Symbol, A: np.ndarray, kappa,
     deterministic paths), is conjugated by R(A) (``unitary_action_matrix``).
     Only the rotated symbol a o A^{-1} (``act``) is estimated here, by the
     sampling oracle on ``rng`` or the substream (seed, "equivariance", name,
-    repr(lam), repr(kappa)).  The Frobenius residual must sit inside a
-    5-sigma band of the combined propagated standard errors
+    repr(lam), repr(kappa)).  A caller that checks several rotations passes
+    one stream per rotation (``cli`` appends the rotation index to those
+    labels), so no two rotated blocks share samples.  The Frobenius residual
+    must sit inside a 5-sigma band of the combined propagated standard errors
     (``sigma_band``).
     """
     p, lam = a.partition, T.lam

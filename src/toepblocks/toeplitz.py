@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.special import gammaln
 
 from .mindex import (
     Partition,
@@ -51,6 +50,7 @@ from .mindex import (
 from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
+    _lgamma,
     complex_sphere_rule,
     radial_rule,
     sample_ball,
@@ -71,8 +71,8 @@ def monomial_norm_sq(n: int, lam: float, alpha) -> float:
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
     alpha = tuple(int(a) for a in alpha)
-    log = gammaln(n + lam + 1) - gammaln(n + lam + sum(alpha) + 1)
-    log += sum(gammaln(a + 1) for a in alpha)
+    log = _lgamma(n + lam + 1) - _lgamma(n + lam + sum(alpha) + 1)
+    log += sum(_lgamma(a + 1) for a in alpha)
     return float(math.exp(log))
 
 
@@ -242,10 +242,10 @@ def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
     The closed-form Gamma prefactor that turns a radial integral against the
     block weight into a quantity on the slice P_kappa.
     """
-    log_pref = p.m * math.log(2.0) + gammaln(p.n + lam + sum(kappa) + 1)
-    log_pref -= gammaln(lam + 1)
+    log_pref = p.m * math.log(2.0) + _lgamma(p.n + lam + sum(kappa) + 1)
+    log_pref -= _lgamma(lam + 1)
     for kj, cj in zip(p.k, kappa):
-        log_pref -= gammaln(kj + cj)
+        log_pref -= _lgamma(kj + cj)
     return log_pref
 
 
@@ -340,7 +340,7 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
     # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)
     base = log_slice_prefactor(p, kappa, lam) - math.log(2.0)
-    base += gammaln(kj + kappa[j - 1]) - kj * math.log(math.pi)
+    base += _lgamma(kj + kappa[j - 1]) - kj * math.log(math.pi)
     half_lg = np.array(
         [0.5 * math.log(alpha_factorial(b)) for b in block_basis]
     )

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,6 +399,20 @@ class TestVerify:
         assert len(calls) == 6
         assert all(name.startswith("rot(") for name in calls)
 
+    def test_equivariance_rotations_draw_their_own_samples(self, tmp_path):
+        # each rotation estimates the rotated block on its own stream; for a
+        # quasi-radial symbol a shared stream gave the same oracle block, and
+        # so the same sigma-ratio, for every rotation
+        doc = base_config(output_dir=str(tmp_path / "o"),
+                          checks=["equivariance"], equivariance_rotations=2)
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        ratios = [r["metrics"]["sigma_ratio"] for r in report["reports"]
+                  if r["provenance"]["symbol"] == "one"]
+        assert len(ratios) == 2
+        assert ratios[0] != pytest.approx(ratios[1], rel=1e-6)
+
     def test_jobs_is_a_build_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
         with pytest.raises(SystemExit) as exc:
@@ -655,3 +673,45 @@ def test_oracle_build_independent_of_jobs(tmp_path):
     assert texts["1"] == texts["2"]
     assert load_operator(tmp_path / "jobs2" / "op_x_lam1.5.json").provenance \
         == "oracle"
+
+
+def test_runs_without_scipy(tmp_path):
+    # the package needs numpy only: with scipy unimportable, build and
+    # verify run the diagonal-gamma (one, rad), f-form (phi1), g-form (psi2)
+    # and oracle (ctrl) paths and every check of the README config
+    doc = base_config(
+        partition=[2, 2], output_dir=str(tmp_path / "o"),
+        quadrature={"ball_samples": 4000, "haar_samples": 100,
+                    "radial_nodes": 8, "sphere_nodes": 8, "torus_nodes": 6},
+        symbols=[
+            {"name": "one", "kind": "constant", "value": 1.0},
+            {"name": "rad", "kind": "radial_poly",
+             "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+            {"name": "phi1", "kind": "phi", "j": 1, "p": [1, 0], "q": [0, 1]},
+            {"name": "psi2", "kind": "pseudo", "j": 2, "s_powers": [2, 0],
+             "t_exp": [1, -1]},
+            {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
+             "q": [0, 0]},
+        ],
+        checks=["offblock", "tensor", "commutators", "trace_identity",
+                "trace_integral", "equivariance"],
+        trace_kappas=[[1, 1]], equivariance_rotations=1)
+    cfg = write_config(tmp_path, doc)
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from toepblocks import cli\n"
+        "for command in ('build', 'verify'):\n"
+        "    rc = cli.main(['--config', sys.argv[1], command])\n"
+        "    if rc:\n"
+        "        sys.exit(f'{command} exited {rc}')\n"
+        "assert [m for m in sys.modules if m.startswith('scipy')] == ['scipy']\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+    assert {r["check"] for r in report["reports"]} == {
+        "offblock-leakage", "tensor-constancy", "commutator",
+        "trace-identity", "trace-integral", "equivariance"}

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from toepblocks import (
     Partition,
@@ -22,7 +21,7 @@ from toepblocks import (
     substream,
     torus_rule,
 )
-from toepblocks.quad import RadialRuleError
+from toepblocks.quad import RadialRuleError, _gauss_jacobi
 from toepblocks.toeplitz import _monomial_rows, monomial_norm_sq
 
 SPEC = QuadratureSpec()
@@ -30,9 +29,10 @@ SPEC = QuadratureSpec()
 
 def radial_mass_closed_form(p, kappa, lam):
     """Beta-product value of the weighted radial integral of 1."""
-    lg = gammaln(lam + 1) - p.m * math.log(2) - gammaln(p.n + lam + sum(kappa) + 1)
+    lg = math.lgamma(lam + 1) - p.m * math.log(2)
+    lg -= math.lgamma(p.n + lam + sum(kappa) + 1)
     for kj, cj in zip(p.k, kappa):
-        lg += gammaln(kj + cj)
+        lg += math.lgamma(kj + cj)
     return math.exp(lg)
 
 
@@ -75,6 +75,63 @@ def test_radial_rule_rejects_overflowing_lambda(lam):
     # failure at 1e300; both must raise instead of returning a NaN rule
     with pytest.raises(RadialRuleError, match="non-finite"):
         radial_rule(Partition((1, 1)), (0, 0), SPEC, lam)
+
+
+@pytest.mark.parametrize("lam", [1e307, float("inf")])
+def test_radial_rule_rejects_lambda_past_lgamma_range(lam):
+    # log Gamma overflows past about 2.6e305 and is NaN-producing at inf:
+    # still the radial rule's own error, not an OverflowError
+    with pytest.raises(RadialRuleError, match="non-finite"):
+        radial_rule(Partition((1, 1)), (0, 0), SPEC, lam)
+
+
+def test_radial_rule_overflow_boundary():
+    # at e_x = 1 the rule's [-1, 1] mass 2^(e_1mx + 2) B(2, e_1mx + 1)
+    # passes the largest double between e_1mx = 1042.0 and 1042.1
+    p = Partition((2,))
+    R, w = radial_rule(p, (0,), SPEC, 1042.0)
+    assert np.all(np.isfinite(w)) and w.sum() > 0
+    with pytest.raises(RadialRuleError, match="lambda"):
+        radial_rule(p, (0,), SPEC, 1042.1)
+
+
+def test_radial_rule_mass_near_overflow_boundary():
+    # e_x = 7, e_1mx = 1084 is inside the domain; a rule scaled from [-1, 1]
+    # by 2^-1092 underflows there to all-zero weights
+    p = Partition((8,))
+    R, w = radial_rule(p, (0,), SPEC, 1084.0)
+    assert w.sum() == pytest.approx(radial_mass_closed_form(p, (0,), 1084.0),
+                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 8, 24, 64])
+@pytest.mark.parametrize("p", [0, 1, 3, 12, 30])
+@pytest.mark.parametrize("q", [-0.5, 0.0, 2.5, 100.0, 1000.0])
+def test_gauss_jacobi_beta_moments(nodes, p, q):
+    # exact for x^j, j <= 2 nodes - 1: int_0^1 x^(p+j) (1-x)^q = B(p+j+1, q+1)
+    x, w = _gauss_jacobi(nodes, p, q)
+    assert np.all((x > 0) & (x < 1)) and np.all(np.diff(x) > 0)
+    for j in range(2 * nodes):
+        exact = math.exp(math.lgamma(p + j + 1) + math.lgamma(q + 1)
+                         - math.lgamma(p + q + j + 2))
+        assert np.sum(w * x**j) == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+def test_gauss_rules_match_scipy():
+    special = pytest.importorskip("scipy.special")
+    for nodes in (1, 2, 8, 24, 64):
+        t, v = special.roots_legendre(nodes)
+        x, w = _gauss_jacobi(nodes, 0.0, 0.0)
+        np.testing.assert_allclose(x, 0.5 * (t + 1.0), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w, 0.5 * v, rtol=1e-9, atol=0)
+        for p in (0, 1, 3, 12, 30):
+            for q in (-0.5, 0.0, 2.5, 100.0, 1000.0):
+                t, v = special.roots_jacobi(nodes, q, p)
+                x, w = _gauss_jacobi(nodes, p, q)
+                np.testing.assert_allclose(x, 0.5 * (t + 1.0), rtol=1e-12,
+                                           atol=0)
+                np.testing.assert_allclose(w, v * 0.5 ** (p + q + 1.0),
+                                           rtol=1e-9, atol=0)
 
 
 def test_torus_rule_characters():
