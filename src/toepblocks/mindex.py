@@ -121,17 +121,23 @@ def alpha_factorial(alpha) -> int:
     return out
 
 
-def dim_P(p: Partition, kappa) -> int:
-    """Dimension of the slice P_kappa: prod_j C(k_j + kappa_j - 1, kappa_j)."""
+def block_dims(p: Partition, kappa) -> tuple[int, ...]:
+    """Sizes C(k_j + kappa_j - 1, kappa_j) of the tensor factors of P_kappa.
+
+    ``enumerate_basis`` is the Kronecker product of the per-block bases,
+    block 1 outermost, so a P_kappa matrix reshapes to dims + dims axes.
+    """
     kappa = tuple(int(v) for v in kappa)
     if len(kappa) != p.m:
         raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
     if any(v < 0 for v in kappa):
         raise ValueError(f"kappa entries must be >= 0, got {kappa}")
-    out = 1
-    for kj, cj in zip(p.k, kappa):
-        out *= math.comb(kj + cj - 1, cj)
-    return out
+    return tuple(math.comb(kj + cj - 1, cj) for kj, cj in zip(p.k, kappa))
+
+
+def dim_P(p: Partition, kappa) -> int:
+    """Dimension of the slice P_kappa: the product of its ``block_dims``."""
+    return math.prod(block_dims(p, kappa))
 
 
 @dataclass(frozen=True)
@@ -176,8 +182,7 @@ def enumerate_basis(p: Partition, kappa) -> BasisP:
     block 1 outermost, which coincides with graded-lex on the full alpha.
     """
     kappa = tuple(int(v) for v in kappa)
-    if len(kappa) != p.m:
-        raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
+    block_dims(p, kappa)  # validates kappa
     return BasisP(p, kappa, _basis_alphas(p.k, kappa))
 
 

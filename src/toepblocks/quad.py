@@ -139,10 +139,13 @@ def _lgamma(x: float) -> float:
 
 
 def c_lambda(n: int, lam: float) -> float:
-    """Normalizing constant Gamma(n+lam+1) / (pi^n Gamma(lam+1))."""
+    """Normalizing constant Gamma(n+lam+1) / (pi^n Gamma(lam+1)).
+
+    That is prod_{i=1}^n ((lam+i)/pi), summed in logs: accurate at any lam.
+    """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
-    return math.exp(_lgamma(n + lam + 1) - _lgamma(lam + 1) - n * math.log(math.pi))
+    return math.exp(sum(math.log((lam + i + 1) / math.pi) for i in range(n)))
 
 
 def sphere_monomial_integral(k: int, alpha, beta) -> float:
@@ -170,7 +173,7 @@ def sphere_monomial_integral(k: int, alpha, beta) -> float:
 
 
 class RadialRuleError(ValueError):
-    """A Gauss-Jacobi radial rule that is not finite in double precision."""
+    """A lambda too large for double precision (radial rule, monomial norm)."""
 
 
 def _gauss_jacobi(nodes: int, p: float, q: float):

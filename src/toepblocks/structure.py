@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mindex import (
-    dim_P,
-    enumerate_basis,
-    enumerate_multiindices,
-    kappa_of,
-    split_alpha,
-)
+from .mindex import block_dims, dim_P, enumerate_multiindices, kappa_of
 from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
@@ -42,7 +36,7 @@ from .quad import (
     sample_ball,
     substream,
 )
-from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
+from .symbols import TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _ORACLE_CHUNK,
     _radial_contract,
@@ -153,35 +147,30 @@ def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
 def extract_M(T: BlockOperator, j: int, kappa):
     """Recover the repeated single-block matrix from a P_kappa block.
 
-    The kappa block is partitioned by the multi-index outside block j; for an
-    operator commuting with the circle-times-blocks group of block j the
-    diagonal sub-blocks are all equal (under the slice identification) and
-    the off-diagonal sub-blocks vanish.  Returns (M, residual) where M is
-    the average diagonal sub-block and the residual is the maximum deviation
-    of any diagonal sub-block from M plus the largest off-slice magnitude.
+    P_kappa is a Kronecker product (``block_dims``), so the kappa block
+    reshapes to d_j x d_j sub-blocks B[i, l], i and l indexing the other
+    blocks' bases.  An operator commuting with the circle-times-blocks group
+    of block j is M_kappa (x) I there: every B[i, i] is M_kappa, the rest 0.
+    Returns (M, residual): M is the mean of the B[i, i], the residual the
+    largest deviation of a B[i, i] from M plus the largest entry of any
+    B[i, l] with i != l.
     """
     kappa = tuple(int(v) for v in kappa)
     if kappa not in T.blocks:
         raise ValueError(f"operator has no block for kappa={kappa}")
     p = T.partition
-    basis = enumerate_basis(p, kappa)
-    groups: dict = {}
-    for idx, alpha in enumerate(basis):
-        _, hat = split_alpha(alpha, p, j)
-        groups.setdefault(hat, []).append(idx)
-    slices = list(groups.values())
-    d = len(slices[0])
-    B = T.blocks[kappa]
-    diag = [B[np.ix_(rows, rows)] for rows in slices]
-    M = sum(diag) / len(diag)
-    dev = max(float(np.max(np.abs(S - M))) for S in diag)
-    off = 0.0
-    for i, ri in enumerate(slices):
-        for l, rl in enumerate(slices):
-            if i != l:
-                off = max(off, float(np.max(np.abs(B[np.ix_(ri, rl)]))))
-    assert M.shape == (d, d)
-    return M, dev + off
+    if not 1 <= j <= p.m:
+        raise ValueError(f"block index {j} out of range 1..{p.m}")
+    dims = block_dims(p, kappa)
+    d = dims[j - 1]
+    h = dim_P(p, kappa) // d
+    B = np.moveaxis(T.blocks[kappa].reshape(dims + dims),
+                    (j - 1, p.m + j - 1), (-2, -1)).reshape(h, h, d, d)
+    diag = B[np.arange(h), np.arange(h)]
+    M = diag.mean(axis=0)
+    off = np.abs(B).max(axis=(2, 3))  # largest entry per sub-block
+    np.fill_diagonal(off, 0.0)
+    return M, float(np.max(np.abs(diag - M))) + float(off.max())
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +372,7 @@ def sequence_ST(a: Symbol, lam: float, max_kappa: int, spec: QuadratureSpec,
     if not a.klass.implies(TM_INVARIANT):
         raise ValueError("trace sequences need a torus-invariant symbol")
     kappas = [(kap,) for kap in range(max_kappa + 1)]
-    if a.radial_profile is not None and a.klass.implies(QUASI_RADIAL):
+    if assembly_path(a) == "diagonal-gamma":
         xs = np.array([gamma_quasi_radial(a.radial_profile, k, lam, p, spec)
                        for k in kappas])
         ses = np.zeros(len(kappas))

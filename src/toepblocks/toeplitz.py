@@ -15,8 +15,9 @@ Three assembly methods exist:
 * ``gamma_quasi_radial`` + ``assemble_diagonal`` -- scalar action per block
   for symbols that depend on the block radii only.
 
-``toeplitz_operator`` dispatches on ``assembly_path``.  Every radial rule is
-contracted by ``_radial_contract``, in chunks of ``_CHUNK_BUDGET`` numbers.
+``toeplitz_operator`` dispatches on ``assembly_path``.  Radial sums go through
+``_radial_contract`` and monomial Gram sums (sphere and torus rules) through
+``_monomial_gram``, in chunks of ``_CHUNK_BUDGET`` numbers.
 
 Phase reduction: a payload on block j is invariant under a common phase on
 xi_(j) (``_require_payload`` demands the class ``kj_quasi_homogeneous(j)``,
@@ -41,6 +42,7 @@ import numpy as np
 from .mindex import (
     Partition,
     alpha_factorial,
+    block_dims,
     compositions,
     dim_P,
     enumerate_basis,
@@ -50,11 +52,13 @@ from .mindex import (
 from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
+    RadialRuleError,
     _lgamma,
     complex_sphere_rule,
     radial_rule,
     sample_ball,
     substream,
+    torus_rule,
 )
 from .symbols import (
     _PAYLOAD_CHARTS,
@@ -67,13 +71,20 @@ from .symbols import (
 
 
 def monomial_norm_sq(n: int, lam: float, alpha) -> float:
-    """Squared Bergman norm of z^alpha: alpha! G(n+lam+1) / G(n+lam+|alpha|+1)."""
+    """Squared Bergman norm of z^alpha: alpha! / prod_{i<=|alpha|} (n+lam+i).
+
+    Accurate at any lam; raises RadialRuleError where it underflows to zero.
+    """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
     alpha = tuple(int(a) for a in alpha)
-    log = _lgamma(n + lam + 1) - _lgamma(n + lam + sum(alpha) + 1)
-    log += sum(_lgamma(a + 1) for a in alpha)
-    return float(math.exp(log))
+    log = sum(_lgamma(a + 1) for a in alpha)
+    log -= sum(math.log(n + lam + i) for i in range(1, sum(alpha) + 1))
+    norm = math.exp(log)
+    if norm == 0.0:
+        raise RadialRuleError(f"the norm of z^{alpha} underflows to 0: "
+                              f"lambda is too large for double precision")
+    return norm
 
 
 def _parent(alpha: tuple) -> tuple[tuple, int]:
@@ -233,7 +244,7 @@ def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
 # deterministic single-block paths
 # ---------------------------------------------------------------------------
 
-_CHUNK_BUDGET = 4_000_000  # numbers per radial or sphere evaluation chunk
+_CHUNK_BUDGET = 4_000_000  # numbers per radial, sphere or torus chunk
 
 
 def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
@@ -269,13 +280,21 @@ def _radial_contract(F, R, w, args=()) -> np.ndarray:
 
 def _embed_single_block(M: np.ndarray, p: Partition, kappa, j: int) -> np.ndarray:
     """Kronecker-embed the block-j matrix M into the full P_kappa layout."""
-    mats = []
-    for l, (kl, cl) in enumerate(zip(p.k, kappa), start=1):
-        if l == j:
-            mats.append(M)
-        else:
-            mats.append(np.eye(math.comb(kl + cl - 1, cl), dtype=complex))
+    mats = [np.eye(d, dtype=complex) for d in block_dims(p, kappa)]
+    mats[j - 1] = M
     return reduce(np.kron, mats)
+
+
+def _monomial_gram(U: np.ndarray, w: np.ndarray, basis, V=None) -> np.ndarray:
+    """G[alpha, beta] = sum_t w_t U_t^alpha conj(V_t^beta); V defaults to U."""
+    G = np.zeros((len(basis),) * 2, dtype=complex)
+    # a chunk of nodes holds X, X * w and conj(Y.T), and Y when V is given
+    chunk = max(1, _CHUNK_BUDGET // ((3 if V is None else 4) * len(basis)))
+    for start in range(0, U.shape[0], chunk):
+        X = _monomial_rows(U[start:start + chunk], basis)
+        Y = X if V is None else _monomial_rows(V[start:start + chunk], basis)
+        G += (X * w[start:start + chunk]) @ np.conj(Y.T)
+    return G
 
 
 def payload_chart(a: Symbol, path: str):
@@ -331,12 +350,7 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
     Xi, wxi = Xi[keep], wxi[keep] * Qt
     Wx = _radial_contract(payload, R, wr, coords(Xi)) * wxi
-    inner = np.zeros((len(block_basis),) * 2, dtype=complex)  # [alpha, beta]
-    # a sphere chunk holds X, X * Wx and conj(X.T)
-    x_chunk = max(1, _CHUNK_BUDGET // (3 * len(block_basis)))
-    for start in range(0, Xi.shape[0], x_chunk):
-        X = _monomial_rows(Xi[start:start + x_chunk], block_basis)
-        inner += (X * Wx[start:start + x_chunk]) @ np.conj(X.T)
+    inner = _monomial_gram(Xi, Wx, block_basis)  # [alpha, beta]
     # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
     # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)
     base = log_slice_prefactor(p, kappa, lam) - math.log(2.0)
@@ -404,6 +418,13 @@ def unitary_action_matrix(A: np.ndarray, p: Partition, kappa) -> np.ndarray:
     A must be block diagonal for the partition so the slice is preserved.
     Within a fixed-degree slice the orthonormal-basis matrix does not depend
     on the weight exponent: the Gamma factors in the norms cancel.
+
+    A_jj acts on block j's tensor factor of P_kappa alone, so R(A) is the
+    Kronecker product of the block factors (``block_dims``).  Entry [beta,
+    alpha] of a factor is sqrt(beta!/alpha!) times the coefficient of t^beta
+    in (A_jj^* t)^alpha: the torus mean of (A_jj^* t)^alpha conj(t^beta) on
+    ``torus_rule(k_j, kappa_j + 1)``, which is exact for its characters
+    t^gamma (every |gamma_i| <= kappa_j).  A fixed block gives I exactly.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape != (p.n, p.n):
@@ -413,39 +434,18 @@ def unitary_action_matrix(A: np.ndarray, p: Partition, kappa) -> np.ndarray:
     if np.max(np.abs(A.conj().T @ A - np.eye(p.n))) > 1e-10:
         raise ValueError("matrix is not unitary to tolerance 1e-10")
     kappa = tuple(int(v) for v in kappa)
-    if len(kappa) != p.m:
-        raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
     mats = []
-    for j0, (sl, kj) in enumerate(zip(p.block_slices(), p.k)):
-        basis = list(compositions(kappa[j0], kj))
-        index = {b: i for i, b in enumerate(basis)}
-        B = A[sl, sl].conj().T
-        d = len(basis)
-        Rj = np.zeros((d, d), dtype=complex)
-        sq = {b: math.sqrt(alpha_factorial(b)) for b in basis}
-        for ai, al in enumerate(basis):
-            poly = {(0,) * kj: 1.0 + 0.0j}
-            for coord in range(kj):
-                row = B[coord]
-                for _ in range(al[coord]):
-                    poly = _mul_linear(poly, row, kj)
-            inv = 1.0 / sq[al]
-            for be, c in poly.items():
-                Rj[index[be], ai] = c * sq[be] * inv
-        mats.append(Rj)
+    for sl, kj, cj, d in zip(p.block_slices(), p.k, kappa,
+                             block_dims(p, kappa)):
+        if np.array_equal(A[sl, sl], np.eye(kj)):
+            mats.append(np.eye(d, dtype=complex))
+            continue
+        basis = list(compositions(cj, kj))
+        T, w = torus_rule(kj, cj + 1)
+        G = _monomial_gram(T @ np.conj(A[sl, sl]), w, basis, V=T)
+        f = np.sqrt([float(alpha_factorial(b)) for b in basis])
+        mats.append(G.T * (f[:, None] / f[None, :] / (2.0 * math.pi) ** kj))
     return reduce(np.kron, mats)
-
-
-def _mul_linear(poly: dict, row: np.ndarray, k: int) -> dict:
-    out: dict = {}
-    for mi, c in poly.items():
-        for l in range(k):
-            cl = row[l]
-            if cl == 0:
-                continue
-            key = mi[:l] + (mi[l] + 1,) + mi[l + 1:]
-            out[key] = out.get(key, 0.0 + 0.0j) + c * cl
-    return out
 
 
 def average_operator(T: BlockOperator, n_samples: int, rng) -> BlockOperator:

@@ -145,6 +145,38 @@ class TestConfigValidation:
         T = load_operator(tmp_path / "o" / "op_x_lam1e+06.json")
         assert all(np.all(np.isfinite(B)) for B in T.blocks.values())
 
+    def test_large_lambda_oracle_build_of_one_is_the_identity(self, tmp_path):
+        # the monomial norms are exact at lambda 1e14, so T_1 = I within 5
+        # sigma on every slice up to degree 3
+        doc = base_config(output_dir=str(tmp_path / "o"), partition=[1, 1],
+                          lambdas=[1e14], degree=3,
+                          quadrature={"ball_samples": 20000}, symbols=[
+                              {"name": "one", "kind": "zpoly",
+                               "declared_class": "tm", "terms": [
+                                   {"coeff": 1.0, "z": [0, 0],
+                                    "zbar": [0, 0]}]}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        T = load_operator(tmp_path / "o" / "op_one_lam1e+14.json")
+        assert T.provenance == "oracle" and len(T.blocks) == 10
+        for kappa, B in T.blocks.items():
+            eye = np.eye(len(B))
+            assert np.all(np.abs(B - eye) <= 5 * T.block_stderr[kappa]), kappa
+
+    def test_underflowing_monomial_norm_exit_config(self, tmp_path, capsys):
+        # at lambda 1e307 the degree-2 norms underflow to zero: a config
+        # error, not blocks of NaN
+        doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[1e307],
+                          quadrature={"ball_samples": 2000}, symbols=[
+                              {"name": "x", "kind": "xi_monomial", "j": 2,
+                               "p": [1, 0], "q": [0, 0]}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "lambda is too large for double precision" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("symbol", [
         {"kind": "xi_monomial", "j": 2, "p": [-1, 0], "q": [0, 0]},
         {"kind": "xi_monomial", "j": 2, "p": [1, 0], "q": [0, -1]},

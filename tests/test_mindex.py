@@ -1,5 +1,8 @@
 """Multi-index combinatorics and basis enumeration."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,7 @@ from toepblocks import (
     kappa_of,
     split_alpha,
 )
-from toepblocks.mindex import block_split, compositions, grlex_key
+from toepblocks.mindex import block_dims, block_split, compositions, grlex_key
 
 
 def test_partition_fields():
@@ -53,6 +56,28 @@ def test_kappa_of_length_mismatch():
 ])
 def test_dim_P_examples(k, kappa, expected):
     assert dim_P(Partition(k), kappa) == expected
+
+
+@pytest.mark.parametrize("k,kappa", [((1, 2), (2, 1)), ((2, 2), (1, 2)),
+                                     ((3, 1, 2), (2, 0, 3))])
+def test_block_dims_are_the_kronecker_factors(k, kappa):
+    # basis entry (i_1, ..., i_m) in row-major order over block_dims holds
+    # the i_j-th composition of kappa_j on every block j
+    p = Partition(k)
+    dims = block_dims(p, kappa)
+    bases = [list(compositions(c, kj)) for kj, c in zip(k, kappa)]
+    assert dims == tuple(map(len, bases))
+    assert math.prod(dims) == dim_P(p, kappa)
+    alphas = enumerate_basis(p, kappa).alphas
+    for flat, idx in enumerate(itertools.product(*map(range, dims))):
+        pieces = block_split(alphas[flat], p)
+        assert pieces == tuple(b[i] for b, i in zip(bases, idx))
+
+
+@pytest.mark.parametrize("kappa", [(1,), (1, -1)])
+def test_block_dims_rejects_bad_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa"):
+        block_dims(Partition((1, 2)), kappa)
 
 
 @pytest.mark.parametrize("k,kappa,expected", [

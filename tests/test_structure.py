@@ -8,6 +8,7 @@ import pytest
 
 from toepblocks import structure, toeplitz
 from toepblocks import (
+    BlockOperator,
     Partition,
     QuadratureSpec,
     TM_INVARIANT,
@@ -34,6 +35,7 @@ from toepblocks import (
     radial_poly,
     sample_ball,
     sequence_ST,
+    split_alpha,
     substream,
     toeplitz_operator,
     trace_identity_check,
@@ -96,6 +98,46 @@ class TestExtractM:
         T = assemble_diagonal(lambda kappa: 1.0, P22, 1, 0.0)
         with pytest.raises(ValueError, match="no block"):
             extract_M(T, 1, (3, 3))
+
+    @pytest.mark.parametrize("k", [(2, 2), (1, 3), (2, 1, 1), (3, 2)],
+                             ids=lambda k: "-".join(map(str, k)))
+    def test_matches_grouping_by_outer_multi_index(self, k):
+        p = Partition(k)
+        rng = substream(0, "extract", repr(k))
+        blocks = {}
+        for kappa in enumerate_kappas(p, 4):
+            d = dim_P(p, kappa)
+            blocks[kappa] = (rng.standard_normal((d, d))
+                             + 1j * rng.standard_normal((d, d)))
+        T = BlockOperator(p, 0.0, 4, blocks, "random")
+        for kappa in blocks:
+            for j in range(1, p.m + 1):
+                M, res = extract_M(T, j, kappa)
+                M_ref, res_ref = _grouped_extract_M(T, j, kappa)
+                assert np.max(np.abs(M - M_ref)) < 1e-14
+                assert abs(res - res_ref) < 1e-14
+
+    def test_block_index_out_of_range(self):
+        T = assemble_diagonal(lambda kappa: 1.0, P22, 1, 0.0)
+        with pytest.raises(ValueError, match="out of range"):
+            extract_M(T, 3, (1, 0))
+
+
+def _grouped_extract_M(T, j, kappa):
+    """extract_M by grouping the basis on the multi-index outside block j."""
+    p = T.partition
+    groups = {}
+    for idx, alpha in enumerate(enumerate_basis(p, kappa)):
+        groups.setdefault(split_alpha(alpha, p, j)[1], []).append(idx)
+    slices = list(groups.values())
+    B = T.blocks[kappa]
+    diag = [B[np.ix_(rows, rows)] for rows in slices]
+    M = sum(diag) / len(diag)
+    dev = max(float(np.max(np.abs(S - M))) for S in diag)
+    off = max([float(np.max(np.abs(B[np.ix_(ri, rl)])))
+               for i, ri in enumerate(slices)
+               for l, rl in enumerate(slices) if i != l], default=0.0)
+    return M, dev + off
 
 
 class TestCommutator:
@@ -368,6 +410,19 @@ class TestOracleTraces:
             assert tr == pytest.approx(X.mean(), rel=1e-12, abs=0)
             assert se == pytest.approx(X.std() / math.sqrt(X.size), rel=1e-12,
                                        abs=0)
+
+    def test_radius_trace_at_large_lambda(self):
+        # |z|^2 on (2,): tr(T|P_kappa) = dim * (k + kappa) / (n + kappa +
+        # lam + 1); the kernel diagonal needs monomial norms exact at 1e14
+        p, lam = Partition((2,)), 1e14
+        a = zpoly(p, [(1.0, (1, 0), (1, 0)), (1.0, (0, 1), (0, 1))],
+                  TM_INVARIANT)
+        kappas = [(c,) for c in range(4)]
+        got = oracle_traces(a, kappas, lam, QuadratureSpec(ball_samples=20000),
+                            substream(0, "ot-large"))
+        for (c,), (tr, se) in zip(kappas, got):
+            exact = (c + 1) * (2 + c) / (2 + c + lam + 1)
+            assert abs(tr - exact) <= 5 * se, c
 
 
 class TestSequence:

@@ -1,6 +1,8 @@
 """Operator assembly: oracle, reduced formulas, diagonal path, averaging."""
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from toepblocks import (
     assemble_diagonal,
     average_operator,
     block_hermitian,
+    c_lambda,
     complex_sphere_rule,
     constant_symbol,
     dim_P,
@@ -38,7 +41,7 @@ from toepblocks import (
 )
 from toepblocks import toeplitz
 from toepblocks.mindex import compositions
-from toepblocks.quad import SIGMA_BAND
+from toepblocks.quad import SIGMA_BAND, RadialRuleError
 from toepblocks.toeplitz import (
     load_operator,
     log_slice_prefactor,
@@ -100,6 +103,27 @@ class TestMonomialNorms:
         assert monomial_norm_sq(1, 0.0, (0,)) == pytest.approx(1.0)
         assert monomial_norm_sq(1, 0.0, (2,)) == pytest.approx(1 / 3)
         assert monomial_norm_sq(2, 0.0, (1, 0)) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("lam", [0, 1, 10**3, 10**6, 10**10, 10**14,
+                                     10**20])
+    def test_exact_at_large_lambda(self, lam):
+        # alpha! / prod_{i <= |alpha|} (n + lam + i) and prod_{i <= n} (lam +
+        # i) / pi^n, in exact rationals at an integer lambda
+        for n, alpha in [(1, (3,)), (3, (2, 0, 1)), (4, (1, 2, 0, 4))]:
+            exact = Fraction(math.prod(map(math.factorial, alpha)))
+            for i in range(1, sum(alpha) + 1):
+                exact /= n + lam + i
+            got = monomial_norm_sq(n, float(lam), alpha)
+            assert abs(Fraction(got) / exact - 1) < 1e-12, (n, alpha)
+            ratio = Fraction(math.prod(lam + i for i in range(1, n + 1)))
+            assert (c_lambda(n, float(lam)) * math.pi**n
+                    == pytest.approx(float(ratio), rel=1e-12))
+
+    def test_underflow_raises(self):
+        # 1 / (1e307)^2 underflows to zero
+        assert monomial_norm_sq(3, 1e307, (1, 0, 0)) > 0
+        with pytest.raises(RadialRuleError, match="lambda is too large"):
+            monomial_norm_sq(3, 1e307, (1, 1, 0))
 
     def test_oracle_orthonormality(self):
         # a == 1 gives the identity within the sampling band
@@ -324,6 +348,73 @@ class TestUnitaryAction:
         A = haar_unitary(4, substream(0, "rej"))
         with pytest.raises(ValueError, match="block diagonal"):
             unitary_action_matrix(A, P22, (1, 1))
+
+    @pytest.mark.parametrize("k", [(1,), (3,), (2, 2), (1, 3), (2, 1, 1),
+                                   (3, 2)], ids=lambda k: "-".join(map(str, k)))
+    def test_matches_polynomial_expansion(self, k):
+        p = Partition(k)
+        A = haar_uk_sample(p, substream(0, "rexp", repr(k)))
+        for kappa in enumerate_kappas(p, 6):
+            R = unitary_action_matrix(A, p, kappa)
+            assert np.max(np.abs(R - _expanded_action(A, p, kappa))) < 1e-13
+            assert np.max(np.abs(R.conj().T @ R - np.eye(len(R)))) < 1e-12
+
+    @pytest.mark.parametrize("kappa", [(0, 3), (2, 1), (3, 2)])
+    def test_permutation_maps_basis_vectors(self, kappa):
+        # A swaps z_3 and z_5 and fixes the rest, so f(A^-1 z) takes z^alpha
+        # to z^sigma(alpha) with the two exponents exchanged
+        p = Partition((2, 3))
+        A = np.eye(5, dtype=complex)[[0, 1, 4, 3, 2]]
+        basis = enumerate_basis(p, kappa)
+        R = unitary_action_matrix(A, p, kappa)
+        want = np.zeros(R.shape)
+        for c, al in enumerate(basis):
+            want[basis.index((al[0], al[1], al[4], al[3], al[2])), c] = 1.0
+        assert np.max(np.abs(R - want)) < 1e-14
+
+    def test_torus_stage_stays_within_the_chunk_budget(self, monkeypatch):
+        # 7 nodes per angle on (3,) at kappa (6,): 343 torus nodes, 28
+        # monomials, 17 nodes per chunk at a budget of 2000
+        p = Partition((3,))
+        A = haar_uk_sample(p, substream(0, "rchunk"))
+        ref = unitary_action_matrix(A, p, (6,))
+        rows, tables = toeplitz._monomial_rows, []
+
+        def recording(Z, alphas):
+            out = rows(Z, alphas)
+            tables.append(out.size)
+            return out
+
+        monkeypatch.setattr(toeplitz, "_monomial_rows", recording)
+        monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 2_000)
+        got = unitary_action_matrix(A, p, (6,))
+        assert len(tables) > 2 and max(tables) <= 2_000
+        assert np.max(np.abs(got - ref)) < 1e-14
+
+
+def _expanded_action(A, p, kappa):
+    """R(A) by expanding (A^-1 z)^alpha one linear factor at a time."""
+    mats = []
+    for sl, kj, cj in zip(p.block_slices(), p.k, kappa):
+        basis = list(compositions(cj, kj))
+        index = {b: i for i, b in enumerate(basis)}
+        B = A[sl, sl].conj().T
+        sq = {b: math.sqrt(math.prod(map(math.factorial, b))) for b in basis}
+        Rj = np.zeros((len(basis),) * 2, dtype=complex)
+        for ai, al in enumerate(basis):
+            poly = {(0,) * kj: 1.0 + 0.0j}
+            for coord in range(kj):
+                for _ in range(al[coord]):
+                    out = {}
+                    for mi, c in poly.items():
+                        for l in range(kj):
+                            key = mi[:l] + (mi[l] + 1,) + mi[l + 1:]
+                            out[key] = out.get(key, 0.0) + c * B[coord, l]
+                    poly = out
+            for be, c in poly.items():
+                Rj[index[be], ai] = c * sq[be] / sq[al]
+        mats.append(Rj)
+    return functools.reduce(np.kron, mats)
 
 
 class TestAveraging:
