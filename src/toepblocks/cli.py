@@ -462,16 +462,17 @@ def _check_trace_integral(cfg, lam, kappas, operator_for):
             d = dim_P(p, kappa)
             band1 = st.sigma_band(math.hypot(se1, d * tr_err), tr)
             band12 = st.sigma_band(math.hypot(se1, se2), tr)
-            ok = abs(v1 - tr) <= band1 and abs(v1 - v2) <= band12
+            ratio = max(abs(v1 - tr) / band1, abs(v1 - v2) / band12)
             yield st.StructureReport(
                 check="trace-integral",
-                passed=bool(ok),
+                passed=bool(ratio <= 1.0),
                 metrics={"integral_u1": v1, "integral_u2": v2,
                          "block_trace": tr,
                          "diff_vs_trace": abs(v1 - tr),
                          "diff_u1_u2": abs(v1 - v2),
                          "band_vs_trace": band1,
-                         "band_u1_u2": band12},
+                         "band_u1_u2": band12,
+                         "tolerance_ratio": ratio},
                 per_kappa={kappa: {"dim": d}},
                 tolerances={"sigma_band": st.SIGMA_BAND},
                 provenance={"symbol": sym.name, "lambda": lam,

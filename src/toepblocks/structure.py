@@ -30,6 +30,7 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     SIGMA_BAND,
+    _lgamma,
     block_radii,
     haar_unitary_batch,
     radial_rule,
@@ -40,13 +41,14 @@ from .symbols import TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _ORACLE_CHUNK,
     _radial_contract,
+    _reduced_sphere_weights,
+    _require_payload,
     BlockOperator,
     assembly_path,
     gamma_quasi_radial,
+    log_monomial_norm_sq,
     log_slice_prefactor,
-    monomial_norm_sq,
     oracle_matrix,
-    payload_chart,
     toeplitz_block_oracle,
     unitary_action_matrix,
 )
@@ -210,20 +212,22 @@ def block_traces(T: BlockOperator) -> dict:
 def oracle_traces(a: Symbol, kappas, lam: float, spec: QuadratureSpec, rng):
     """Monte Carlo tr(T_a | P_kappa): one (trace, stderr) pair per kappa.
 
-    Per-sample values are a(z) K_kappa(z, z) (module docstring).  Every
-    kappa shares the same ``spec.ball_samples`` draws, so the estimates are
-    correlated across slices; a chunk holds about ``_ORACLE_CHUNK`` values.
+    Per-sample values are a(z) K_kappa(z, z) (module docstring), formed in
+    logs: at a large lam the norm ``monomial_norm_sq`` is subnormal, and its
+    reciprocal overflows, before it underflows.  Every kappa shares the same
+    ``spec.ball_samples`` draws, so the estimates are correlated across
+    slices; a chunk holds about ``_ORACLE_CHUNK`` values.
     """
     p = a.partition
     K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
-    inv_norms = 1.0 / np.array([monomial_norm_sq(p.n, lam, k) for k in kappas])
+    log_norms = np.array([log_monomial_norm_sq(p.n, lam, k) for k in kappas])
     N = spec.ball_samples
     chunk = max(1024, _ORACLE_CHUNK // max(len(kappas), 1))
     s1, s2 = np.zeros(len(kappas), dtype=complex), np.zeros(len(kappas))
     for done in range(0, N, chunk):
         Z = sample_ball(p.n, lam, min(chunk, N - done), rng)
-        R2 = block_radii(Z, p).T ** 2  # (m, c)
-        X = a(Z) * inv_norms[:, None] * np.prod(R2 ** K, axis=1)
+        log_R2 = 2.0 * np.log(block_radii(Z, p).T)  # (m, c)
+        X = a(Z) * np.exp(np.sum(K * log_R2, axis=1) - log_norms[:, None])
         s1 += X.sum(axis=1)
         s2 += np.sum(np.abs(X) ** 2, axis=1)
     mean = s1 / N
@@ -235,23 +239,24 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
                    spec: QuadratureSpec, rng=None):
     """Trace of T_a on P_kappa as a Haar-times-radial integral.
 
-    ``u_vectors`` is one unit vector per block; the result does not depend
-    on the choice (up to Monte Carlo error).  Returns (value, stderr).  Each
-    sampled block unitary A contributes the radial integral of
-    a(r_1 A_1^{-1} u_1, ...), times the slice prefactor and dim P_kappa.
-    The symbol is read on its own coordinates, per ``assembly_path``:
+    ``u_vectors`` is one unit vector per block.  Returns (value, stderr):
+    dim P_kappa times the slice prefactor times the Haar mean over block
+    unitaries A of the radial integral of a(r_1 A_1^{-1} u_1, ...).  Under
+    Haar measure A_j^{-1} u_j is uniform on block j's sphere, so the value
+    does not depend on the u_j.  The symbol is read on its own coordinates,
+    per ``assembly_path``:
 
     * ``"diagonal-gamma"``: a(r_1 A_1^{-1} u_1, ...) = profile(r) for every
-      A, so the result is dim P_kappa * ``gamma_quasi_radial`` with stderr
-      0.0, and no unitary is drawn;
-    * ``"f-form"`` / ``"g-form"``: the payload at the radial nodes and the
-      directions xi_j = A_j^{-1} u_j of its block, through ``payload_chart``;
-    * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j.
+      A, so the result is dim P_kappa * ``gamma_quasi_radial``;
+    * ``"f-form"`` / ``"g-form"``: the Haar mean is the mean of the payload
+      over block j's sphere, G(k_j) / (2 pi^k_j) times the sum of the
+      weights of ``_reduced_sphere_weights``; the u_j do not enter;
+    * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j, averaged
+      over ``spec.haar_samples`` draws of A.
 
-    The last two draw ``spec.haar_samples`` unitaries per block, block by
-    block in chunks of ``2_000_000 // Qr`` (Qr radial nodes) that
-    ``_radial_contract`` sums; on one stream a payload gives its evaluator's
-    numbers to roundoff.  The draws come from ``rng`` or the substream
+    The first two are exact (stderr 0.0) and draw no unitary.  The oracle
+    path draws block by block in chunks of ``2_000_000 // Qr`` (Qr radial
+    nodes) that ``_radial_contract`` sums, from ``rng`` or the substream
     (seed, "trace-integral", name, repr(lam), repr(kappa)).
     """
     p = a.partition
@@ -268,13 +273,18 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     path = assembly_path(a)
     if path == "diagonal-gamma":
         return d * gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec), 0.0
+    pref = d * math.exp(log_slice_prefactor(p, kappa, lam))
+    if path != "oracle":
+        kj = p.k[a.j - 1]
+        _, W = _reduced_sphere_weights(*_require_payload(a, a.j, path), p,
+                                       a.j, kappa, lam, spec)
+        # the sphere mean: the surface integral over |S| = 2 pi^k_j / G(k_j)
+        mean = math.exp(_lgamma(kj) - kj * math.log(math.pi)) / 2.0
+        return complex(pref * mean * W.sum()), 0.0
     rng = rng if rng is not None else substream(
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
-    if path == "oracle":
-        F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
-            [r[:, j0, None] * x for j0, x in enumerate(xi)], axis=1))
-    else:
-        F, coords = payload_chart(a, path)
+    F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
+        [r[:, j0, None] * x for j0, x in enumerate(xi)], axis=1))
     R, w = radial_rule(p, kappa, spec, lam)
     n_samples = spec.haar_samples
     raw = np.empty(n_samples, dtype=complex)
@@ -284,9 +294,8 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
         # A_j^{-1} u_j per block, shape (c, k_j)
         V = [np.conj(np.swapaxes(haar_unitary_batch(kj, c, rng), -1, -2)) @ u
              for kj, u in zip(p.k, u_vectors)]
-        args = V if path == "oracle" else coords(V[a.j - 1])
-        raw[done:done + c] = _radial_contract(F, R, w, args)
-    vals = d * math.exp(log_slice_prefactor(p, kappa, lam)) * raw
+        raw[done:done + c] = _radial_contract(F, R, w, V)
+    vals = pref * raw
     mean = complex(vals.mean())
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
@@ -295,13 +304,16 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
                          rng=None) -> StructureReport:
     """Block trace of T_a versus dim * gamma of the Haar-averaged symbol.
 
-    The left side is the sampling-oracle trace; the right side averages the
-    radial scalar over Haar samples of the block unitary group (the same
-    construction that defines the averaged symbol; exact for a quasi-radial
-    symbol, see ``trace_integral``).  Agreement is required within a 5-sigma
-    band of the combined standard errors.  The provenance records the path
-    the right side took (``haar_path``, the symbol's ``assembly_path``) and
-    the Haar unitaries it drew per block (``haar_samples``, 0 when exact).
+    The left side is the sampling-oracle trace; the right side is the
+    Haar average over the block unitary group (the construction that defines
+    the averaged symbol), from ``trace_integral``: exact for quasi-radial
+    and payload symbols, sampled for oracle-path ones.  Agreement is
+    required within a 5-sigma band of the combined standard errors
+    (``sigma_band``); ``tolerance_ratio`` is the discrepancy over that band,
+    at most 1 exactly when the report passes.  The provenance records the
+    path the right side took (``haar_path``, the symbol's ``assembly_path``)
+    and the Haar unitaries it drew per block (``haar_samples``, 0 when
+    exact).
     """
     p = a.partition
     kappa = tuple(int(v) for v in kappa)
@@ -316,9 +328,10 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     path = assembly_path(a)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
+    ratio = diff / float(sigma_band(combined, rhs))
     return StructureReport(
         check="trace-identity",
-        passed=diff <= sigma_band(combined, rhs),
+        passed=ratio <= 1.0,
         metrics={
             "block_trace": lhs,
             "block_trace_stderr": lhs_se,
@@ -327,13 +340,14 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
             "discrepancy": diff,
             "combined_stderr": combined,
             "sigma_ratio": diff / combined if combined > 0 else 0.0,
+            "tolerance_ratio": ratio,
         },
         per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,
                     "haar_path": path,
-                    "haar_samples": (0 if path == "diagonal-gamma"
-                                     else spec.haar_samples),
+                    "haar_samples": (spec.haar_samples if path == "oracle"
+                                     else 0),
                     "ball_samples": spec.ball_samples},
     )
 
@@ -405,35 +419,53 @@ def equivariance_check(T: BlockOperator, a: Symbol, A: np.ndarray, kappa,
     ``T`` is the operator of ``a``, at the weight ``T.lam``: its block on
     P_kappa, with the entrywise ``T.block_stderr`` (zero on the
     deterministic paths), is conjugated by R(A) (``unitary_action_matrix``).
-    Only the rotated symbol a o A^{-1} (``act``) is estimated here, by the
-    sampling oracle on ``rng`` or the substream (seed, "equivariance", name,
-    repr(lam), repr(kappa)).  A caller that checks several rotations passes
-    one stream per rotation (``cli`` appends the rotation index to those
-    labels), so no two rotated blocks share samples.  The Frobenius residual
-    must sit inside a 5-sigma band of the combined propagated standard errors
-    (``sigma_band``).
+    The rotated symbol a o A^{-1} (``act``) gives the other side:
+
+    * on the ``"diagonal-gamma"`` path (a quasi-radial a and a block-diagonal
+      A) its block is ``gamma_quasi_radial`` times I, exactly and with no
+      samples, so the check tests R(A) gamma I R(A)* = gamma I;
+    * otherwise the sampling oracle estimates it, on ``rng`` or the
+      substream (seed, "equivariance", name, repr(lam), repr(kappa)).  A
+      caller that checks several rotations passes one stream per rotation
+      (``cli`` appends the rotation index to those labels), so no two
+      rotated blocks share samples.
+
+    The Frobenius residual must sit inside a 5-sigma band of the combined
+    propagated standard errors (``sigma_band``); ``tolerance_ratio`` is the
+    residual over that band, at most 1 exactly when the report passes.  The
+    provenance records the path the rotated side took (``rotated_path``)
+    and its ball ``samples`` (0 when exact).
     """
     p, lam = a.partition, T.lam
     kappa = tuple(int(v) for v in kappa)
-    rng = rng if rng is not None else substream(
-        spec.seed, "equivariance", a.name, repr(lam), repr(kappa))
     R = unitary_action_matrix(A, p, kappa)
     Ta = T.blocks[kappa]
     SEa = T.block_stderr.get(kappa, np.zeros(Ta.shape))
-    Tb, SEb = toeplitz_block_oracle(act(A, a), kappa, lam, spec, rng)
+    rotated = act(A, a)
+    if assembly_path(rotated) == "diagonal-gamma":
+        rotated_path, samples = "diagonal-gamma", 0
+        gamma = gamma_quasi_radial(rotated.radial_profile, kappa, lam, p, spec)
+        Tb, SEb = gamma * np.eye(Ta.shape[0]), np.zeros(Ta.shape)
+    else:
+        rotated_path, samples = "oracle", spec.ball_samples
+        rng = rng if rng is not None else substream(
+            spec.seed, "equivariance", a.name, repr(lam), repr(kappa))
+        Tb, SEb = toeplitz_block_oracle(rotated, kappa, lam, spec, rng)
     D = R @ Ta @ R.conj().T - Tb
     residual = float(np.linalg.norm(D, "fro"))
     P = np.abs(R) ** 2
     var_rot = P @ (SEa ** 2) @ P.T
     total_var = float(np.sum(var_rot) + np.sum(SEb ** 2))
     band = math.sqrt(total_var)
+    ratio = residual / float(sigma_band(band, np.linalg.norm(Tb, "fro")))
     return StructureReport(
         check="equivariance",
-        passed=residual <= sigma_band(band, np.linalg.norm(Tb, "fro")),
+        passed=ratio <= 1.0,
         metrics={"residual": residual, "combined_stderr": band,
-                 "sigma_ratio": residual / band if band > 0 else 0.0},
+                 "sigma_ratio": residual / band if band > 0 else 0.0,
+                 "tolerance_ratio": ratio},
         per_kappa={kappa: {"residual": residual}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,
-                    "samples": spec.ball_samples},
+                    "rotated_path": rotated_path, "samples": samples},
     )

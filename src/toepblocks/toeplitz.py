@@ -70,18 +70,26 @@ from .symbols import (
 )
 
 
-def monomial_norm_sq(n: int, lam: float, alpha) -> float:
-    """Squared Bergman norm of z^alpha: alpha! / prod_{i<=|alpha|} (n+lam+i).
+def log_monomial_norm_sq(n: int, lam: float, alpha) -> float:
+    """log alpha! - sum_{i<=|alpha|} log(n+lam+i): ``monomial_norm_sq`` in logs.
 
-    Accurate at any lam; raises RadialRuleError where it underflows to zero.
+    Accurate at any lam, and finite where the norm itself underflows.
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
     alpha = tuple(int(a) for a in alpha)
     log = sum(_lgamma(a + 1) for a in alpha)
-    log -= sum(math.log(n + lam + i) for i in range(1, sum(alpha) + 1))
-    norm = math.exp(log)
+    return log - sum(math.log(n + lam + i) for i in range(1, sum(alpha) + 1))
+
+
+def monomial_norm_sq(n: int, lam: float, alpha) -> float:
+    """Squared Bergman norm of z^alpha: alpha! / prod_{i<=|alpha|} (n+lam+i).
+
+    Accurate at any lam; raises RadialRuleError where it underflows to zero.
+    """
+    norm = math.exp(log_monomial_norm_sq(n, lam, alpha))
     if norm == 0.0:
+        alpha = tuple(int(a) for a in alpha)
         raise RadialRuleError(f"the norm of z^{alpha} underflows to 0: "
                               f"lambda is too large for double precision")
     return norm
@@ -321,6 +329,30 @@ def _require_payload(a: Symbol, j: int, path: str):
     return payload, coords
 
 
+def _reduced_sphere_weights(payload, coords, p: Partition, j: int, kappa,
+                            lam: float, spec: QuadratureSpec):
+    """(Xi, W): block j's phase-reduced sphere nodes and payload weights.
+
+    W_i is the radial sum of payload(r, *coords(Xi_i)) against the radial
+    rule of P_kappa, times the sphere weight of node Xi_i, so sum_i W_i g(Xi_i)
+    integrates payload * g over the radial weight and the surface measure of
+    block j's sphere for every phase-invariant g.  The rule is phase-reduced:
+    of ``complex_sphere_rule``'s nodes only those with t_1 = 1 are kept,
+    weights times torus_nodes.  The common torus phases permute the full
+    rule's nodes, leave a phase-invariant integrand unchanged and meet t_1 =
+    1 once per orbit, so the full and the reduced sums agree up to roundoff.
+    """
+    R, wr = radial_rule(p, kappa, spec, lam)
+    kj = p.k[j - 1]
+    Xi, wxi = complex_sphere_rule(kj, spec)
+    # per positive-sphere node keep the torus nodes with t_1 = 1 (the first
+    # angle varies slowest), each standing for its Q_t-node orbit
+    Qt = spec.torus_nodes
+    keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
+    Xi, wxi = Xi[keep], wxi[keep] * Qt
+    return Xi, _radial_contract(payload, R, wr, coords(Xi)) * wxi
+
+
 def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
                          lam: float, spec: QuadratureSpec) -> np.ndarray:
     """Single-block matrix of a payload symbol on P_kappa.
@@ -333,23 +365,12 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
 
     The payload must be invariant under a common phase on xi (the class
     ``kj_quasi_homogeneous(j)``); one that is not is integrated wrongly.
-    The sphere rule is phase-reduced: of ``complex_sphere_rule``'s nodes
-    only those with t_1 = 1 are kept, weights times torus_nodes.  The common
-    torus phases permute the full rule's nodes, leave the integrand
-    unchanged and meet t_1 = 1 once per orbit, so the full and the reduced
-    sums agree up to roundoff.
+    The nodes and weights come from ``_reduced_sphere_weights``.
     """
     kappa = tuple(int(v) for v in kappa)
     kj = p.k[j - 1]
     block_basis = list(compositions(kappa[j - 1], kj))
-    R, wr = radial_rule(p, kappa, spec, lam)
-    Xi, wxi = complex_sphere_rule(kj, spec)
-    # per positive-sphere node keep the torus nodes with t_1 = 1 (the first
-    # angle varies slowest), each standing for its Q_t-node orbit
-    Qt = spec.torus_nodes
-    keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
-    Xi, wxi = Xi[keep], wxi[keep] * Qt
-    Wx = _radial_contract(payload, R, wr, coords(Xi)) * wxi
+    Xi, Wx = _reduced_sphere_weights(payload, coords, p, j, kappa, lam, spec)
     inner = _monomial_gram(Xi, Wx, block_basis)  # [alpha, beta]
     # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
     # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)

@@ -412,8 +412,9 @@ class TestVerify:
         assert "n1/n2: CONTROL DID NOT FAIL" in out
 
     def test_equivariance_reads_the_run_operator(self, tmp_path, monkeypatch):
-        # one oracle block per rotation: the rotated symbol's; T_a is the
-        # operator the run built, shared with the other checks
+        # one oracle block per rotation of phi: the rotated symbol's; T_a is
+        # the operator the run built, shared with the other checks.  The
+        # quasi-radial one's rotated side is exact and samples nothing
         calls = []
         oracle = structure.toeplitz_block_oracle
 
@@ -428,20 +429,24 @@ class TestVerify:
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         assert [r["check"] for r in report["reports"]] == ["equivariance"] * 6
-        assert len(calls) == 6
-        assert all(name.startswith("rot(") for name in calls)
+        assert calls == ["rot(phi)"] * 3
+        for r in report["reports"]:
+            exact = r["provenance"]["symbol"] == "one"
+            assert r["provenance"]["rotated_path"] == (
+                "diagonal-gamma" if exact else "oracle")
+            assert r["provenance"]["samples"] == (0 if exact else 15000)
 
     def test_equivariance_rotations_draw_their_own_samples(self, tmp_path):
-        # each rotation estimates the rotated block on its own stream; for a
-        # quasi-radial symbol a shared stream gave the same oracle block, and
-        # so the same sigma-ratio, for every rotation
+        # each rotation estimates the rotated block of phi on its own
+        # stream; a shared stream gives oracle blocks that differ only by the
+        # rotation, so close sigma-ratios would not show it
         doc = base_config(output_dir=str(tmp_path / "o"),
                           checks=["equivariance"], equivariance_rotations=2)
         cfg = write_config(tmp_path, doc)
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         ratios = [r["metrics"]["sigma_ratio"] for r in report["reports"]
-                  if r["provenance"]["symbol"] == "one"]
+                  if r["provenance"]["symbol"] == "phi"]
         assert len(ratios) == 2
         assert ratios[0] != pytest.approx(ratios[1], rel=1e-6)
 
@@ -497,22 +502,26 @@ class TestVerify:
                  "t_exp": [1, -1]},
                 {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
                  "q": [0, 0]},
+                {"name": "herm", "kind": "block_hermitian",
+                 "matrix": np.diag([1.0, 0.5, -0.25, 0.75]).tolist()},
             ])
         cfg = write_config(tmp_path, doc)
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
         reports = json.loads(
             (tmp_path / "o" / "verify_report.json").read_text())["reports"]
         paths = {"one": "diagonal-gamma", "rad": "diagonal-gamma",
-                 "phi1": "f-form", "psi2": "g-form"}
+                 "phi1": "f-form", "psi2": "g-form", "herm": "oracle"}
         seen = set()
         for r in reports:
             prov = r["provenance"]
             seen.add((r["check"], prov["symbol"]))
             assert prov["haar_path"] == paths[prov["symbol"]]
-            exact = prov["haar_path"] == "diagonal-gamma"
+            assert r["passed"] == (r["metrics"]["tolerance_ratio"] <= 1.0)
             if r["check"] == "trace-identity":
-                assert prov["haar_samples"] == (0 if exact else 40)
-                assert (r["metrics"]["gamma_stderr"] == 0.0) == exact
+                # only the oracle path samples its Haar side
+                sampled = prov["haar_path"] == "oracle"
+                assert prov["haar_samples"] == (40 if sampled else 0)
+                assert (r["metrics"]["gamma_stderr"] > 0.0) == sampled
         assert seen == {(c, name) for c in ("trace-identity", "trace-integral")
                         for name in paths}
 
