@@ -47,7 +47,6 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-WITNESS_NORM = 1e-2  # a larger commutator norm exhibits a non-commuting pair
 
 
 class ConfigError(Exception):
@@ -375,68 +374,27 @@ def _tm_symbols(cfg: RunConfig) -> list:
     return [s for s in cfg.symbols if s.klass.implies(TM_INVARIANT)]
 
 
-# Each check yields StructureReports for one lambda.  ``kappas`` are the
-# run's slices; ``operator_for(sym, lam)`` is the run's shared operator cache.
+# A check picks the symbols, pairs and slices (of the run's ``kappas``) it
+# visits at one lambda; ``structure`` builds and judges each report.
+# ``operator_for(sym, lam)`` is the run's shared operator cache.
 
 
 def _check_offblock(cfg, lam, kappas, operator_for):
     for sym in cfg.symbols:
-        rep = st.offblock_leakage(sym, cfg.degree, lam, cfg.spec)
-        if not sym.klass.implies(TM_INVARIANT):
-            rep.expected_fail = True
-            rep.metrics["failed_as_expected"] = not rep.passed
-        yield rep
+        yield st.offblock_leakage(sym, cfg.degree, lam, cfg.spec)
 
 
 def _check_tensor(cfg, lam, kappas, operator_for):
     for sym in _tm_symbols(cfg):
-        if sym.j is not None and assembly_path(sym) != "oracle":
-            j, control = sym.j, False
-        elif sym.klass.implies(QUASI_RADIAL):
-            j, control = 1, False  # scalar blocks: constant for every j
-        else:
-            # torus-invariant only: constancy is expected to fail
-            j, control = 1, True
-        T = operator_for(sym, lam)
-        per = {kappa: {"residual": st.extract_M(T, j, kappa)[1]}
-               for kappa in kappas}
-        worst = max(v["residual"] for v in per.values())
-        yield st.StructureReport(
-            check="tensor-constancy",
-            passed=worst <= 1e-6,
-            metrics={"max_residual": worst,
-                     **({"failed_as_expected": worst > 1e-6}
-                        if control else {})},
-            per_kappa=per,
-            tolerances={"residual": 1e-6},
-            provenance={"symbol": sym.name, "lambda": lam, "j": j},
-            expected_fail=control,
-        )
+        yield st.tensor_constancy_check(operator_for(sym, lam), sym, kappas)
 
 
 def _check_commutators(cfg, lam, kappas, operator_for):
     det = [s for s in cfg.symbols if assembly_path(s) != "oracle"]
     for i, a in enumerate(det):
         for b in det[i + 1:]:
-            a_center = a.klass.implies(QUASI_RADIAL)
-            b_center = b.klass.implies(QUASI_RADIAL)
-            different_blocks = (a.j is not None and b.j is not None
-                                and a.j != b.j)
-            should_commute = a_center or b_center or different_blocks
-            norms = st.commutator(operator_for(a, lam), operator_for(b, lam))
-            worst = max(v["frobenius"] for v in norms.values())
-            yield st.StructureReport(
-                check="commutator",
-                passed=worst <= 1e-6,
-                metrics={"max_frobenius": worst,
-                         "should_commute": should_commute,
-                         **({} if should_commute else
-                            {"failed_as_expected": worst > WITNESS_NORM})},
-                per_kappa=norms,
-                tolerances={"commuting": 1e-6, "witness": WITNESS_NORM},
-                provenance={"a": a.name, "b": b.name, "lambda": lam},
-                expected_fail=not should_commute,
-            )
+            yield st.commutator_check(operator_for(a, lam), a,
+                                      operator_for(b, lam), b)
 
 
 def _check_trace_identity(cfg, lam, kappas, operator_for):
@@ -446,38 +404,10 @@ def _check_trace_identity(cfg, lam, kappas, operator_for):
 
 
 def _check_trace_integral(cfg, lam, kappas, operator_for):
-    p, spec = cfg.partition, cfg.spec
-    u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    u2 = [np.ones(kj, dtype=complex) / math.sqrt(kj) for kj in p.k]
     for sym in _tm_symbols(cfg):
-        T = operator_for(sym, lam)
-        traces = st.block_traces(T)
         for kappa in cfg.extras.get("trace_kappas", kappas):
-            v1, se1 = st.trace_integral(sym, kappa, lam, u1, spec)
-            rng2 = substream(spec.seed, "trace-integral-alt", sym.name,
-                             repr(lam), repr(kappa))
-            v2, se2 = st.trace_integral(sym, kappa, lam, u2, spec, rng=rng2)
-            tr = traces[kappa][0]
-            tr_err = T.block_errors.get(kappa, 0.0)
-            d = dim_P(p, kappa)
-            band1 = st.sigma_band(math.hypot(se1, d * tr_err), tr)
-            band12 = st.sigma_band(math.hypot(se1, se2), tr)
-            ratio = max(abs(v1 - tr) / band1, abs(v1 - v2) / band12)
-            yield st.StructureReport(
-                check="trace-integral",
-                passed=bool(ratio <= 1.0),
-                metrics={"integral_u1": v1, "integral_u2": v2,
-                         "block_trace": tr,
-                         "diff_vs_trace": abs(v1 - tr),
-                         "diff_u1_u2": abs(v1 - v2),
-                         "band_vs_trace": band1,
-                         "band_u1_u2": band12,
-                         "tolerance_ratio": ratio},
-                per_kappa={kappa: {"dim": d}},
-                tolerances={"sigma_band": st.SIGMA_BAND},
-                provenance={"symbol": sym.name, "lambda": lam,
-                            "haar_path": assembly_path(sym)},
-            )
+            yield st.trace_integral_check(operator_for(sym, lam), sym, kappa,
+                                          cfg.spec)
 
 
 def _check_equivariance(cfg, lam, kappas, operator_for):
@@ -494,15 +424,9 @@ def _check_equivariance(cfg, lam, kappas, operator_for):
 
 
 def _check_sequence(cfg, lam, kappas, operator_for):
-    K = cfg.extras["sequence_max_kappa"]
     for sym in _tm_symbols(cfg):
-        seq = st.sequence_ST(sym, lam, K, cfg.spec)
-        yield st.StructureReport(
-            check="sequence",
-            passed=True,  # trend-only diagnostic, never gates
-            metrics={"oscillation": seq.oscillation},
-            provenance={"symbol": sym.name, "lambda": lam, "max_kappa": K},
-        )
+        yield st.sequence_report(sym, lam, cfg.extras["sequence_max_kappa"],
+                                 cfg.spec)
 
 
 #: config name -> check, in report order
@@ -629,16 +553,16 @@ def cmd_witness(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     a, b = noncommuting_pair(p, big)
     lam = cfg.lambdas[0]
-    Ta = toeplitz_operator(a, cfg.degree, lam, cfg.spec)
-    Tb = toeplitz_operator(b, cfg.degree, lam, cfg.spec)
-    norms = st.commutator(Ta, Tb)
-    worst = max(v["frobenius"] for v in norms.values())
-    found = worst > WITNESS_NORM
+    Ta, Tb = (toeplitz_operator(s, cfg.degree, lam, cfg.spec) for s in (a, b))
+    rep = st.commutator_check(Ta, a, Tb, b)  # one block: a control
+    worst = rep.metrics["max_frobenius"]
+    found = rep.metrics["failed_as_expected"]
     doc = {
         "resolved_config": cfg.resolved,
         "pair": [a.name, b.name],
         "lambda": lam,
-        "per_kappa": {",".join(map(str, k)): v for k, v in norms.items()},
+        "per_kappa": {",".join(map(str, k)): v
+                      for k, v in rep.per_kappa.items()},
         "max_frobenius": worst,
         "witness_found": found,
     }

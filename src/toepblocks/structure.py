@@ -5,10 +5,10 @@ symbol class dictates: exact block-diagonality over the isotypic slices,
 constancy of the repeated single-block matrix, commutators, trace
 identities against the Haar-averaged symbol (one Haar-trace entry point,
 ``trace_integral``), equivariance of a given operator under the block
-unitary action, and normalized-trace sequences.  Deterministic comparisons
-use an absolute tolerance; anything involving a Monte Carlo estimate is
-judged against a 5-sigma band of the propagated standard error
-(``sigma_band``).
+unitary action, and normalized-trace sequences.  Operator identities use
+the absolute tolerance ``RESIDUAL_TOL``, Monte Carlo estimates a 5-sigma
+band of the propagated standard error (``sigma_band``); ``gate_report``
+builds every gating report from its discrepancy over that tolerance.
 
 A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
 (``oracle_traces``).  By the multinomial theorem per block, the kernel
@@ -37,7 +37,7 @@ from .quad import (
     sample_ball,
     substream,
 )
-from .symbols import TM_INVARIANT, Symbol, act
+from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _ORACLE_CHUNK,
     _radial_contract,
@@ -52,6 +52,9 @@ from .toeplitz import (
     toeplitz_block_oracle,
     unitary_action_matrix,
 )
+
+RESIDUAL_TOL = 1e-6  # tensor-constancy residual and commuting-pair norm
+WITNESS_NORM = 1e-2  # a larger commutator norm exhibits a non-commuting pair
 
 
 @dataclass
@@ -77,6 +80,21 @@ class StructureReport:
             "tolerances": _plain(self.tolerances),
             "provenance": _plain(self.provenance),
         }
+
+
+def gate_report(check: str, ratio, metrics: dict, failed_as_expected=None,
+                **fields) -> StructureReport:
+    """A gate's report: ``passed`` is ``ratio <= 1``, recorded as
+    ``metrics.tolerance_ratio`` (discrepancy over tolerance).  A negative
+    control gives ``failed_as_expected``: the report is ``expected_fail``
+    and records it as given.
+    """
+    metrics = {**metrics, "tolerance_ratio": float(ratio)}
+    if failed_as_expected is not None:
+        metrics["failed_as_expected"] = bool(failed_as_expected)
+    return StructureReport(check, float(ratio) <= 1.0, metrics,
+                           expected_fail=failed_as_expected is not None,
+                           **fields)
 
 
 def sigma_band(stderr, scale):
@@ -114,8 +132,8 @@ def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
 
     For a block-torus invariant symbol every entry between different slices
     is zero, so the Monte Carlo estimates must sit inside their bands
-    (``sigma_band``).  The report records the largest modulus and the
-    largest modulus-to-stderr ratio over the off-block pairs.
+    (``sigma_band``); any other symbol is a control.  The report records the
+    largest modulus and modulus-to-stderr ratio over the off-block pairs.
     """
     p = a.partition
     rng = rng if rng is not None else substream(
@@ -127,14 +145,13 @@ def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
     off = np.abs(G)[mask]
     se = SE[mask]
     ratios = np.divide(off, se, out=np.zeros_like(off), where=se > 0)
-    return StructureReport(
-        check="offblock-leakage",
-        passed=bool(np.all(off <= sigma_band(se, 0.0))),
-        metrics={
-            "max_abs": float(off.max()) if off.size else 0.0,
-            "max_sigma_ratio": float(ratios.max()) if ratios.size else 0.0,
-            "pairs": int(off.size),
-        },
+    ratio = float(np.max(off / sigma_band(se, 0.0), initial=0.0))
+    return gate_report(
+        "offblock-leakage", ratio,
+        {"max_abs": float(off.max(initial=0.0)),
+         "max_sigma_ratio": float(ratios.max(initial=0.0)),
+         "pairs": int(off.size)},
+        None if a.klass.implies(TM_INVARIANT) else ratio > 1.0,
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam, "degree": degree,
                     "samples": spec.ball_samples},
@@ -175,6 +192,27 @@ def extract_M(T: BlockOperator, j: int, kappa):
     return M, float(np.max(np.abs(diag - M))) + float(off.max())
 
 
+def tensor_constancy_check(T: BlockOperator, a: Symbol,
+                           kappas) -> StructureReport:
+    """Each P_kappa block of T_a is M_kappa (x) I (``extract_M``).
+
+    A payload symbol is tested on its block j, a quasi-radial one on block
+    1 (its blocks are scalar, constant for every j); both must stay within
+    ``RESIDUAL_TOL``.  Any other symbol is only torus invariant: a control.
+    """
+    if a.j is not None and assembly_path(a) != "oracle":
+        j, control = a.j, False
+    else:
+        j, control = 1, not a.klass.implies(QUASI_RADIAL)
+    per = {kappa: {"residual": extract_M(T, j, kappa)[1]} for kappa in kappas}
+    worst = max(v["residual"] for v in per.values())
+    return gate_report(
+        "tensor-constancy", worst / RESIDUAL_TOL, {"max_residual": worst},
+        worst > RESIDUAL_TOL if control else None, per_kappa=per,
+        tolerances={"residual": RESIDUAL_TOL},
+        provenance={"symbol": a.name, "lambda": T.lam, "j": j})
+
+
 # ---------------------------------------------------------------------------
 # commutators and traces
 # ---------------------------------------------------------------------------
@@ -193,6 +231,26 @@ def commutator(Ta: BlockOperator, Tb: BlockOperator) -> dict:
             "spectral": float(np.linalg.norm(C, 2)),
         }
     return out
+
+
+def commutator_check(Ta: BlockOperator, a: Symbol, Tb: BlockOperator,
+                     b: Symbol) -> StructureReport:
+    """T_a and T_b commute when a or b is quasi-radial or they live on
+    different blocks: every [T_a, T_b] block within ``RESIDUAL_TOL``
+    (Frobenius).  Any other pair is a control, which failed as expected
+    when some block's norm exceeds ``WITNESS_NORM``.
+    """
+    should_commute = (a.klass.implies(QUASI_RADIAL)
+                      or b.klass.implies(QUASI_RADIAL)
+                      or (a.j is not None and b.j is not None and a.j != b.j))
+    norms = commutator(Ta, Tb)
+    worst = max(v["frobenius"] for v in norms.values())
+    return gate_report(
+        "commutator", worst / RESIDUAL_TOL,
+        {"max_frobenius": worst, "should_commute": should_commute},
+        None if should_commute else worst > WITNESS_NORM, per_kappa=norms,
+        tolerances={"commuting": RESIDUAL_TOL, "witness": WITNESS_NORM},
+        provenance={"a": a.name, "b": b.name, "lambda": Ta.lam})
 
 
 def block_traces(T: BlockOperator) -> dict:
@@ -328,20 +386,12 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
     path = assembly_path(a)
     combined = math.hypot(lhs_se, rhs_se)
     diff = abs(lhs - rhs)
-    ratio = diff / float(sigma_band(combined, rhs))
-    return StructureReport(
-        check="trace-identity",
-        passed=ratio <= 1.0,
-        metrics={
-            "block_trace": lhs,
-            "block_trace_stderr": lhs_se,
-            "dim_times_gamma": rhs,
-            "gamma_stderr": rhs_se / d,
-            "discrepancy": diff,
-            "combined_stderr": combined,
-            "sigma_ratio": diff / combined if combined > 0 else 0.0,
-            "tolerance_ratio": ratio,
-        },
+    return gate_report(
+        "trace-identity", diff / float(sigma_band(combined, rhs)),
+        {"block_trace": lhs, "block_trace_stderr": lhs_se,
+         "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
+         "discrepancy": diff, "combined_stderr": combined,
+         "sigma_ratio": diff / combined if combined > 0 else 0.0},
         per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,
@@ -350,6 +400,35 @@ def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
                                      else 0),
                     "ball_samples": spec.ball_samples},
     )
+
+
+def trace_integral_check(T: BlockOperator, a: Symbol, kappa,
+                         spec: QuadratureSpec) -> StructureReport:
+    """tr(T_a | P_kappa) equals ``trace_integral`` at the first basis vectors
+    u1, within the band of their combined errors; on the ``"oracle"`` path,
+    the only one the u_j enter, also at u2 (normalized all-ones), on the
+    stream (seed, "trace-integral-alt", name, repr(lam), repr(kappa)).
+    """
+    p, lam, path = T.partition, T.lam, assembly_path(a)
+    kappa = tuple(int(v) for v in kappa)
+    u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
+    v1, se1 = v2, se2 = trace_integral(a, kappa, lam, u1, spec)
+    if path == "oracle":
+        u2 = [np.ones(kj, dtype=complex) / math.sqrt(kj) for kj in p.k]
+        v2, se2 = trace_integral(a, kappa, lam, u2, spec, rng=substream(
+            spec.seed, "trace-integral-alt", a.name, repr(lam), repr(kappa)))
+    tr = complex(np.trace(T.blocks[kappa]))
+    d = dim_P(p, kappa)
+    band1 = sigma_band(math.hypot(se1, d * T.block_errors.get(kappa, 0.0)), tr)
+    band12 = sigma_band(math.hypot(se1, se2), tr)
+    return gate_report(
+        "trace-integral", max(abs(v1 - tr) / band1, abs(v1 - v2) / band12),
+        {"integral_u1": v1, "integral_u2": v2, "block_trace": tr,
+         "diff_vs_trace": abs(v1 - tr), "diff_u1_u2": abs(v1 - v2),
+         "band_vs_trace": band1, "band_u1_u2": band12},
+        per_kappa={kappa: {"dim": d}},
+        tolerances={"sigma_band": SIGMA_BAND},
+        provenance={"symbol": a.name, "lambda": lam, "haar_path": path})
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +486,15 @@ def sequence_ST(a: Symbol, lam: float, max_kappa: int, spec: QuadratureSpec,
     return SequenceResult(xs, ses, osc)
 
 
+def sequence_report(a: Symbol, lam: float, max_kappa: int,
+                    spec: QuadratureSpec) -> StructureReport:
+    """``sequence_ST``'s oscillation: a trend-only report that never gates."""
+    return StructureReport(
+        "sequence", True,
+        {"oscillation": sequence_ST(a, lam, max_kappa, spec).oscillation},
+        provenance={"symbol": a.name, "lambda": lam, "max_kappa": max_kappa})
+
+
 # ---------------------------------------------------------------------------
 # equivariance
 # ---------------------------------------------------------------------------
@@ -457,13 +545,11 @@ def equivariance_check(T: BlockOperator, a: Symbol, A: np.ndarray, kappa,
     var_rot = P @ (SEa ** 2) @ P.T
     total_var = float(np.sum(var_rot) + np.sum(SEb ** 2))
     band = math.sqrt(total_var)
-    ratio = residual / float(sigma_band(band, np.linalg.norm(Tb, "fro")))
-    return StructureReport(
-        check="equivariance",
-        passed=ratio <= 1.0,
-        metrics={"residual": residual, "combined_stderr": band,
-                 "sigma_ratio": residual / band if band > 0 else 0.0,
-                 "tolerance_ratio": ratio},
+    return gate_report(
+        "equivariance",
+        residual / float(sigma_band(band, np.linalg.norm(Tb, "fro"))),
+        {"residual": residual, "combined_stderr": band,
+         "sigma_ratio": residual / band if band > 0 else 0.0},
         per_kappa={kappa: {"residual": residual}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam,

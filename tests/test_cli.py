@@ -456,10 +456,13 @@ class TestVerify:
             main(["--config", str(cfg), "verify", "--jobs", "2"])
         assert exc.value.code == EXIT_CONFIG
 
-    def test_all_checks_in_registry_order(self, tmp_path):
+    def test_all_checks_in_registry_order(self, tmp_path, capsys):
+        # symbols on every path: diagonal-gamma (one, rad), f-form (phi, n1:
+        # a non-commuting pair), g-form (psi), oracle (herm, and the
+        # control ctrl, which is not torus invariant)
         checks = ["offblock", "tensor", "commutators", "trace_identity",
                   "trace_integral", "equivariance", "sequence"]
-        reports = []
+        reports, outs = [], []
         for name, order in (("fwd", checks), ("rev", checks[::-1])):
             doc = base_config(
                 output_dir=str(tmp_path / name), partition=[3], degree=2,
@@ -474,15 +477,73 @@ class TestVerify:
                      "terms": [{"coeff": 1.0, "powers": [1]}]},
                     {"name": "phi", "kind": "phi", "j": 1, "p": [1, 0, 0],
                      "q": [0, 1, 0]},
+                    {"name": "n1", "kind": "phi", "j": 1, "p": [1, 0, 0],
+                     "q": [1, 0, 0]},
+                    {"name": "psi", "kind": "pseudo", "j": 1,
+                     "s_powers": [1, 0, 0], "t_exp": [1, -1, 0]},
+                    {"name": "herm", "kind": "block_hermitian",
+                     "matrix": [[1.0, [0.5, 0.25], 0.0],
+                                [[0.5, -0.25], -0.5, 0.0],
+                                [0.0, 0.0, 0.75]]},
+                    {"name": "ctrl", "kind": "xi_monomial", "j": 1,
+                     "p": [1, 0, 0], "q": [0, 0, 0]},
                 ])
             cfg = write_config(tmp_path, doc, f"{name}.json")
             assert main(["--config", str(cfg), "verify"]) == EXIT_OK
             reports.append(json.loads(
                 (tmp_path / name / "verify_report.json").read_text())["reports"])
+            outs.append(capsys.readouterr().out.splitlines())
         assert list(dict.fromkeys(r["check"] for r in reports[0])) == [
             "offblock-leakage", "tensor-constancy", "commutator",
             "trace-identity", "trace-integral", "equivariance", "sequence"]
         assert reports[0] == reports[1]
+        assert {r["provenance"]["haar_path"] for r in reports[0]
+                if r["check"] == "trace-integral"} == {
+            "diagonal-gamma", "f-form", "g-form", "oracle"}
+        assert {r["check"] for r in reports[0] if r["expected_fail"]} == {
+            "offblock-leakage", "tensor-constancy", "commutator"}
+        # one gate: every verdict is its tolerance ratio; a control's line
+        # reads the failed_as_expected its report records
+        for r in reports[0]:
+            m = r["metrics"]
+            if r["check"] != "sequence":
+                assert r["passed"] == (m["tolerance_ratio"] <= 1.0)
+            if r["expected_fail"]:
+                status = ("control failed as expected"
+                          if m["failed_as_expected"]
+                          else "CONTROL DID NOT FAIL")
+                label = r["provenance"].get("symbol") or "/".join(
+                    (r["provenance"]["a"], r["provenance"]["b"]))
+                assert f"{r['check']:<20} {label}: {status}" in outs[0]
+
+    def test_zero_width_band_at_degree_zero(self, tmp_path):
+        # one slice: no off-block pair, and 1 x 1 tensor and commutator blocks
+        doc = base_config(
+            output_dir=str(tmp_path / "o"), partition=[2, 2], degree=0,
+            checks=["offblock", "tensor", "commutators", "trace_identity",
+                    "trace_integral", "equivariance"],
+            quadrature={"ball_samples": 3000, "haar_samples": 40,
+                        "radial_nodes": 6, "sphere_nodes": 6,
+                        "torus_nodes": 6},
+            symbols=[
+                {"name": "one", "kind": "constant", "value": 1.0},
+                {"name": "phi1", "kind": "phi", "j": 1, "p": [1, 0],
+                 "q": [0, 1]},
+                {"name": "psi2", "kind": "pseudo", "j": 2, "s_powers": [2, 0],
+                 "t_exp": [1, -1]},
+                {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
+                 "q": [0, 0]},
+            ])
+        del doc["trace_kappas"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        reports = json.loads(
+            (tmp_path / "o" / "verify_report.json").read_text())["reports"]
+        offblock = [r for r in reports if r["check"] == "offblock-leakage"]
+        assert len(offblock) == 4
+        for r in offblock:
+            assert r["metrics"]["pairs"] == 0
+            assert r["metrics"]["tolerance_ratio"] == 0.0
 
     def test_trace_reports_record_the_haar_effort(self, tmp_path):
         # the README symbols; ctrl is not block-torus invariant and skipped

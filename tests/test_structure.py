@@ -623,6 +623,27 @@ class TestEquivariance:
         assert not equivariance_check(mislabeled, a, A, (1, 1), FAST).passed
 
 
+class TestGateReport:
+    def test_ratio_one_passes_and_the_next_float_fails(self):
+        rep = structure.gate_report("g", 1.0, {"x": 2.0})
+        assert rep.passed and not rep.expected_fail
+        assert rep.metrics == {"x": 2.0, "tolerance_ratio": 1.0}
+        above = np.nextafter(1.0, 2.0)
+        rep = structure.gate_report("g", above, {})
+        assert not rep.passed
+        assert rep.metrics == {"tolerance_ratio": above}
+
+    @pytest.mark.parametrize("given", [True, False])
+    def test_control_records_failed_as_expected_as_given(self, given):
+        # a commutator control fails as expected above WITNESS_NORM, not
+        # when its gate fails, so the helper takes the verdict as given
+        for ratio in (0.5, 2.0):
+            rep = structure.gate_report("g", ratio, {}, given)
+            assert rep.expected_fail
+            assert rep.passed == (ratio <= 1.0)
+            assert rep.metrics["failed_as_expected"] is given
+
+
 def test_report_serializes():
     a = phi_factor(P22, 1, (1, 0), (0, 1))
     rep = offblock_leakage(a, 1, 0.0, FAST)
