@@ -399,8 +399,8 @@ def _check_commutators(cfg, lam, kappas, operator_for):
 
 def _check_trace_identity(cfg, lam, kappas, operator_for):
     for sym in _tm_symbols(cfg):
-        for kappa in cfg.extras.get("trace_kappas", kappas):
-            yield st.trace_identity_check(sym, kappa, lam, cfg.spec)
+        yield from st.trace_identity_check(
+            sym, cfg.extras.get("trace_kappas", kappas), lam, cfg.spec)
 
 
 def _check_trace_integral(cfg, lam, kappas, operator_for):
@@ -475,7 +475,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         if r.expected_fail:  # a control did its job when it failed
-            status = ("control failed as expected"
+            status = ("control vacuous" if r.metrics.get("vacuous")
+                      else "control failed as expected"
                       if r.metrics["failed_as_expected"]
                       else "CONTROL DID NOT FAIL")
         label = r.provenance.get("symbol") or \

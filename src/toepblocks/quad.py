@@ -73,19 +73,30 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be >= 1")
 
 
+def _complex_rows(Z: np.ndarray) -> np.ndarray:
+    """Z as a C-contiguous complex (N, n) array, so its real view is valid."""
+    return np.ascontiguousarray(np.atleast_2d(Z), dtype=complex)
+
+
+def _radius(Z: np.ndarray, sl: slice) -> np.ndarray:
+    """|z_sl| per row of ``_complex_rows`` output: one sum of squares over
+    the real view (re, im interleaved), no complex temporary."""
+    X = Z.view(float)[:, 2 * sl.start:2 * sl.stop]
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
 def block_radii(Z: np.ndarray, p: Partition) -> np.ndarray:
     """Block radii |z_(j)| for row-stacked points Z of shape (N, n)."""
-    Z = np.atleast_2d(Z)
-    return np.stack(
-        [np.linalg.norm(Z[:, sl], axis=1) for sl in p.block_slices()], axis=1
-    )
+    Z = _complex_rows(Z)
+    return np.stack([_radius(Z, sl) for sl in p.block_slices()], axis=1)
 
 
 def block_direction(Z: np.ndarray, p: Partition, j: int) -> np.ndarray:
     """Unit direction xi_(j) of block j; first basis vector where r_j = 0."""
-    Z = np.atleast_2d(Z)
-    zj = Z[:, p.block_slice(j)]
-    r = np.linalg.norm(zj, axis=1)
+    Z = _complex_rows(Z)
+    sl = p.block_slice(j)
+    zj = Z[:, sl]
+    r = _radius(Z, sl)
     safe = np.where(r > 0, r, 1.0)
     xi = zj / safe[:, None]
     if np.any(r == 0):

@@ -83,15 +83,18 @@ class StructureReport:
 
 
 def gate_report(check: str, ratio, metrics: dict, failed_as_expected=None,
-                **fields) -> StructureReport:
+                vacuous=False, **fields) -> StructureReport:
     """A gate's report: ``passed`` is ``ratio <= 1``, recorded as
     ``metrics.tolerance_ratio`` (discrepancy over tolerance).  A negative
     control gives ``failed_as_expected``: the report is ``expected_fail``
-    and records it as given.
+    and records it as given.  A control whose test is empty, so that it
+    cannot fail, also gives ``vacuous``, recorded as ``metrics.vacuous``.
     """
     metrics = {**metrics, "tolerance_ratio": float(ratio)}
     if failed_as_expected is not None:
         metrics["failed_as_expected"] = bool(failed_as_expected)
+        if vacuous:
+            metrics["vacuous"] = True
     return StructureReport(check, float(ratio) <= 1.0, metrics,
                            expected_fail=failed_as_expected is not None,
                            **fields)
@@ -132,8 +135,9 @@ def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
 
     For a block-torus invariant symbol every entry between different slices
     is zero, so the Monte Carlo estimates must sit inside their bands
-    (``sigma_band``); any other symbol is a control.  The report records the
-    largest modulus and modulus-to-stderr ratio over the off-block pairs.
+    (``sigma_band``); any other symbol is a control, vacuous at degree 0,
+    where there is no off-block pair.  The report records the largest
+    modulus and modulus-to-stderr ratio over the off-block pairs.
     """
     p = a.partition
     rng = rng if rng is not None else substream(
@@ -152,7 +156,7 @@ def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
          "max_sigma_ratio": float(ratios.max(initial=0.0)),
          "pairs": int(off.size)},
         None if a.klass.implies(TM_INVARIANT) else ratio > 1.0,
-        tolerances={"sigma_band": SIGMA_BAND},
+        vacuous=off.size == 0, tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam, "degree": degree,
                     "samples": spec.ball_samples},
     )
@@ -198,7 +202,9 @@ def tensor_constancy_check(T: BlockOperator, a: Symbol,
 
     A payload symbol is tested on its block j, a quasi-radial one on block
     1 (its blocks are scalar, constant for every j); both must stay within
-    ``RESIDUAL_TOL``.  Any other symbol is only torus invariant: a control.
+    ``RESIDUAL_TOL``.  Any other symbol is only torus invariant: a control,
+    vacuous when every slice's factors other than block j's have dimension
+    1 (m = 1, or degree 0), where the residual is 0 for every operator.
     """
     if a.j is not None and assembly_path(a) != "oracle":
         j, control = a.j, False
@@ -206,9 +212,12 @@ def tensor_constancy_check(T: BlockOperator, a: Symbol,
         j, control = 1, not a.klass.implies(QUASI_RADIAL)
     per = {kappa: {"residual": extract_M(T, j, kappa)[1]} for kappa in kappas}
     worst = max(v["residual"] for v in per.values())
+    p = T.partition
     return gate_report(
         "tensor-constancy", worst / RESIDUAL_TOL, {"max_residual": worst},
-        worst > RESIDUAL_TOL if control else None, per_kappa=per,
+        worst > RESIDUAL_TOL if control else None,
+        vacuous=all(dim_P(p, k) == block_dims(p, k)[j - 1] for k in kappas),
+        per_kappa=per,
         tolerances={"residual": RESIDUAL_TOL},
         provenance={"symbol": a.name, "lambda": T.lam, "j": j})
 
@@ -358,48 +367,58 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
 
-def trace_identity_check(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
-                         rng=None) -> StructureReport:
-    """Block trace of T_a versus dim * gamma of the Haar-averaged symbol.
+def trace_identity_check(a: Symbol, kappas, lam: float, spec: QuadratureSpec,
+                         rng=None) -> list:
+    """Block trace of T_a versus dim * gamma of the Haar-averaged symbol,
+    one report per slice of ``kappas``, in that order.
 
-    The left side is the sampling-oracle trace; the right side is the
-    Haar average over the block unitary group (the construction that defines
-    the averaged symbol), from ``trace_integral``: exact for quasi-radial
-    and payload symbols, sampled for oracle-path ones.  Agreement is
-    required within a 5-sigma band of the combined standard errors
-    (``sigma_band``); ``tolerance_ratio`` is the discrepancy over that band,
-    at most 1 exactly when the report passes.  The provenance records the
-    path the right side took (``haar_path``, the symbol's ``assembly_path``)
-    and the Haar unitaries it drew per block (``haar_samples``, 0 when
-    exact).
+    The left sides are the sampling-oracle traces of one ``oracle_traces``
+    call, so the reports of one (symbol, lambda) share their ball draws and
+    their errors are correlated: a calibration counts false fails per
+    (symbol, lambda), not per slice.  The right side is the Haar average
+    over the block unitary group (the construction that defines the
+    averaged symbol), from ``trace_integral`` on the same stream, slice by
+    slice: exact for quasi-radial and payload symbols, sampled for
+    oracle-path ones.  The stream is ``rng`` or the substream (seed,
+    "trace-identity", name, repr(lam)).  Agreement is required within a
+    5-sigma band of the combined standard errors (``sigma_band``);
+    ``tolerance_ratio`` is the discrepancy over that band, at most 1 exactly
+    when the report passes.  The provenance records the path the right side
+    took (``haar_path``, the symbol's ``assembly_path``) and the Haar
+    unitaries it drew per block (``haar_samples``, 0 when exact).
     """
     p = a.partition
-    kappa = tuple(int(v) for v in kappa)
     if not a.klass.implies(TM_INVARIANT):
         raise ValueError("trace identity needs a block-torus invariant symbol")
-    d = dim_P(p, kappa)  # also rejects a malformed kappa
+    kappas = [tuple(int(v) for v in kappa) for kappa in kappas]
+    dims = [dim_P(p, kappa) for kappa in kappas]  # rejects a malformed kappa
+    if not kappas:
+        return []
     rng = rng if rng is not None else substream(
-        spec.seed, "trace-identity", a.name, repr(lam), repr(kappa))
-    [(lhs, lhs_se)] = oracle_traces(a, [kappa], lam, spec, rng)
+        spec.seed, "trace-identity", a.name, repr(lam))
+    lhs_all = oracle_traces(a, kappas, lam, spec, rng)
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, rng)
     path = assembly_path(a)
-    combined = math.hypot(lhs_se, rhs_se)
-    diff = abs(lhs - rhs)
-    return gate_report(
-        "trace-identity", diff / float(sigma_band(combined, rhs)),
-        {"block_trace": lhs, "block_trace_stderr": lhs_se,
-         "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
-         "discrepancy": diff, "combined_stderr": combined,
-         "sigma_ratio": diff / combined if combined > 0 else 0.0},
-        per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
-        tolerances={"sigma_band": SIGMA_BAND},
-        provenance={"symbol": a.name, "lambda": lam,
-                    "haar_path": path,
-                    "haar_samples": (spec.haar_samples if path == "oracle"
-                                     else 0),
-                    "ball_samples": spec.ball_samples},
-    )
+    reports = []
+    for kappa, d, (lhs, lhs_se) in zip(kappas, dims, lhs_all):
+        rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, rng)
+        combined = math.hypot(lhs_se, rhs_se)
+        diff = abs(lhs - rhs)
+        reports.append(gate_report(
+            "trace-identity", diff / float(sigma_band(combined, rhs)),
+            {"block_trace": lhs, "block_trace_stderr": lhs_se,
+             "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
+             "discrepancy": diff, "combined_stderr": combined,
+             "sigma_ratio": diff / combined if combined > 0 else 0.0},
+            per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
+            tolerances={"sigma_band": SIGMA_BAND},
+            provenance={"symbol": a.name, "lambda": lam,
+                        "haar_path": path,
+                        "haar_samples": (spec.haar_samples if path == "oracle"
+                                         else 0),
+                        "ball_samples": spec.ball_samples},
+        ))
+    return reports
 
 
 def trace_integral_check(T: BlockOperator, a: Symbol, kappa,

@@ -197,9 +197,10 @@ def test_criterion_07_trace_identity():
                    radial_terms=[(1.0, (0, 0))]),  # traceless blocks
     ]
     worst = 0.0
+    kappas = enumerate_kappas(p, 4)
     for a in symbols:
-        for kappa in enumerate_kappas(p, 4):
-            rep = trace_identity_check(a, kappa, 0.0, SPEC_HAAR)
+        for kappa, rep in zip(kappas, trace_identity_check(a, kappas, 0.0,
+                                                           SPEC_HAAR)):
             worst = max(worst, rep.metrics["sigma_ratio"])
             assert rep.passed, (a.name, kappa)
     emit(7, "block traces equal dim times the averaged-symbol scalar",

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -509,7 +510,8 @@ class TestVerify:
             if r["check"] != "sequence":
                 assert r["passed"] == (m["tolerance_ratio"] <= 1.0)
             if r["expected_fail"]:
-                status = ("control failed as expected"
+                status = ("control vacuous" if m.get("vacuous")
+                          else "control failed as expected"
                           if m["failed_as_expected"]
                           else "CONTROL DID NOT FAIL")
                 label = r["provenance"].get("symbol") or "/".join(
@@ -544,6 +546,43 @@ class TestVerify:
         for r in offblock:
             assert r["metrics"]["pairs"] == 0
             assert r["metrics"]["tolerance_ratio"] == 0.0
+
+    def test_controls_that_cannot_fail_are_vacuous(self, tmp_path, capsys):
+        # at degree 0 the offblock control has no pair and every slice of
+        # the tensor control (herm, torus invariant only) is one factor; at
+        # degree 1 both can fail again and record no vacuous key
+        symbols = [
+            {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
+             "q": [0, 0]},
+            {"name": "herm", "kind": "block_hermitian",
+             "matrix": np.diag([1.0, 0.5, -0.25, 0.75]).tolist()},
+        ]
+        vacuous = {}
+        for degree in (0, 1):
+            out = tmp_path / str(degree)
+            doc = base_config(
+                output_dir=str(out), partition=[2, 2], degree=degree,
+                checks=["offblock", "tensor"], symbols=symbols,
+                quadrature={"ball_samples": 3000})
+            del doc["trace_kappas"]
+            cfg = write_config(tmp_path, doc, f"{degree}.json")
+            assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+            stdout = capsys.readouterr().out
+            reports = json.loads((out / "verify_report.json").read_text())
+            assert reports["passed"] is True
+            controls = {(r["check"], r["provenance"]["symbol"]): r["metrics"]
+                        for r in reports["reports"] if r["expected_fail"]}
+            assert set(controls) == {("offblock-leakage", "ctrl"),
+                                     ("tensor-constancy", "herm")}
+            vacuous[degree] = {key: m.get("vacuous", False)
+                               for key, m in controls.items()}
+            for (check, name), m in controls.items():
+                line = f"{check:<20} {name}: control vacuous"
+                assert (line in stdout) == vacuous[degree][(check, name)]
+                if degree == 0:
+                    assert m["failed_as_expected"] is False
+        assert all(vacuous[0].values())
+        assert not any(vacuous[1].values())
 
     def test_trace_reports_record_the_haar_effort(self, tmp_path):
         # the README symbols; ctrl is not block-torus invariant and skipped
@@ -741,6 +780,19 @@ class TestTables:
         assert main(["--config", str(cfg), "trace-table"]) == EXIT_OK
         # six slices per table, one sample set per (symbol, lambda)
         assert sum(drawn) == 2 * 3000
+
+
+def test_readme_example_passes_verify(tmp_path):
+    # the README's run configuration, extracted as CI extracts it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+    doc = json.loads((out / "verify_report.json").read_text())
+    gating = [r for r in doc["reports"] if not r["expected_fail"]]
+    assert doc["passed"] is True and gating
+    assert all(r["passed"] for r in gating)
 
 
 def test_build_parallel_matches_serial(tmp_path):

@@ -313,6 +313,22 @@ def test_polar_coords_invariants():
     assert xi0[0, 0] == 1.0 and xi0[0, 1] == 0.0
 
 
+def test_block_radii_match_complex_norms():
+    # the real-view sum of squares against np.linalg.norm per block, on
+    # contiguous, column-sliced (strided) and real input
+    from toepblocks.quad import block_direction, block_radii
+
+    Z = sample_ball(5, 0.0, 2000, substream(0, "radii"))
+    for W, p in ((Z, Partition((2, 3))), (Z[:, 1:], Partition((1, 3))),
+                 (Z.real.copy(), Partition((3, 2)))):
+        r = block_radii(W, p)
+        for j, sl in enumerate(p.block_slices(), start=1):
+            ref = np.linalg.norm(W[:, sl], axis=1)
+            assert np.max(np.abs(r[:, j - 1] - ref) / ref) <= 4.5e-16
+            xi = block_direction(W, p, j)
+            assert np.max(np.abs(xi - W[:, sl] / ref[:, None])) <= 4.5e-16
+
+
 def test_haar_unitary_batch_matches_contract():
     from toepblocks.quad import haar_unitary_batch
 

@@ -191,17 +191,17 @@ class TestTraces:
 class TestTraceIdentity:
     def test_quasi_radial_tight(self):
         a = radial_poly(P22, [(1.0, (1, 0))])
-        rep = trace_identity_check(a, (1, 1), 0.0, FAST)
+        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
         assert rep.passed
 
     def test_phi_type(self):
         a = phi_factor(P22, 1, (1, 1), (1, 1))
-        rep = trace_identity_check(a, (1, 1), 0.0, FAST)
+        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
         assert rep.passed
 
     def test_constant(self):
         a = constant_symbol(P22)
-        rep = trace_identity_check(a, (2, 1), 1.5, FAST)
+        [rep] = trace_identity_check(a, [(2, 1)], 1.5, FAST)
         assert rep.passed
         d = dim_P(P22, (2, 1))
         assert abs(rep.metrics["block_trace"] - d) <= 5 * max(
@@ -210,13 +210,60 @@ class TestTraceIdentity:
     def test_rejects_non_invariant(self):
         a = xi_monomial(P22, 1, (1, 0), (0, 0))
         with pytest.raises(ValueError):
-            trace_identity_check(a, (1, 1), 0.0, FAST)
+            trace_identity_check(a, [(1, 1)], 0.0, FAST)
 
     def test_zero_variance_band(self):
         # both sides are exact up to roundoff and their standard errors are
         # roundoff too: the band must not collapse below the roundoff
-        rep = trace_identity_check(constant_symbol(P22), (0, 0), 0.0, FAST)
+        [rep] = trace_identity_check(constant_symbol(P22), [(0, 0)], 0.0, FAST)
         assert rep.passed
+
+    @pytest.mark.parametrize("a", [
+        phi_factor(P22, 1, (1, 0), (0, 1)),
+        block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex)),
+    ], ids=["f-form", "oracle"])
+    def test_left_sides_are_one_oracle_traces_call(self, a):
+        # one draw per (symbol, lambda) serves every slice, in list order;
+        # the oracle path's Haar side draws after it on the same stream
+        kappas = [(1, 1), (0, 0), (2, 0), (0, 2)]
+        spec = QuadratureSpec(ball_samples=3000, haar_samples=50,
+                              radial_nodes=6)
+        reps = trace_identity_check(a, kappas, 2.5, spec)
+        want = oracle_traces(a, kappas, 2.5, spec, substream(
+            spec.seed, "trace-identity", a.name, repr(2.5)))
+        assert [next(iter(r.per_kappa)) for r in reps] == kappas
+        for rep, (tr, se) in zip(reps, want):
+            assert rep.metrics["block_trace"] == tr
+            assert rep.metrics["block_trace_stderr"] == se
+        again = trace_identity_check(a, kappas, 2.5, spec, rng=substream(
+            spec.seed, "trace-identity", a.name, repr(2.5)))
+        assert [r.to_dict() for r in again] == [r.to_dict() for r in reps]
+
+    def test_one_slice_report_keeps_its_keys(self):
+        a = pseudo_factor(P22, 2, (2, 0), (1, -1))
+        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
+        assert set(rep.metrics) == {
+            "block_trace", "block_trace_stderr", "dim_times_gamma",
+            "gamma_stderr", "discrepancy", "combined_stderr", "sigma_ratio",
+            "tolerance_ratio"}
+        assert list(rep.per_kappa) == [(1, 1)]
+        assert set(rep.per_kappa[(1, 1)]) == {"dim", "gamma_hat"}
+        assert rep.tolerances == {"sigma_band": 5.0}
+        assert set(rep.provenance) == {"symbol", "lambda", "haar_path",
+                                       "haar_samples", "ball_samples"}
+
+    def test_rejects_before_any_draw(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(structure, "sample_ball",
+                            lambda *args: drawn.append(args))
+        ctrl = xi_monomial(P22, 1, (1, 0), (0, 0))
+        with pytest.raises(ValueError, match="block-torus invariant"):
+            trace_identity_check(ctrl, [(0, 0), (1, 1)], 0.0, FAST)
+        with pytest.raises(ValueError):  # a malformed second slice
+            trace_identity_check(constant_symbol(P22), [(0, 0), (1,)], 0.0,
+                                 FAST)
+        assert trace_identity_check(constant_symbol(P22), [], 0.0, FAST) == []
+        assert drawn == []
 
 
 class TestTraceIntegral:
@@ -418,7 +465,7 @@ class TestHaarTrace:
                 (block_hermitian(P22, np.eye(4, dtype=complex)), "oracle",
                  50)):
             drawn.clear()
-            rep = trace_identity_check(a, (1, 1), 0.0, spec)
+            [rep] = trace_identity_check(a, [(1, 1)], 0.0, spec)
             assert rep.provenance["haar_path"] == path
             assert rep.provenance["haar_samples"] == draws
             assert sum(drawn) == draws * P22.m
@@ -643,6 +690,15 @@ class TestGateReport:
             assert rep.passed == (ratio <= 1.0)
             assert rep.metrics["failed_as_expected"] is given
 
+    def test_vacuous_is_recorded_on_controls_only(self):
+        rep = structure.gate_report("g", 0.0, {}, False, vacuous=True)
+        assert rep.metrics == {"tolerance_ratio": 0.0,
+                               "failed_as_expected": False, "vacuous": True}
+        assert "vacuous" not in structure.gate_report(
+            "g", 0.0, {}, False).metrics
+        assert "vacuous" not in structure.gate_report(
+            "g", 0.0, {}, vacuous=True).metrics
+
 
 def test_report_serializes():
     a = phi_factor(P22, 1, (1, 0), (0, 1))
@@ -661,7 +717,7 @@ def test_trace_identity_error_scales_with_haar_samples():
     for n in (100, 6400):
         spec = QuadratureSpec(ball_samples=20_000, haar_samples=n,
                               radial_nodes=10)
-        rep = trace_identity_check(a, (1, 1), 0.0, spec)
+        [rep] = trace_identity_check(a, [(1, 1)], 0.0, spec)
         ses[n] = rep.metrics["gamma_stderr"]
         assert rep.passed
     # the averaged-symbol side shrinks like 1/sqrt(N): factor 8 for 64x N
