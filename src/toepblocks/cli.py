@@ -380,8 +380,7 @@ def _tm_symbols(cfg: RunConfig) -> list:
 
 
 def _check_offblock(cfg, lam, kappas, operator_for):
-    for sym in cfg.symbols:
-        yield st.offblock_leakage(sym, cfg.degree, lam, cfg.spec)
+    return st.offblock_leakage(cfg.symbols, cfg.degree, lam, cfg.spec)
 
 
 def _check_tensor(cfg, lam, kappas, operator_for):
@@ -398,9 +397,8 @@ def _check_commutators(cfg, lam, kappas, operator_for):
 
 
 def _check_trace_identity(cfg, lam, kappas, operator_for):
-    for sym in _tm_symbols(cfg):
-        yield from st.trace_identity_check(
-            sym, cfg.extras.get("trace_kappas", kappas), lam, cfg.spec)
+    return st.trace_identity_check(
+        _tm_symbols(cfg), cfg.extras.get("trace_kappas", kappas), lam, cfg.spec)
 
 
 def _check_trace_integral(cfg, lam, kappas, operator_for):
@@ -412,15 +410,14 @@ def _check_trace_integral(cfg, lam, kappas, operator_for):
 
 def _check_equivariance(cfg, lam, kappas, operator_for):
     target = kappas[1] if len(kappas) > 1 else kappas[0]
-    for sym in _tm_symbols(cfg):
-        T = operator_for(sym, lam)
-        rng = substream(cfg.spec.seed, "equivariance-rot", sym.name, repr(lam))
-        for i in range(cfg.extras["equivariance_rotations"]):
-            A = haar_uk_sample(cfg.partition, rng)
-            yield st.equivariance_check(
-                T, sym, A, target, cfg.spec,
-                rng=substream(cfg.spec.seed, "equivariance", sym.name,
-                              repr(lam), repr(target), i))
+    symbols = _tm_symbols(cfg)
+    rngs = [substream(cfg.spec.seed, "equivariance-rot", sym.name, repr(lam))
+            for sym in symbols]
+    rotations = [[haar_uk_sample(cfg.partition, rng)
+                  for _ in range(cfg.extras["equivariance_rotations"])]
+                 for rng in rngs]
+    return st.equivariance_check([operator_for(s, lam) for s in symbols],
+                                 symbols, rotations, target, cfg.spec)
 
 
 def _check_sequence(cfg, lam, kappas, operator_for):
@@ -513,7 +510,7 @@ def cmd_trace_table(cfg: RunConfig) -> int:
                 rows = [(traces[kappa][0], 0.0) for kappa in kappas]
             else:
                 rng = substream(spec.seed, "trace-table", sym.name, repr(lam))
-                rows = st.oracle_traces(sym, kappas, lam, spec, rng)
+                [rows] = st.oracle_traces([sym], kappas, lam, spec, rng)
             for kappa, (tr, se) in zip(kappas, rows):
                 d = dim_P(p, kappa)
                 norm = tr / d

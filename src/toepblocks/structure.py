@@ -43,6 +43,7 @@ from .toeplitz import (
     _radial_contract,
     _reduced_sphere_weights,
     _require_payload,
+    _shared_partition,
     BlockOperator,
     assembly_path,
     gamma_quasi_radial,
@@ -129,37 +130,46 @@ def _plain(obj):
 # ---------------------------------------------------------------------------
 
 
-def offblock_leakage(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
-                     rng=None) -> StructureReport:
-    """Oracle estimate of the cross-slice entries <a e_alpha, e_beta>.
+def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
+                     rng=None) -> list:
+    """Oracle estimates of the cross-slice entries <a e_alpha, e_beta>, one
+    report per symbol a of ``symbols``, in that order.
 
     For a block-torus invariant symbol every entry between different slices
     is zero, so the Monte Carlo estimates must sit inside their bands
     (``sigma_band``); any other symbol is a control, vacuous at degree 0,
-    where there is no off-block pair.  The report records the largest
-    modulus and modulus-to-stderr ratio over the off-block pairs.
+    where there is no off-block pair.  A report records the largest
+    modulus and modulus-to-stderr ratio over the off-block pairs.  One
+    ``oracle_matrix`` call serves every symbol from one draw, on ``rng`` or
+    the substream (seed, "offblock", repr(lam)), so the reports of one
+    lambda are correlated: a calibration counts false fails per lambda.
     """
-    p = a.partition
-    rng = rng if rng is not None else substream(
-        spec.seed, "offblock", a.name, repr(lam))
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
+    rng = rng if rng is not None else substream(spec.seed, "offblock",
+                                                repr(lam))
     alphas = enumerate_multiindices(p.n, degree)
-    [(G, SE)] = oracle_matrix(a, alphas, [len(alphas)], lam, spec, rng)
+    estimates = oracle_matrix(symbols, alphas, [len(alphas)], lam, spec, rng)
     kappas = [kappa_of(al, p) for al in alphas]
     mask = np.array([[kb != ka for ka in kappas] for kb in kappas])
-    off = np.abs(G)[mask]
-    se = SE[mask]
-    ratios = np.divide(off, se, out=np.zeros_like(off), where=se > 0)
-    ratio = float(np.max(off / sigma_band(se, 0.0), initial=0.0))
-    return gate_report(
-        "offblock-leakage", ratio,
-        {"max_abs": float(off.max(initial=0.0)),
-         "max_sigma_ratio": float(ratios.max(initial=0.0)),
-         "pairs": int(off.size)},
-        None if a.klass.implies(TM_INVARIANT) else ratio > 1.0,
-        vacuous=off.size == 0, tolerances={"sigma_band": SIGMA_BAND},
-        provenance={"symbol": a.name, "lambda": lam, "degree": degree,
-                    "samples": spec.ball_samples},
-    )
+    reports = []
+    for a, [(G, SE)] in zip(symbols, estimates):
+        off = np.abs(G)[mask]
+        se = SE[mask]
+        ratios = np.divide(off, se, out=np.zeros_like(off), where=se > 0)
+        ratio = float(np.max(off / sigma_band(se, 0.0), initial=0.0))
+        reports.append(gate_report(
+            "offblock-leakage", ratio,
+            {"max_abs": float(off.max(initial=0.0)),
+             "max_sigma_ratio": float(ratios.max(initial=0.0)),
+             "pairs": int(off.size)},
+            None if a.klass.implies(TM_INVARIANT) else ratio > 1.0,
+            vacuous=off.size == 0, tolerances={"sigma_band": SIGMA_BAND},
+            provenance={"symbol": a.name, "lambda": lam, "degree": degree,
+                        "samples": spec.ball_samples},
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +286,41 @@ def block_traces(T: BlockOperator) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def oracle_traces(a: Symbol, kappas, lam: float, spec: QuadratureSpec, rng):
-    """Monte Carlo tr(T_a | P_kappa): one (trace, stderr) pair per kappa.
+def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
+    """Monte Carlo tr(T_a | P_kappa) for every symbol a of ``symbols``: one
+    list per symbol, in order, of (trace, stderr) pairs, one per kappa.
 
     Per-sample values are a(z) K_kappa(z, z) (module docstring), formed in
     logs: at a large lam the norm ``monomial_norm_sq`` is subnormal, and its
-    reciprocal overflows, before it underflows.  Every kappa shares the same
-    ``spec.ball_samples`` draws, so the estimates are correlated across
-    slices; a chunk holds about ``_ORACLE_CHUNK`` values.
+    reciprocal overflows, before it underflows.  Every symbol and kappa
+    shares the same ``spec.ball_samples`` draws, so the estimates are
+    correlated across slices and symbols; each chunk's kernel diagonal is
+    formed once and multiplied by each symbol's values in turn.  A chunk
+    holds about ``_ORACLE_CHUNK`` values per symbol whatever the number of
+    symbols, so a symbol's estimates are bit for bit those of a call with it
+    alone.  An empty list draws nothing.
     """
-    p = a.partition
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
     K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
     log_norms = np.array([log_monomial_norm_sq(p.n, lam, k) for k in kappas])
     N = spec.ball_samples
     chunk = max(1024, _ORACLE_CHUNK // max(len(kappas), 1))
-    s1, s2 = np.zeros(len(kappas), dtype=complex), np.zeros(len(kappas))
+    s1 = np.zeros((len(symbols), len(kappas)), dtype=complex)
+    s2 = np.zeros(s1.shape)
     for done in range(0, N, chunk):
         Z = sample_ball(p.n, lam, min(chunk, N - done), rng)
         log_R2 = 2.0 * np.log(block_radii(Z, p).T)  # (m, c)
-        X = a(Z) * np.exp(np.sum(K * log_R2, axis=1) - log_norms[:, None])
-        s1 += X.sum(axis=1)
-        s2 += np.sum(np.abs(X) ** 2, axis=1)
+        kernel = np.exp(np.sum(K * log_R2, axis=1) - log_norms[:, None])
+        for i, a in enumerate(symbols):
+            X = a(Z) * kernel
+            s1[i] += X.sum(axis=1)
+            s2[i] += np.sum(np.abs(X) ** 2, axis=1)
     mean = s1 / N
     se = np.sqrt(np.maximum(s2 / N - np.abs(mean) ** 2, 0.0) / N)
-    return [(complex(t), float(e)) for t, e in zip(mean, se)]
+    return [[(complex(t), float(e)) for t, e in zip(m, sd)]
+            for m, sd in zip(mean, se)]
 
 
 def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
@@ -367,57 +388,66 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
 
 
-def trace_identity_check(a: Symbol, kappas, lam: float, spec: QuadratureSpec,
+def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
                          rng=None) -> list:
     """Block trace of T_a versus dim * gamma of the Haar-averaged symbol,
-    one report per slice of ``kappas``, in that order.
+    for every symbol a of ``symbols``: one report per (symbol, slice of
+    ``kappas``), symbol-major, both in list order.
 
     The left sides are the sampling-oracle traces of one ``oracle_traces``
-    call, so the reports of one (symbol, lambda) share their ball draws and
-    their errors are correlated: a calibration counts false fails per
-    (symbol, lambda), not per slice.  The right side is the Haar average
-    over the block unitary group (the construction that defines the
-    averaged symbol), from ``trace_integral`` on the same stream, slice by
-    slice: exact for quasi-radial and payload symbols, sampled for
-    oracle-path ones.  The stream is ``rng`` or the substream (seed,
-    "trace-identity", name, repr(lam)).  Agreement is required within a
-    5-sigma band of the combined standard errors (``sigma_band``);
-    ``tolerance_ratio`` is the discrepancy over that band, at most 1 exactly
-    when the report passes.  The provenance records the path the right side
-    took (``haar_path``, the symbol's ``assembly_path``) and the Haar
-    unitaries it drew per block (``haar_samples``, 0 when exact).
+    call on ``rng`` or the substream (seed, "trace-identity", repr(lam)),
+    so the reports of one lambda share their ball draws and their errors
+    are correlated: a calibration counts false fails per lambda, not per
+    slice or symbol.  The right side is the Haar average over the block
+    unitary group (the construction that defines the averaged symbol), from
+    ``trace_integral``, slice by slice: exact for quasi-radial and payload
+    symbols, sampled for oracle-path ones on the symbol's own substream
+    (seed, "trace-identity", name, repr(lam)).  Agreement is required
+    within a 5-sigma band of the combined standard errors (``sigma_band``);
+    ``tolerance_ratio`` is the discrepancy over that band, at most 1
+    exactly when the report passes.  The provenance records the path the
+    right side took (``haar_path``, the symbol's ``assembly_path``) and the
+    Haar unitaries it drew per block (``haar_samples``, 0 when exact).
+    Every symbol must be block-torus invariant, and every slice well
+    formed; both are checked before any draw.
     """
-    p = a.partition
-    if not a.klass.implies(TM_INVARIANT):
-        raise ValueError("trace identity needs a block-torus invariant symbol")
+    for a in symbols:
+        if not a.klass.implies(TM_INVARIANT):
+            raise ValueError(f"trace identity needs a block-torus invariant "
+                             f"symbol; {a.name!r} is not one")
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
     kappas = [tuple(int(v) for v in kappa) for kappa in kappas]
     dims = [dim_P(p, kappa) for kappa in kappas]  # rejects a malformed kappa
     if not kappas:
         return []
     rng = rng if rng is not None else substream(
-        spec.seed, "trace-identity", a.name, repr(lam))
-    lhs_all = oracle_traces(a, kappas, lam, spec, rng)
+        spec.seed, "trace-identity", repr(lam))
     u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    path = assembly_path(a)
     reports = []
-    for kappa, d, (lhs, lhs_se) in zip(kappas, dims, lhs_all):
-        rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, rng)
-        combined = math.hypot(lhs_se, rhs_se)
-        diff = abs(lhs - rhs)
-        reports.append(gate_report(
-            "trace-identity", diff / float(sigma_band(combined, rhs)),
-            {"block_trace": lhs, "block_trace_stderr": lhs_se,
-             "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
-             "discrepancy": diff, "combined_stderr": combined,
-             "sigma_ratio": diff / combined if combined > 0 else 0.0},
-            per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
-            tolerances={"sigma_band": SIGMA_BAND},
-            provenance={"symbol": a.name, "lambda": lam,
-                        "haar_path": path,
-                        "haar_samples": (spec.haar_samples if path == "oracle"
-                                         else 0),
-                        "ball_samples": spec.ball_samples},
-        ))
+    for a, lhs_all in zip(symbols, oracle_traces(symbols, kappas, lam, spec,
+                                                 rng)):
+        path = assembly_path(a)
+        haar_rng = substream(spec.seed, "trace-identity", a.name, repr(lam))
+        for kappa, d, (lhs, lhs_se) in zip(kappas, dims, lhs_all):
+            rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, haar_rng)
+            combined = math.hypot(lhs_se, rhs_se)
+            diff = abs(lhs - rhs)
+            reports.append(gate_report(
+                "trace-identity", diff / float(sigma_band(combined, rhs)),
+                {"block_trace": lhs, "block_trace_stderr": lhs_se,
+                 "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
+                 "discrepancy": diff, "combined_stderr": combined,
+                 "sigma_ratio": diff / combined if combined > 0 else 0.0},
+                per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
+                tolerances={"sigma_band": SIGMA_BAND},
+                provenance={"symbol": a.name, "lambda": lam,
+                            "haar_path": path,
+                            "haar_samples": (spec.haar_samples
+                                             if path == "oracle" else 0),
+                            "ball_samples": spec.ball_samples},
+            ))
     return reports
 
 
@@ -492,7 +522,8 @@ def sequence_ST(a: Symbol, lam: float, max_kappa: int, spec: QuadratureSpec,
         rng = rng if rng is not None else substream(
             spec.seed, "sequence", a.name, repr(lam))
         d = np.array([dim_P(p, k) for k in kappas])
-        tr, se = zip(*oracle_traces(a, kappas, lam, spec, rng))
+        [rows] = oracle_traces([a], kappas, lam, spec, rng)
+        tr, se = zip(*rows)
         xs, ses = np.array(tr) / d, np.array(se) / d
     osc = {}
     for delta in deltas:
@@ -519,58 +550,82 @@ def sequence_report(a: Symbol, lam: float, max_kappa: int,
 # ---------------------------------------------------------------------------
 
 
-def equivariance_check(T: BlockOperator, a: Symbol, A: np.ndarray, kappa,
-                       spec: QuadratureSpec, rng=None) -> StructureReport:
-    """Compare R(A) T_a R(A)* against the operator of the rotated symbol.
+def equivariance_check(ops, symbols, rotations, kappa, spec: QuadratureSpec,
+                       rng=None) -> list:
+    """Compare R(A) T_a R(A)* against the operator of the rotated symbol,
+    for every symbol a of ``symbols`` and every A of its list in
+    ``rotations``: one report per (symbol, rotation), symbol-major.
 
-    ``T`` is the operator of ``a``, at the weight ``T.lam``: its block on
-    P_kappa, with the entrywise ``T.block_stderr`` (zero on the
-    deterministic paths), is conjugated by R(A) (``unitary_action_matrix``).
-    The rotated symbol a o A^{-1} (``act``) gives the other side:
+    ``ops`` holds the operator of each symbol, all at one weight, the
+    common ``T.lam``: its block on P_kappa, with the entrywise
+    ``T.block_stderr`` (zero on the deterministic paths), is conjugated by
+    R(A) (``unitary_action_matrix``).  The rotated symbol a o A^{-1}
+    (``act``) gives the other side:
 
     * on the ``"diagonal-gamma"`` path (a quasi-radial a and a block-diagonal
       A) its block is ``gamma_quasi_radial`` times I, exactly and with no
       samples, so the check tests R(A) gamma I R(A)* = gamma I;
-    * otherwise the sampling oracle estimates it, on ``rng`` or the
-      substream (seed, "equivariance", name, repr(lam), repr(kappa)).  A
-      caller that checks several rotations passes one stream per rotation
-      (``cli`` appends the rotation index to those labels), so no two
-      rotated blocks share samples.
+    * otherwise the sampling oracle estimates it.  Rotation index i of
+      every symbol shares one draw (``toeplitz_block_oracle``), and
+      successive indices take successive draws of ``rng`` or the substream
+      (seed, "equivariance", repr(lam), repr(kappa)), so rotations of one
+      symbol never share samples.
 
     The Frobenius residual must sit inside a 5-sigma band of the combined
     propagated standard errors (``sigma_band``); ``tolerance_ratio`` is the
     residual over that band, at most 1 exactly when the report passes.  The
     provenance records the path the rotated side took (``rotated_path``)
-    and its ball ``samples`` (0 when exact).
+    and its ball ``samples`` (0 when exact).  Every rotation is validated
+    before any draw.
     """
-    p, lam = a.partition, T.lam
+    if not len(ops) == len(symbols) == len(rotations):
+        raise ValueError("need one operator and one rotation list per symbol")
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
+    lam = ops[0].lam
+    if any(T.lam != lam for T in ops):
+        raise ValueError("the operators do not share one lambda")
     kappa = tuple(int(v) for v in kappa)
-    R = unitary_action_matrix(A, p, kappa)
-    Ta = T.blocks[kappa]
-    SEa = T.block_stderr.get(kappa, np.zeros(Ta.shape))
-    rotated = act(A, a)
-    if assembly_path(rotated) == "diagonal-gamma":
-        rotated_path, samples = "diagonal-gamma", 0
-        gamma = gamma_quasi_radial(rotated.radial_profile, kappa, lam, p, spec)
-        Tb, SEb = gamma * np.eye(Ta.shape[0]), np.zeros(Ta.shape)
-    else:
-        rotated_path, samples = "oracle", spec.ball_samples
-        rng = rng if rng is not None else substream(
-            spec.seed, "equivariance", a.name, repr(lam), repr(kappa))
-        Tb, SEb = toeplitz_block_oracle(rotated, kappa, lam, spec, rng)
-    D = R @ Ta @ R.conj().T - Tb
-    residual = float(np.linalg.norm(D, "fro"))
-    P = np.abs(R) ** 2
-    var_rot = P @ (SEa ** 2) @ P.T
-    total_var = float(np.sum(var_rot) + np.sum(SEb ** 2))
-    band = math.sqrt(total_var)
-    return gate_report(
-        "equivariance",
-        residual / float(sigma_band(band, np.linalg.norm(Tb, "fro"))),
-        {"residual": residual, "combined_stderr": band,
-         "sigma_ratio": residual / band if band > 0 else 0.0},
-        per_kappa={kappa: {"residual": residual}},
-        tolerances={"sigma_band": SIGMA_BAND},
-        provenance={"symbol": a.name, "lambda": lam,
-                    "rotated_path": rotated_path, "samples": samples},
-    )
+    R = [[unitary_action_matrix(A, p, kappa) for A in rots]
+         for rots in rotations]
+    rotated = [[act(A, a) for A in rots] for a, rots in zip(symbols, rotations)]
+    rng = rng if rng is not None else substream(
+        spec.seed, "equivariance", repr(lam), repr(kappa))
+    sampled = {}  # (symbol, rotation) -> oracle block of the rotated symbol
+    for i in range(max(map(len, rotated))):
+        keys = [(s, i) for s, row in enumerate(rotated)
+                if i < len(row) and assembly_path(row[i]) != "diagonal-gamma"]
+        if keys:
+            sampled.update(zip(keys, toeplitz_block_oracle(
+                [rotated[s][i] for s, _ in keys], kappa, lam, spec, rng)))
+    reports = []
+    for s, (T, a) in enumerate(zip(ops, symbols)):
+        Ta = T.blocks[kappa]
+        SEa = T.block_stderr.get(kappa, np.zeros(Ta.shape))
+        for i, (Ri, b) in enumerate(zip(R[s], rotated[s])):
+            if (s, i) in sampled:
+                (Tb, SEb), path = sampled[s, i], "oracle"
+            else:
+                gamma = gamma_quasi_radial(b.radial_profile, kappa, lam, p,
+                                           spec)
+                Tb, SEb = gamma * np.eye(Ta.shape[0]), np.zeros(Ta.shape)
+                path = "diagonal-gamma"
+            D = Ri @ Ta @ Ri.conj().T - Tb
+            residual = float(np.linalg.norm(D, "fro"))
+            P = np.abs(Ri) ** 2
+            var_rot = P @ (SEa ** 2) @ P.T
+            band = math.sqrt(float(np.sum(var_rot) + np.sum(SEb ** 2)))
+            reports.append(gate_report(
+                "equivariance",
+                residual / float(sigma_band(band, np.linalg.norm(Tb, "fro"))),
+                {"residual": residual, "combined_stderr": band,
+                 "sigma_ratio": residual / band if band > 0 else 0.0},
+                per_kappa={kappa: {"residual": residual}},
+                tolerances={"sigma_band": SIGMA_BAND},
+                provenance={"symbol": a.name, "lambda": lam,
+                            "rotated_path": path,
+                            "samples": (0 if path == "diagonal-gamma"
+                                        else spec.ball_samples)},
+            ))
+    return reports

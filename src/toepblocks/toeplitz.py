@@ -7,7 +7,7 @@ Three assembly methods exist:
 * ``oracle_matrix`` / ``toeplitz_block_oracle`` -- brute-force Monte Carlo
   against the weighted ball measure (works for every bounded symbol,
   carries standard errors); an oracle operator draws one sample set and
-  estimates every slice block from it,
+  estimates every slice block from it, and a list of symbols shares one,
 * ``toeplitz_block_f`` / ``toeplitz_block_g`` -- deterministic quadrature of
   the single-block matrix of a phase-invariant payload, f(r, xi) or its
   modulus/phase chart g(r, s, t) with xi = t * s, on one radial x
@@ -188,64 +188,87 @@ class BlockOperator:
 _ORACLE_CHUNK = 400_000  # monomial-row-table entries per sampling chunk
 
 
-def oracle_matrix(a: Symbol, alphas, sizes, lam: float, spec: QuadratureSpec,
+def _shared_partition(symbols) -> Partition:
+    """The partition of a non-empty list of symbols; all must share it."""
+    p = symbols[0].partition
+    if any(a.partition != p for a in symbols):
+        raise ValueError("the symbols do not share one partition")
+    return p
+
+
+def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
                   rng):
-    """Monte Carlo estimates of the Gram-type blocks <a e_alpha, e_beta>.
+    """Monte Carlo estimates of the Gram-type blocks <a e_alpha, e_beta>,
+    for every symbol a of ``symbols``.
 
     ``sizes`` splits ``alphas`` into consecutive slices, and only the square
-    diagonal blocks are estimated: the result is a list of (mean, stderr)
-    pairs, one per slice, with stderr the entrywise standard error of the
-    mean.  Entries are expectations of a(z) e_alpha(z) conj(e_beta(z)) under
-    the normalized weighted ball measure, over ``spec.ball_samples`` draws.
-    Every block comes from the same draws; each chunk of ball samples is
-    drawn, evaluated by the symbol and turned into monomial rows once for
-    all slices.  Each entry is still the mean of the same estimator over N
-    samples, so its distribution is unchanged; blocks of different slices
-    are correlated.  A chunk holds about ``_ORACLE_CHUNK`` row-table entries.
+    diagonal blocks are estimated: the result holds one list per symbol, in
+    order, of (mean, stderr) pairs, one per slice, with stderr the entrywise
+    standard error of the mean.  Entries are expectations of a(z) e_alpha(z)
+    conj(e_beta(z)) under the normalized weighted ball measure, over
+    ``spec.ball_samples`` draws.  Every block of every symbol comes from the
+    same draws: each chunk of ball samples is drawn once, evaluated by every
+    symbol, and then turned into monomial rows once for all symbols and
+    slices.  Each entry is still the mean of the same estimator over N
+    samples, so its distribution is unchanged; blocks of different slices,
+    and of different symbols, are correlated (common random numbers).  A
+    chunk holds about ``_ORACLE_CHUNK`` row-table entries whatever the
+    number of symbols, so a symbol's estimates are bit for bit those of a
+    call with it alone.  An empty list draws nothing.
 
     Each chunk's raw rows z^alpha are scaled in place to e_alpha = z^alpha /
     sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
     lam the raw rows are tiny (|z|^2 is about n / lam), and their products
     would underflow at half the degree at which the rows do.
     """
-    p = a.partition
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
     alphas = [tuple(al) for al in alphas]
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
     chunk = max(1024, min(N, _ORACLE_CHUNK // max(len(alphas), 1)))
     scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
-    S1 = [np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
-    S2 = [np.zeros(s.shape) for s in S1]
+    S1 = [[np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
+          for _ in symbols]
+    S2 = [[np.zeros(s.shape) for s in s1] for s1 in S1]
     done = 0
     while done < N:
         c = min(chunk, N - done)
         Z = sample_ball(p.n, lam, c, rng)
-        av = a(Z)
+        values = [a(Z) for a in symbols]
         E = _monomial_rows(Z, alphas)
         E *= scale[:, None]  # the e_alpha rows
-        aE = av * E  # (len(alphas), c)
-        np.conjugate(aE, out=aE)  # so S1 sums the conjugate first moment
         P = np.abs(E) ** 2
-        aP = np.abs(av) ** 2 * P
-        for cut, s1, s2 in zip(cuts, S1, S2):
-            s1 += E[cut] @ aE[cut].T
-            s2 += P[cut] @ aP[cut].T
+        for av, s1s, s2s in zip(values, S1, S2):
+            aE = av * E  # (len(alphas), c)
+            np.conjugate(aE, out=aE)  # so S1 sums the conjugate first moment
+            aP = np.abs(av) ** 2 * P
+            for cut, s1, s2 in zip(cuts, s1s, s2s):
+                s1 += E[cut] @ aE[cut].T
+                s2 += P[cut] @ aP[cut].T
         done += c
-    out = []
-    for s1, s2 in zip(S1, S2):
+
+    def mean_stderr(s1, s2):
         mean = np.conj(s1) / N
         var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
-        out.append((mean, np.sqrt(var / N)))
-    return out
+        return mean, np.sqrt(var / N)
+
+    return [[mean_stderr(s1, s2) for s1, s2 in zip(s1s, s2s)]
+            for s1s, s2s in zip(S1, S2)]
 
 
-def toeplitz_block_oracle(a: Symbol, kappa, lam: float, spec: QuadratureSpec,
+def toeplitz_block_oracle(symbols, kappa, lam: float, spec: QuadratureSpec,
                           rng):
-    """Monte Carlo estimate of the block of T_a on the slice P_kappa."""
-    alphas = enumerate_basis(a.partition, kappa).alphas
-    [block] = oracle_matrix(a, alphas, [len(alphas)], lam, spec, rng)
-    return block
+    """Monte Carlo estimates of the blocks of T_a on the slice P_kappa, one
+    (mean, stderr) pair per symbol a of ``symbols``, from shared draws
+    (``oracle_matrix``)."""
+    if not symbols:
+        return []
+    alphas = enumerate_basis(_shared_partition(symbols), kappa).alphas
+    return [block for [block] in oracle_matrix(symbols, alphas, [len(alphas)],
+                                               lam, spec, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +594,9 @@ def toeplitz_operator(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
         rng = rng if rng is not None else substream(
             spec.seed, "oracle", a.name, repr(lam))
         alphas = [al for basis in bases for al in basis]
-        estimates = oracle_matrix(a, alphas, [len(basis) for basis in bases],
-                                  lam, spec, rng)
+        [estimates] = oracle_matrix([a], alphas,
+                                    [len(basis) for basis in bases], lam,
+                                    spec, rng)
         for kappa, (G, SE) in zip(kappas, estimates):
             blocks[kappa] = G
             stderrs[kappa] = SE

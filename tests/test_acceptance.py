@@ -89,8 +89,8 @@ def test_criterion_01_identity_symbol_all_paths():
                         np.max(np.abs(T.blocks[kappa] - eye))))
                 rng = substream(SPEC.seed, "acc1", str(k), repr(lam),
                                 repr(kappa))
-                G, SE = toeplitz_block_oracle(oracle_one, kappa, lam, SPEC,
-                                              rng)
+                [(G, SE)] = toeplitz_block_oracle([oracle_one], kappa, lam,
+                                                  SPEC, rng)
                 worst_sigma = max(worst_sigma, float(np.max(
                     np.abs(G - eye) / np.maximum(SE, 1e-300))))
     emit(1, "identity symbol yields identity blocks on every path",
@@ -132,10 +132,10 @@ def test_criterion_04_block_diagonality():
     ]
     worst = 0.0
     for a in symbols:
-        rep = offblock_leakage(a, 4, 0.0, SPEC)
+        [rep] = offblock_leakage([a], 4, 0.0, SPEC)
         worst = max(worst, rep.metrics["max_sigma_ratio"])
     control = xi_monomial(p, 1, (1, 0), (0, 0))
-    ctrl_rep = offblock_leakage(control, 4, 0.0, SPEC)
+    [ctrl_rep] = offblock_leakage([control], 4, 0.0, SPEC)
     ctrl_ratio = ctrl_rep.metrics["max_sigma_ratio"]
     emit(4, "torus-invariant symbols keep slices; direction monomial leaks",
          worst <= SIGMA and ctrl_ratio > SIGMA,
@@ -181,7 +181,7 @@ def test_criterion_06_reduced_formulas_match_oracle():
             Bg = toeplitz_block_g(ag, 1, kappa, lam, SPEC)
             worst_fg = max(worst_fg, float(np.max(np.abs(Bf - Bg))))
             rng = substream(SPEC.seed, "acc6", repr(lam), repr(kappa))
-            G, SE = toeplitz_block_oracle(af, kappa, lam, SPEC, rng)
+            [(G, SE)] = toeplitz_block_oracle([af], kappa, lam, SPEC, rng)
             worst_sigma = max(worst_sigma, float(np.max(
                 np.abs(G - Bf) / np.maximum(SE, 1e-300))))
     emit(6, "reduced direction/phase formulas agree with the oracle",
@@ -199,7 +199,7 @@ def test_criterion_07_trace_identity():
     worst = 0.0
     kappas = enumerate_kappas(p, 4)
     for a in symbols:
-        for kappa, rep in zip(kappas, trace_identity_check(a, kappas, 0.0,
+        for kappa, rep in zip(kappas, trace_identity_check([a], kappas, 0.0,
                                                            SPEC_HAAR)):
             worst = max(worst, rep.metrics["sigma_ratio"])
             assert rep.passed, (a.name, kappa)
@@ -279,10 +279,10 @@ def test_criterion_10_equivariance():
     a = phi_factor(p, 1, (1, 0), (0, 1))
     T = toeplitz_operator(a, 2, 0.0, SPEC)
     rng = substream(SPEC.seed, "acc10-rotations")
+    rotations = [haar_uk_sample(p, rng) for _ in range(10)]
     worst = 0.0
-    for _ in range(10):
-        A = haar_uk_sample(p, rng)
-        rep = equivariance_check(T, a, A, (1, 1), SPEC)
+    # one call: each rotation's rotated side takes its own ball draw
+    for rep in equivariance_check([T], [a], [rotations], (1, 1), SPEC):
         worst = max(worst, rep.metrics["sigma_ratio"])
         assert rep.passed
     emit(10, "conjugation by the group action matches the rotated symbol",

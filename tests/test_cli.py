@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toepblocks import structure
+from toepblocks import structure, toeplitz
 from toepblocks.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -419,9 +419,9 @@ class TestVerify:
         calls = []
         oracle = structure.toeplitz_block_oracle
 
-        def counting(a, *args):
-            calls.append(a.name)
-            return oracle(a, *args)
+        def counting(symbols, *args):
+            calls.append([a.name for a in symbols])
+            return oracle(symbols, *args)
 
         monkeypatch.setattr(structure, "toeplitz_block_oracle", counting)
         doc = base_config(output_dir=str(tmp_path / "o"),
@@ -430,7 +430,7 @@ class TestVerify:
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         assert [r["check"] for r in report["reports"]] == ["equivariance"] * 6
-        assert calls == ["rot(phi)"] * 3
+        assert calls == [["rot(phi)"]] * 3
         for r in report["reports"]:
             exact = r["provenance"]["symbol"] == "one"
             assert r["provenance"]["rotated_path"] == (
@@ -450,6 +450,29 @@ class TestVerify:
                   if r["provenance"]["symbol"] == "phi"]
         assert len(ratios) == 2
         assert ratios[0] != pytest.approx(ratios[1], rel=1e-6)
+
+    def test_one_ball_draw_per_check_and_lambda(self, tmp_path, monkeypatch):
+        # offblock and trace-identity draw once per lambda for all their
+        # symbols, equivariance once per rotation index; no operator here
+        # is on the oracle path, so every draw is a check's
+        drawn = []
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(structure, "sample_ball", counting)
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
+        doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[0.0, 2.5],
+                          checks=["offblock", "trace_identity",
+                                  "equivariance"],
+                          trace_kappas=[[0, 0], [1, 1]],
+                          equivariance_rotations=3)
+        doc["symbols"].append({"name": "ctrl", "kind": "xi_monomial", "j": 2,
+                               "p": [1, 0], "q": [0, 0]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "verify"]) == EXIT_OK
+        assert sum(drawn) == 2 * (2 + 3) * 15000
 
     def test_jobs_is_a_build_flag(self, tmp_path):
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))

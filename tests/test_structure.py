@@ -55,17 +55,17 @@ FAST = QuadratureSpec(ball_samples=40_000, haar_samples=600, radial_nodes=12,
 class TestOffblockLeakage:
     def test_quasi_radial_statistically_zero(self):
         a = radial_poly(P22, [(1.0, (1, 0))])
-        rep = offblock_leakage(a, 2, 0.0, FAST)
+        [rep] = offblock_leakage([a], 2, 0.0, FAST)
         assert rep.passed
 
     def test_phi_statistically_zero(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
-        rep = offblock_leakage(a, 2, 0.0, FAST)
+        [rep] = offblock_leakage([a], 2, 0.0, FAST)
         assert rep.passed
 
     def test_unbalanced_direction_leaks(self):
         a = xi_monomial(P22, 1, (1, 0), (0, 0))
-        rep = offblock_leakage(a, 2, 0.0, FAST)
+        [rep] = offblock_leakage([a], 2, 0.0, FAST)
         assert not rep.passed
         assert rep.metrics["max_sigma_ratio"] > 5
 
@@ -191,17 +191,17 @@ class TestTraces:
 class TestTraceIdentity:
     def test_quasi_radial_tight(self):
         a = radial_poly(P22, [(1.0, (1, 0))])
-        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
+        [rep] = trace_identity_check([a], [(1, 1)], 0.0, FAST)
         assert rep.passed
 
     def test_phi_type(self):
         a = phi_factor(P22, 1, (1, 1), (1, 1))
-        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
+        [rep] = trace_identity_check([a], [(1, 1)], 0.0, FAST)
         assert rep.passed
 
     def test_constant(self):
         a = constant_symbol(P22)
-        [rep] = trace_identity_check(a, [(2, 1)], 1.5, FAST)
+        [rep] = trace_identity_check([a], [(2, 1)], 1.5, FAST)
         assert rep.passed
         d = dim_P(P22, (2, 1))
         assert abs(rep.metrics["block_trace"] - d) <= 5 * max(
@@ -210,12 +210,13 @@ class TestTraceIdentity:
     def test_rejects_non_invariant(self):
         a = xi_monomial(P22, 1, (1, 0), (0, 0))
         with pytest.raises(ValueError):
-            trace_identity_check(a, [(1, 1)], 0.0, FAST)
+            trace_identity_check([a], [(1, 1)], 0.0, FAST)
 
     def test_zero_variance_band(self):
         # both sides are exact up to roundoff and their standard errors are
         # roundoff too: the band must not collapse below the roundoff
-        [rep] = trace_identity_check(constant_symbol(P22), [(0, 0)], 0.0, FAST)
+        [rep] = trace_identity_check([constant_symbol(P22)], [(0, 0)], 0.0,
+                                     FAST)
         assert rep.passed
 
     @pytest.mark.parametrize("a", [
@@ -223,25 +224,25 @@ class TestTraceIdentity:
         block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex)),
     ], ids=["f-form", "oracle"])
     def test_left_sides_are_one_oracle_traces_call(self, a):
-        # one draw per (symbol, lambda) serves every slice, in list order;
-        # the oracle path's Haar side draws after it on the same stream
+        # one draw per lambda serves every slice, in list order; the oracle
+        # path's Haar side draws on the symbol's own stream
         kappas = [(1, 1), (0, 0), (2, 0), (0, 2)]
         spec = QuadratureSpec(ball_samples=3000, haar_samples=50,
                               radial_nodes=6)
-        reps = trace_identity_check(a, kappas, 2.5, spec)
-        want = oracle_traces(a, kappas, 2.5, spec, substream(
-            spec.seed, "trace-identity", a.name, repr(2.5)))
+        reps = trace_identity_check([a], kappas, 2.5, spec)
+        [want] = oracle_traces([a], kappas, 2.5, spec, substream(
+            spec.seed, "trace-identity", repr(2.5)))
         assert [next(iter(r.per_kappa)) for r in reps] == kappas
         for rep, (tr, se) in zip(reps, want):
             assert rep.metrics["block_trace"] == tr
             assert rep.metrics["block_trace_stderr"] == se
-        again = trace_identity_check(a, kappas, 2.5, spec, rng=substream(
-            spec.seed, "trace-identity", a.name, repr(2.5)))
+        again = trace_identity_check([a], kappas, 2.5, spec, rng=substream(
+            spec.seed, "trace-identity", repr(2.5)))
         assert [r.to_dict() for r in again] == [r.to_dict() for r in reps]
 
     def test_one_slice_report_keeps_its_keys(self):
         a = pseudo_factor(P22, 2, (2, 0), (1, -1))
-        [rep] = trace_identity_check(a, [(1, 1)], 0.0, FAST)
+        [rep] = trace_identity_check([a], [(1, 1)], 0.0, FAST)
         assert set(rep.metrics) == {
             "block_trace", "block_trace_stderr", "dim_times_gamma",
             "gamma_stderr", "discrepancy", "combined_stderr", "sigma_ratio",
@@ -258,11 +259,11 @@ class TestTraceIdentity:
                             lambda *args: drawn.append(args))
         ctrl = xi_monomial(P22, 1, (1, 0), (0, 0))
         with pytest.raises(ValueError, match="block-torus invariant"):
-            trace_identity_check(ctrl, [(0, 0), (1, 1)], 0.0, FAST)
+            trace_identity_check([ctrl], [(0, 0), (1, 1)], 0.0, FAST)
         with pytest.raises(ValueError):  # a malformed second slice
-            trace_identity_check(constant_symbol(P22), [(0, 0), (1,)], 0.0,
+            trace_identity_check([constant_symbol(P22)], [(0, 0), (1,)], 0.0,
                                  FAST)
-        assert trace_identity_check(constant_symbol(P22), [], 0.0, FAST) == []
+        assert trace_identity_check([constant_symbol(P22)], [], 0.0, FAST) == []
         assert drawn == []
 
 
@@ -465,7 +466,7 @@ class TestHaarTrace:
                 (block_hermitian(P22, np.eye(4, dtype=complex)), "oracle",
                  50)):
             drawn.clear()
-            [rep] = trace_identity_check(a, [(1, 1)], 0.0, spec)
+            [rep] = trace_identity_check([a], [(1, 1)], 0.0, spec)
             assert rep.provenance["haar_path"] == path
             assert rep.provenance["haar_samples"] == draws
             assert sum(drawn) == draws * P22.m
@@ -483,7 +484,7 @@ class TestOracleTraces:
                       (0.5j, e[0], e[-1])])
         kappas = enumerate_kappas(p, 3)
         spec = QuadratureSpec(ball_samples=3000)
-        got = oracle_traces(a, kappas, lam, spec, substream(0, "ot-ref"))
+        [got] = oracle_traces([a], kappas, lam, spec, substream(0, "ot-ref"))
         # one chunk holds every sample, so these are the estimator's draws
         Z = sample_ball(n, lam, spec.ball_samples, substream(0, "ot-ref"))
         assert len(got) == len(kappas)
@@ -501,8 +502,9 @@ class TestOracleTraces:
         a = zpoly(p, [(1.0, (1, 0), (1, 0)), (1.0, (0, 1), (0, 1))],
                   TM_INVARIANT)
         kappas = [(c,) for c in range(4)]
-        got = oracle_traces(a, kappas, lam, QuadratureSpec(ball_samples=20000),
-                            substream(0, "ot-large"))
+        [got] = oracle_traces([a], kappas, lam,
+                              QuadratureSpec(ball_samples=20000),
+                              substream(0, "ot-large"))
         for (c,), (tr, se) in zip(kappas, got):
             exact = (c + 1) * (2 + c) / (2 + c + lam + 1)
             assert abs(tr - exact) <= 5 * se, c
@@ -511,9 +513,9 @@ class TestOracleTraces:
         # at lambda 1e160 the norm of z^(2, 0) is about 2e-320: its
         # reciprocal overflows, so the kernel diagonal is formed in logs
         p = Partition((2,))
-        [(tr, se)] = oracle_traces(constant_symbol(p), [(2,)], 1e160,
-                                   QuadratureSpec(ball_samples=2000),
-                                   substream(0, "ot-subnormal"))
+        [[(tr, se)]] = oracle_traces([constant_symbol(p)], [(2,)], 1e160,
+                                     QuadratureSpec(ball_samples=2000),
+                                     substream(0, "ot-subnormal"))
         assert np.isfinite(tr) and 0 < se < 1
         assert abs(tr - dim_P(p, (2,))) <= 5 * se
 
@@ -574,21 +576,22 @@ class TestEquivariance:
     def test_identity_rotation_zero(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
         T = toeplitz_operator(a, 2, 0.0, FAST)
-        rep = equivariance_check(T, a, np.eye(4, dtype=complex), (1, 1), FAST)
+        [rep] = equivariance_check([T], [a], [[np.eye(4, dtype=complex)]],
+                                   (1, 1), FAST)
         assert rep.passed
 
     def test_random_rotation(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
         T = toeplitz_operator(a, 2, 0.0, FAST)
         A = haar_uk_sample(P22, substream(0, "eq-rot"))
-        rep = equivariance_check(T, a, A, (1, 1), FAST)
+        [rep] = equivariance_check([T], [a], [[A]], (1, 1), FAST)
         assert rep.passed
 
     def test_radial_symbol_any_rotation(self):
         a = radial_poly(P22, [(1.0, (0, 1))])
         T = toeplitz_operator(a, 2, 0.0, FAST)
         A = haar_uk_sample(P22, substream(1, "eq-rad"))
-        rep = equivariance_check(T, a, A, (1, 1), FAST)
+        [rep] = equivariance_check([T], [a], [[A]], (1, 1), FAST)
         assert rep.passed
 
     def test_quasi_radial_rotated_side_is_exact(self, monkeypatch):
@@ -600,7 +603,7 @@ class TestEquivariance:
         a = radial_poly(P22, [(1.0, (0, 1)), (0.5j, (2, 0))])
         T = toeplitz_operator(a, 3, 2.5, FAST)
         A = haar_uk_sample(P22, substream(1, "eq-rad"))
-        rep = equivariance_check(T, a, A, (2, 1), FAST)
+        [rep] = equivariance_check([T], [a], [[A]], (2, 1), FAST)
         assert rep.passed and rep.metrics["residual"] < 1e-13
         assert rep.metrics["combined_stderr"] == 0.0
         assert rep.metrics["tolerance_ratio"] < 1e-4
@@ -614,7 +617,7 @@ class TestEquivariance:
         A = haar_uk_sample(P22, substream(1, "eq-rad"))
         bad = dataclasses.replace(
             T, blocks={**T.blocks, (1, 1): 1.01 * T.blocks[(1, 1)]})
-        rep = equivariance_check(bad, a, A, (1, 1), FAST)
+        [rep] = equivariance_check([bad], [a], [[A]], (1, 1), FAST)
         assert not rep.passed and rep.metrics["sigma_ratio"] == 0.0
         assert rep.metrics["tolerance_ratio"] > 1e3
 
@@ -629,14 +632,14 @@ class TestEquivariance:
              else haar_uk_sample(P22, substream(0, "eq-rot")))
         perturbed = T.blocks[(1, 1)].copy()
         perturbed[0, 1] += 0.1
-        true = equivariance_check(T, a, A, (1, 1), FAST)
+        [true] = equivariance_check([T], [a], [[A]], (1, 1), FAST)
         assert true.passed and true.metrics["sigma_ratio"] < 3
         assert true.provenance == {"symbol": a.name, "lambda": 0.0,
                                    "rotated_path": "oracle",
                                    "samples": FAST.ball_samples}
         for block, margin in ((T.blocks[(1, 1)].T, 50), (perturbed, 10)):
             bad = dataclasses.replace(T, blocks={**T.blocks, (1, 1): block})
-            rep = equivariance_check(bad, a, A, (1, 1), FAST)
+            [rep] = equivariance_check([bad], [a], [[A]], (1, 1), FAST)
             assert not rep.passed
             assert rep.metrics["sigma_ratio"] > margin
             assert rep.metrics["tolerance_ratio"] > 1
@@ -648,10 +651,11 @@ class TestEquivariance:
         T = toeplitz_operator(a, 2, 0.0, FAST)
         assert T.provenance == "oracle"
         A = haar_uk_sample(P22, substream(2, "eq-herm"))
-        rep = equivariance_check(T, a, A, (1, 1), FAST)
+        [rep] = equivariance_check([T], [a], [[A]], (1, 1), FAST)
         # the same rotated side, with the operator's stderr dropped
-        alone = equivariance_check(dataclasses.replace(T, block_stderr={}),
-                                   a, A, (1, 1), FAST)
+        [alone] = equivariance_check(
+            [dataclasses.replace(T, block_stderr={})], [a], [[A]], (1, 1),
+            FAST)
         assert rep.passed
         assert rep.metrics["residual"] == alone.metrics["residual"]
         assert (rep.metrics["combined_stderr"]
@@ -662,12 +666,105 @@ class TestEquivariance:
         # to 2.5; the rotated side is estimated at T.lam
         a = phi_factor(P22, 1, (1, 0), (0, 1), [(1.0, (1, 0))])
         A = haar_uk_sample(P22, substream(0, "eq-rot"))
-        rep = equivariance_check(toeplitz_operator(a, 2, 2.5, FAST), a, A,
-                                 (1, 1), FAST)
+        [rep] = equivariance_check([toeplitz_operator(a, 2, 2.5, FAST)], [a],
+                                   [[A]], (1, 1), FAST)
         assert rep.passed and rep.provenance["lambda"] == 2.5
         mislabeled = dataclasses.replace(toeplitz_operator(a, 2, 0.0, FAST),
                                          lam=2.5)
-        assert not equivariance_check(mislabeled, a, A, (1, 1), FAST).passed
+        [rep] = equivariance_check([mislabeled], [a], [[A]], (1, 1), FAST)
+        assert not rep.passed
+
+
+class TestSharedDraws:
+    """offblock, trace-identity and equivariance serve a list of symbols
+    from one ball draw per lambda (per rotation index for equivariance);
+    a symbol's report does not depend on the others in the list."""
+
+    # enough samples for several chunks: a chunk size that grew or shrank
+    # with the number of symbols would change the draws and the sums
+    SPEC = QuadratureSpec(ball_samples=60_000, haar_samples=50,
+                          radial_nodes=6, sphere_nodes=8, torus_nodes=8)
+    PHI = phi_factor(P22, 1, (1, 0), (0, 1))
+    RAD = radial_poly(P22, [(1.0, (1, 0))])
+    HERM = block_hermitian(
+        P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex), name="herm")
+    CTRL = xi_monomial(P22, 1, (1, 0), (0, 0))
+
+    @staticmethod
+    def _alone_first_last(run, a, others):
+        got = []
+        for symbols in ([a], [a, *others], [*others, a]):
+            got.append([r.to_dict() for r in run(symbols)
+                        if r.provenance["symbol"] == a.name])
+        assert got[0] and got[1] == got[0] and got[2] == got[0]
+
+    def test_offblock_report_ignores_the_other_symbols(self):
+        run = lambda symbols: offblock_leakage(symbols, 2, 0.5, self.SPEC)
+        for a in (self.PHI, self.CTRL):
+            self._alone_first_last(run, a, [self.RAD, self.HERM])
+
+    def test_trace_identity_report_ignores_the_other_symbols(self):
+        # herm's Haar side draws on its own stream, after the shared draw
+        run = lambda symbols: trace_identity_check(
+            symbols, [(1, 1), (0, 0), (2, 0), (0, 2), (1, 0), (0, 1)], 0.5,
+            self.SPEC)
+        for a in (self.PHI, self.HERM):
+            others = [s for s in (self.RAD, self.PHI, self.HERM) if s is not a]
+            self._alone_first_last(run, a, others)
+
+    def test_equivariance_report_ignores_the_other_symbols(self):
+        symbols = (self.PHI, self.RAD, self.HERM)
+        ops = {s.name: toeplitz_operator(s, 2, 0.5, self.SPEC)
+               for s in symbols}
+        rng = substream(0, "shared-rot")
+        # other symbols take more rotations than phi
+        rots = {s.name: [haar_uk_sample(P22, rng) for _ in range(2 + i)]
+                for i, s in enumerate(symbols)}
+        run = lambda syms: equivariance_check(
+            [ops[s.name] for s in syms], syms, [rots[s.name] for s in syms],
+            (1, 1), self.SPEC)
+        self._alone_first_last(run, self.PHI, [self.RAD, self.HERM])
+        reps = run([self.PHI, self.RAD, self.HERM])
+        assert [r.provenance["symbol"] for r in reps] == (
+            [self.PHI.name] * 2 + [self.RAD.name] * 3 + ["herm"] * 4)
+
+    def test_empty_lists_draw_nothing(self, monkeypatch):
+        drawn = []
+        for module in (structure, toeplitz):
+            monkeypatch.setattr(module, "sample_ball",
+                                lambda *args: drawn.append(args))
+        rng = substream(0, "empty")
+        assert offblock_leakage([], 2, 0.0, self.SPEC) == []
+        assert trace_identity_check([], [(1, 1)], 0.0, self.SPEC) == []
+        assert equivariance_check([], [], [], (1, 1), self.SPEC) == []
+        assert oracle_traces([], [(1, 1)], 0.0, self.SPEC, rng) == []
+        assert toeplitz.oracle_matrix([], [(0, 0, 0, 0)], [1], 0.0, self.SPEC,
+                                      rng) == []
+        assert toeplitz.toeplitz_block_oracle([], (1, 1), 0.0, self.SPEC,
+                                              rng) == []
+        assert drawn == []
+
+    def test_lists_are_rejected_before_any_draw(self, monkeypatch):
+        drawn = []
+        for module in (structure, toeplitz):
+            monkeypatch.setattr(module, "sample_ball",
+                                lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="block-torus invariant"):
+            trace_identity_check([self.PHI, self.RAD, self.CTRL], [(1, 1)],
+                                 0.0, self.SPEC)
+        other = constant_symbol(Partition((1, 3)))
+        with pytest.raises(ValueError, match="partition"):
+            offblock_leakage([self.PHI, other], 2, 0.0, self.SPEC)
+        T = toeplitz_operator(self.PHI, 2, 0.0, self.SPEC)
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match="one rotation list per symbol"):
+            equivariance_check([T], [self.PHI], [[eye], [eye]], (1, 1),
+                               self.SPEC)
+        mixed = np.eye(4, dtype=complex)[[1, 2, 0, 3]]  # not block diagonal
+        with pytest.raises(ValueError, match="block diagonal"):
+            equivariance_check([T, T], [self.PHI, self.PHI],
+                               [[eye], [eye, mixed]], (1, 1), self.SPEC)
+        assert drawn == []
 
 
 class TestGateReport:
@@ -702,7 +799,7 @@ class TestGateReport:
 
 def test_report_serializes():
     a = phi_factor(P22, 1, (1, 0), (0, 1))
-    rep = offblock_leakage(a, 1, 0.0, FAST)
+    [rep] = offblock_leakage([a], 1, 0.0, FAST)
     doc = rep.to_dict()
     import json
 
@@ -717,7 +814,7 @@ def test_trace_identity_error_scales_with_haar_samples():
     for n in (100, 6400):
         spec = QuadratureSpec(ball_samples=20_000, haar_samples=n,
                               radial_nodes=10)
-        [rep] = trace_identity_check(a, [(1, 1)], 0.0, spec)
+        [rep] = trace_identity_check([a], [(1, 1)], 0.0, spec)
         ses[n] = rep.metrics["gamma_stderr"]
         assert rep.passed
     # the averaged-symbol side shrinks like 1/sqrt(N): factor 8 for 64x N

@@ -129,7 +129,7 @@ class TestMonomialNorms:
         # a == 1 gives the identity within the sampling band
         a = constant_symbol(P12)
         rng = substream(0, "orth")
-        G, SE = toeplitz_block_oracle(a, (1, 1), 0.0, FAST, rng)
+        [(G, SE)] = toeplitz_block_oracle([a], (1, 1), 0.0, FAST, rng)
         assert sigma_close(G, SE, np.eye(2))
 
 
@@ -140,19 +140,19 @@ class TestOraclePath:
         a = radial_poly(p, [(1.0, (1,))])
         rng = substream(0, "disk")
         for kap in (0, 1, 3):
-            G, SE = toeplitz_block_oracle(a, (kap,), 0.0, FAST, rng)
+            [(G, SE)] = toeplitz_block_oracle([a], (kap,), 0.0, FAST, rng)
             assert sigma_close(G, SE, (kap + 1) / (kap + 2))
 
     def test_hermitian_for_real_symbol(self):
         a = phi_factor(P22, 1, (1, 1), (1, 1))  # |xi1 xi2|^2 is real
         rng = substream(0, "herm")
-        G, SE = toeplitz_block_oracle(a, (1, 1), 0.0, FAST, rng)
+        [(G, SE)] = toeplitz_block_oracle([a], (1, 1), 0.0, FAST, rng)
         assert np.max(np.abs(G - G.conj().T)) <= 2 * SIGMA_BAND * np.max(SE)
 
     def test_positive_symbol_gives_psd_block(self):
         a = phi_factor(P22, 1, (1, 1), (1, 1))
         rng = substream(0, "psd")
-        G, _ = toeplitz_block_oracle(a, (2, 1), 0.0, FAST, rng)
+        [(G, _)] = toeplitz_block_oracle([a], (2, 1), 0.0, FAST, rng)
         w = np.linalg.eigvalsh((G + G.conj().T) / 2)
         assert w.min() > -1e-3
 
@@ -224,7 +224,7 @@ class TestReducedFormulas:
             a = pseudo_factor(P22, 2, (2, 0), (1, -1), radial_terms=radial)
             B = toeplitz_block_g(a, 2, (1, 1), lam, FAST)
         rng = substream(0, "f-oracle")
-        G, SE = toeplitz_block_oracle(a, (1, 1), lam, FAST, rng)
+        [(G, SE)] = toeplitz_block_oracle([a], (1, 1), lam, FAST, rng)
         assert sigma_close(G, SE, B)
 
     @pytest.mark.parametrize("lam", [0.0, 2.5])
@@ -317,7 +317,7 @@ class TestGammaPath:
                                              FAST), p, 2, 0.0)
         rng = substream(0, "diag-oracle")
         for kappa in [(1, 0), (1, 1)]:
-            G, SE = toeplitz_block_oracle(a, kappa, 0.0, FAST, rng)
+            [(G, SE)] = toeplitz_block_oracle([a], kappa, 0.0, FAST, rng)
             assert sigma_close(G, SE, T.blocks[kappa])
 
 
@@ -495,7 +495,7 @@ class TestDispatchAndSerialization:
         T = toeplitz_operator(a, 2, 1.5, FAST)
         rng = substream(0, "qr-agree")
         for kappa in [(1, 0), (1, 1)]:
-            G, SE = toeplitz_block_oracle(a, kappa, 1.5, FAST, rng)
+            [(G, SE)] = toeplitz_block_oracle([a], kappa, 1.5, FAST, rng)
             assert sigma_close(G, SE, T.blocks[kappa])
 
     def test_json_round_trip(self, tmp_path):
@@ -543,7 +543,8 @@ class TestSharedOracleDraws:
                 (1.5, None, substream(5, "oracle", a.name, repr(1.5)))]:
             T = toeplitz_operator(a, 0, lam, spec, rng=rng)
             assert T.provenance == "oracle"
-            G, SE = toeplitz_block_oracle(a, (0, 0), lam, spec, stream)
+            [(G, SE)] = toeplitz_block_oracle([a], (0, 0), lam, spec,
+                                              stream)
             assert np.array_equal(T.blocks[(0, 0)], G)
             assert np.array_equal(T.block_stderr[(0, 0)], SE)
 
@@ -552,11 +553,83 @@ class TestSharedOracleDraws:
         a = block_hermitian(P22, H22, name="herm")
         T = toeplitz_operator(a, 2, lam, FAST)
         for kappa in T.kappas():
-            G, SE = toeplitz_block_oracle(
-                a, kappa, lam, FAST, substream(3, "per-slice", repr(kappa)))
+            [(G, SE)] = toeplitz_block_oracle(
+                [a], kappa, lam, FAST, substream(3, "per-slice", repr(kappa)))
             band = SIGMA_BAND * np.maximum(
                 np.hypot(SE, T.block_stderr[kappa]), 1e-300)
             assert np.all(np.abs(G - T.blocks[kappa]) <= band), kappa
+
+
+def _single_symbol_oracle(a, alphas, sizes, lam, spec, rng):
+    """``oracle_matrix`` as it was for one symbol, before symbols shared
+    draws: the symbol is evaluated on each chunk after it is drawn, and the
+    chunk size depends on the alphas only."""
+    p = a.partition
+    ends = np.cumsum(sizes, dtype=int)
+    cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
+    N = spec.ball_samples
+    chunk = max(1024, min(N, toeplitz._ORACLE_CHUNK // max(len(alphas), 1)))
+    scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
+    S1 = [np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
+    S2 = [np.zeros(s.shape) for s in S1]
+    done = 0
+    while done < N:
+        c = min(chunk, N - done)
+        Z = toeplitz.sample_ball(p.n, lam, c, rng)
+        av = a(Z)
+        E = toeplitz._monomial_rows(Z, alphas)
+        E *= scale[:, None]
+        aE = av * E
+        np.conjugate(aE, out=aE)
+        P = np.abs(E) ** 2
+        aP = np.abs(av) ** 2 * P
+        for cut, s1, s2 in zip(cuts, S1, S2):
+            s1 += E[cut] @ aE[cut].T
+            s2 += P[cut] @ aP[cut].T
+        done += c
+    out = []
+    for s1, s2 in zip(S1, S2):
+        mean = np.conj(s1) / N
+        var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
+        out.append((mean, np.sqrt(var / N)))
+    return out
+
+
+class TestOracleSymbolList:
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_one_symbol_is_the_single_symbol_loop_bit_for_bit(self, lam):
+        # several chunks: 35 monomials up to degree 3 on (2,2)
+        bases = [enumerate_basis(P22, k).alphas
+                 for k in enumerate_kappas(P22, 3)]
+        alphas = [al for basis in bases for al in basis]
+        sizes = [len(b) for b in bases]
+        spec = QuadratureSpec(ball_samples=30_000)
+        for a in (block_hermitian(P22, H22), xi_monomial(P22, 1, (1, 0),
+                                                         (0, 0))):
+            [got] = toeplitz.oracle_matrix([a], alphas, sizes, lam, spec,
+                                           substream(6, "one-symbol"))
+            want = _single_symbol_oracle(a, alphas, sizes, lam, spec,
+                                         substream(6, "one-symbol"))
+            for (G, SE), (G0, SE0) in zip(got, want, strict=True):
+                assert np.array_equal(G, G0) and np.array_equal(SE, SE0)
+
+    def test_symbols_share_the_draws(self, monkeypatch):
+        drawn = []
+        sample_ball = toeplitz.sample_ball
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
+        spec = QuadratureSpec(ball_samples=5000)
+        symbols = [block_hermitian(P22, H22), constant_symbol(P22),
+                   xi_monomial(P22, 1, (1, 0), (0, 0))]
+        blocks = toeplitz_block_oracle(symbols, (1, 1), 0.0, spec,
+                                       substream(6, "shared"))
+        assert len(blocks) == 3 and sum(drawn) == spec.ball_samples
+        G, SE = blocks[1]  # the constant 1 gives the identity
+        assert sigma_close(G, SE, np.eye(4))
 
 
 def _direct_rows(Z, alphas):
@@ -618,8 +691,8 @@ class TestOracleNormalization:
         a = block_hermitian(P22, H22)
         bases = [enumerate_basis(P22, k).alphas for k in enumerate_kappas(P22, 3)]
         alphas = [al for basis in bases for al in basis]
-        got = toeplitz.oracle_matrix(a, alphas, [len(b) for b in bases], lam,
-                                     self.SPEC, substream(1, "norm"))
+        [got] = toeplitz.oracle_matrix([a], alphas, [len(b) for b in bases],
+                                       lam, self.SPEC, substream(1, "norm"))
         assert len(drawn) > 1
         Z = np.concatenate(drawn)
         for basis, (G, SE) in zip(bases, got):
@@ -631,8 +704,8 @@ class TestOracleNormalization:
         drawn = self._draws(monkeypatch)
         a = xi_monomial(P12, 2, (1, 0), (0, 1))
         alphas = enumerate_basis(P12, (1, 2)).alphas
-        [(G, SE)] = toeplitz.oracle_matrix(a, alphas, [len(alphas)], 0.5,
-                                           self.SPEC, substream(2, "norm"))
+        [[(G, SE)]] = toeplitz.oracle_matrix([a], alphas, [len(alphas)], 0.5,
+                                             self.SPEC, substream(2, "norm"))
         mean, se = self._reference(a, np.concatenate(drawn), alphas, 0.5)
         self._close(G, mean)
         self._close(SE, se)
@@ -644,9 +717,9 @@ class TestOracleNormalization:
         p = Partition((1,))
         a = constant_symbol(p, 2.0)
         alphas = [(1,), (30,), (70,)]
-        got = toeplitz.oracle_matrix(a, alphas, [1, 1, 1], 1e6,
-                                     QuadratureSpec(ball_samples=4000),
-                                     substream(4, "norm"))
+        [got] = toeplitz.oracle_matrix([a], alphas, [1, 1, 1], 1e6,
+                                       QuadratureSpec(ball_samples=4000),
+                                       substream(4, "norm"))
         Z = np.concatenate(drawn)
         for al, (G, SE) in zip(alphas, got):
             mean, se = self._reference(a, Z, [al], 1e6)
