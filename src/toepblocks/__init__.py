@@ -81,6 +81,7 @@ from .toeplitz import (
     operator_from_json,
     operator_to_json,
     oracle_matrix,
+    oracle_operators,
     save_operator,
     toeplitz_block_f,
     toeplitz_block_g,

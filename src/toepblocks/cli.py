@@ -40,7 +40,12 @@ from .symbols import (
     xi_monomial,
     zpoly,
 )
-from .toeplitz import assembly_path, operator_to_json, toeplitz_operator
+from .toeplitz import (
+    assembly_path,
+    operator_to_json,
+    oracle_operators,
+    toeplitz_operator,
+)
 
 SCHEMA_VERSION = 1
 
@@ -347,25 +352,41 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
+    """Write one operator file per (symbol, lambda).
+
+    A task builds one deterministic operator, or every oracle-path operator
+    of one lambda from a shared draw (``oracle_operators``).
+    """
     out = Path(cfg.output_dir)
+    oracle = [s for s in cfg.symbols if assembly_path(s) == "oracle"]
 
     def one(task):
-        sym, lam = task
-        T = toeplitz_operator(sym, cfg.degree, lam, cfg.spec)
-        doc = operator_to_json(T)
-        doc["meta"]["resolved_config"] = cfg.resolved
-        path = _output_path(out, "op", sym.name, lam, ".json")
-        _write_atomic(path, json.dumps(doc, indent=1))
-        return path
+        symbols, lam = task
+        if assembly_path(symbols[0]) == "oracle":
+            ops = oracle_operators(symbols, cfg.degree, lam, cfg.spec)
+        else:
+            ops = [toeplitz_operator(symbols[0], cfg.degree, lam, cfg.spec)]
+        paths = {}
+        for sym, T in zip(symbols, ops):
+            doc = operator_to_json(T)
+            doc["meta"]["resolved_config"] = cfg.resolved
+            path = _output_path(out, "op", sym.name, lam, ".json")
+            _write_atomic(path, json.dumps(doc))
+            paths[sym.name, lam] = path
+        return paths
 
-    tasks = [(sym, lam) for sym in cfg.symbols for lam in cfg.lambdas]
+    tasks = [(oracle, lam) for lam in cfg.lambdas if oracle]
+    tasks += [([s], lam) for s in cfg.symbols
+              if assembly_path(s) != "oracle" for lam in cfg.lambdas]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            paths = list(pool.map(one, tasks))
+            results = list(pool.map(one, tasks))
     else:
-        paths = [one(t) for t in tasks]
-    for path in paths:
-        print(f"wrote {path}")
+        results = [one(t) for t in tasks]
+    paths = {key: path for r in results for key, path in r.items()}
+    for sym in cfg.symbols:
+        for lam in cfg.lambdas:
+            print(f"wrote {paths[sym.name, lam]}")
     return EXIT_OK
 
 
@@ -468,7 +489,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "passed": ok,
         "reports": [r.to_dict() for r in reports],
     }
-    _write_atomic(out / "verify_report.json", json.dumps(doc, indent=1))
+    _write_atomic(out / "verify_report.json", json.dumps(doc))
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         if r.expected_fail:  # a control did its job when it failed
@@ -536,7 +557,7 @@ def cmd_sequence(cfg: RunConfig) -> int:
             doc = {"symbol": sym.name, "lambda": lam,
                    "resolved_config": cfg.resolved, **seq.to_dict()}
             path = _output_path(out, "sequence", sym.name, lam, ".json")
-            _write_atomic(path, json.dumps(doc, indent=1))
+            _write_atomic(path, json.dumps(doc))
             print(f"wrote {path}")
     return EXIT_OK
 
@@ -564,7 +585,7 @@ def cmd_witness(cfg: RunConfig) -> int:
         "max_frobenius": worst,
         "witness_found": found,
     }
-    _write_atomic(out / "witness.json", json.dumps(doc, indent=1))
+    _write_atomic(out / "witness.json", json.dumps(doc))
     print(f"non-commutativity witness: max commutator norm {worst:.4e} "
           f"({'found' if found else 'NOT found'})")
     return EXIT_OK if found else EXIT_CHECK_FAILED

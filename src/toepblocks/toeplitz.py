@@ -4,10 +4,11 @@ Operators are stored blockwise: one dense complex matrix per isotypic degree
 vector kappa, rows and columns following the graded-lex basis enumeration.
 Three assembly methods exist:
 
-* ``oracle_matrix`` / ``toeplitz_block_oracle`` -- brute-force Monte Carlo
-  against the weighted ball measure (works for every bounded symbol,
-  carries standard errors); an oracle operator draws one sample set and
-  estimates every slice block from it, and a list of symbols shares one,
+* ``oracle_matrix`` / ``toeplitz_block_oracle`` / ``oracle_operators`` --
+  brute-force Monte Carlo against the weighted ball measure (works for every
+  bounded symbol, carries standard errors); one sample set serves every
+  slice block of every symbol in a list, and ``oracle_operators`` builds the
+  oracle operators of one lambda from one such set,
 * ``toeplitz_block_f`` / ``toeplitz_block_g`` -- deterministic quadrature of
   the single-block matrix of a phase-invariant payload, f(r, xi) or its
   modulus/phase chart g(r, s, t) with xi = t * s, on one radial x
@@ -185,7 +186,7 @@ class BlockOperator:
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_CHUNK = 400_000  # monomial-row-table entries per sampling chunk
+_ORACLE_CHUNK = 400_000  # row-table entries and coordinates per chunk
 
 
 def _shared_partition(symbols) -> Partition:
@@ -212,9 +213,10 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     slices.  Each entry is still the mean of the same estimator over N
     samples, so its distribution is unchanged; blocks of different slices,
     and of different symbols, are correlated (common random numbers).  A
-    chunk holds about ``_ORACLE_CHUNK`` row-table entries whatever the
-    number of symbols, so a symbol's estimates are bit for bit those of a
-    call with it alone.  An empty list draws nothing.
+    chunk holds about ``_ORACLE_CHUNK`` numbers, its row-table entries and
+    point coordinates, whatever the number of symbols, so a symbol's
+    estimates are bit for bit those of a call with it alone.  An empty list
+    draws nothing.
 
     Each chunk's raw rows z^alpha are scaled in place to e_alpha = z^alpha /
     sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
@@ -228,7 +230,7 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
-    chunk = max(1024, min(N, _ORACLE_CHUNK // max(len(alphas), 1)))
+    chunk = max(1024, min(N, _ORACLE_CHUNK // (len(alphas) + p.n)))
     scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
     S1 = [[np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
           for _ in symbols]
@@ -555,19 +557,60 @@ def _effort(path: str, p: Partition, j, spec: QuadratureSpec) -> dict:
     return effort
 
 
+def oracle_operators(symbols, degree: int, lam: float, spec: QuadratureSpec,
+                     rng=None) -> list:
+    """Oracle operators of every symbol of ``symbols``, in order, from one draw.
+
+    All blocks with |kappa| <= degree of every operator come from one
+    ``oracle_matrix`` call on ``rng`` or the substream (seed, "oracle",
+    repr(lam)), so the operators of one lambda share their ball samples
+    (common random numbers).  The draw's chunks depend on the slices only,
+    so an operator is bit for bit the one built for its symbol alone.  For a
+    symbol without block-torus invariance the result is the compression to
+    total degree <= degree and a warning is recorded.  An empty list draws
+    nothing; symbols on different partitions raise ValueError.
+    """
+    if not symbols:
+        return []
+    p = _shared_partition(symbols)
+    kappas = enumerate_kappas(p, degree)
+    bases = [enumerate_basis(p, kappa).alphas for kappa in kappas]
+    rng = rng if rng is not None else substream(spec.seed, "oracle",
+                                                repr(lam))
+    estimates = oracle_matrix(symbols, [al for basis in bases for al in basis],
+                              [len(basis) for basis in bases], lam, spec, rng)
+    ops = []
+    for a, per_slice in zip(symbols, estimates):
+        warnings = [] if a.klass.implies(TM_INVARIANT) else [
+            "symbol is not declared block-torus invariant: the result is "
+            f"the compression to total degree <= {degree}; off-block "
+            "entries are dropped"]
+        blocks, errors, stderrs = {}, {}, {}
+        for kappa, (G, SE) in zip(kappas, per_slice):
+            blocks[kappa] = G
+            stderrs[kappa] = SE
+            errors[kappa] = float(np.max(SE)) if SE.size else 0.0
+        ops.append(BlockOperator(
+            p, lam, degree, blocks, "oracle", errors, stderrs,
+            meta={"symbol": a.name, "seed": spec.seed, "warnings": warnings,
+                  "effort": _effort("oracle", p, a.j, spec)}))
+    return ops
+
+
 def toeplitz_operator(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
                       rng=None) -> BlockOperator:
     """Assemble all blocks with |kappa| <= degree on the symbol's path.
 
-    The path comes from ``assembly_path``.  The oracle path draws one sample
-    stream per (symbol, lambda), ``rng`` or the substream (seed, "oracle",
-    name, repr(lam)), and estimates all slice blocks from it.  For symbols
-    without block-torus invariance the oracle result is the compression to
-    total degree <= degree and a warning is recorded.  ``meta["effort"]``
-    records the nodes or samples behind the blocks (``_effort``).
+    The path comes from ``assembly_path``; the oracle path is
+    ``oracle_operators([a], ...)``, on ``rng`` or the substream (seed,
+    "oracle", repr(lam)) that every oracle operator of that lambda shares.
+    ``meta["effort"]`` records the nodes or samples behind the blocks
+    (``_effort``).
     """
     p = a.partition
     path = assembly_path(a)
+    if path == "oracle":
+        return oracle_operators([a], degree, lam, spec, rng)[0]
     if path == "diagonal-gamma":
         op = assemble_diagonal(
             lambda kappa: gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec),
@@ -575,35 +618,14 @@ def toeplitz_operator(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
         op.meta.update(symbol=a.name, seed=spec.seed,
                        effort=_effort(path, p, a.j, spec))
         return op
-    warnings = []
-    blocks, errors, stderrs = {}, {}, {}
-    if path != "oracle":
-        block = toeplitz_block_f if path == "f-form" else toeplitz_block_g
-        for kappa in enumerate_kappas(p, degree):
-            blocks[kappa] = block(a, a.j, kappa, lam, spec)
-            errors[kappa] = DETERMINISTIC_TOL
-    else:
-        if not a.klass.implies(TM_INVARIANT):
-            warnings.append(
-                "symbol is not declared block-torus invariant: the result is "
-                "the compression to total degree <= "
-                f"{degree}; off-block entries are dropped"
-            )
-        kappas = enumerate_kappas(p, degree)
-        bases = [enumerate_basis(p, kappa).alphas for kappa in kappas]
-        rng = rng if rng is not None else substream(
-            spec.seed, "oracle", a.name, repr(lam))
-        alphas = [al for basis in bases for al in basis]
-        [estimates] = oracle_matrix([a], alphas,
-                                    [len(basis) for basis in bases], lam,
-                                    spec, rng)
-        for kappa, (G, SE) in zip(kappas, estimates):
-            blocks[kappa] = G
-            stderrs[kappa] = SE
-            errors[kappa] = float(np.max(SE)) if SE.size else 0.0
-    return BlockOperator(p, lam, degree, blocks, path, errors, stderrs,
+    block = toeplitz_block_f if path == "f-form" else toeplitz_block_g
+    blocks, errors = {}, {}
+    for kappa in enumerate_kappas(p, degree):
+        blocks[kappa] = block(a, a.j, kappa, lam, spec)
+        errors[kappa] = DETERMINISTIC_TOL
+    return BlockOperator(p, lam, degree, blocks, path, errors,
                          meta={"symbol": a.name, "seed": spec.seed,
-                               "warnings": warnings,
+                               "warnings": [],
                                "effort": _effort(path, p, a.j, spec)})
 
 
@@ -669,8 +691,9 @@ def operator_from_json(doc: dict) -> BlockOperator:
 
 
 def save_operator(T: BlockOperator, path) -> None:
+    # json.dumps, not json.dump: only a one-shot dumps uses the C encoder
     with open(path, "w") as fh:
-        json.dump(operator_to_json(T), fh, indent=1)
+        fh.write(json.dumps(operator_to_json(T)))
 
 
 def load_operator(path) -> BlockOperator:

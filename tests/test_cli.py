@@ -852,6 +852,72 @@ def test_oracle_build_independent_of_jobs(tmp_path):
         == "oracle"
 
 
+class TestSharedOracleBuild:
+    """build draws the ball samples once per lambda for its oracle symbols."""
+
+    ORACLE = [
+        {"name": "x", "kind": "xi_monomial", "j": 2, "p": [1, 0],
+         "q": [0, 0]},
+        {"name": "h", "kind": "block_hermitian",
+         "matrix": [[1.0, 0.0, 0.0], [0.0, 0.5, [0.0, 0.5]],
+                    [0.0, [0.0, -0.5], 0.25]]},
+        {"name": "z", "kind": "zpoly", "declared_class": "tm",
+         "terms": [{"coeff": 1.0, "z": [0, 1, 0], "zbar": [0, 0, 1]}]},
+    ]
+    LAMBDAS = [0.0, 1.5]
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        drawn = []
+        sample_ball = toeplitz.sample_ball
+
+        def counting(n, lam, size, rng):
+            drawn.append((lam, size))
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
+        return drawn
+
+    def _build(self, tmp_path, name, symbols, capsys):
+        out = tmp_path / name
+        doc = base_config(output_dir=str(out), lambdas=self.LAMBDAS,
+                          symbols=symbols)
+        cfg = write_config(tmp_path, doc, f"{name}.json")
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        return parse_config(doc), out, capsys.readouterr().out
+
+    def test_one_draw_per_lambda(self, tmp_path, drawn, capsys):
+        symbols = self.ORACLE + [base_config()["symbols"][1]]  # phi: f-form
+        cfg, out, stdout = self._build(tmp_path, "all", symbols, capsys)
+        # one chunk holds every sample at degree 2 on (1, 2)
+        assert sorted(drawn) == [(lam, cfg.spec.ball_samples)
+                                 for lam in self.LAMBDAS]
+        # one line per (symbol, lambda), symbols outermost, as configured
+        assert stdout.splitlines() == [
+            f"wrote {out / f'op_{s}_lam{lam:g}.json'}"
+            for s in ("x", "h", "z", "phi") for lam in self.LAMBDAS]
+
+    def test_operators_are_the_ones_built_alone(self, tmp_path, capsys):
+        cfg, out, _ = self._build(tmp_path, "all", self.ORACLE, capsys)
+        for doc, sym in zip(self.ORACLE, cfg.symbols):
+            _, alone_out, _ = self._build(tmp_path, sym.name, [doc], capsys)
+            for lam in self.LAMBDAS:
+                name = f"op_{sym.name}_lam{lam:g}.json"
+                T = load_operator(out / name)
+                refs = [load_operator(alone_out / name),
+                        toeplitz.toeplitz_operator(sym, cfg.degree, lam,
+                                                   cfg.spec)]
+                for ref in refs:
+                    assert T.provenance == ref.provenance == "oracle"
+                    assert T.kappas() == ref.kappas()
+                    for kappa in T.kappas():
+                        assert np.array_equal(T.blocks[kappa],
+                                              ref.blocks[kappa])
+                        assert np.array_equal(T.block_stderr[kappa],
+                                              ref.block_stderr[kappa])
+
+
 def test_runs_without_scipy(tmp_path):
     # the package needs numpy only: with scipy unimportable, build and
     # verify run the diagonal-gamma (one, rad), f-form (phi1), g-form (psi2)

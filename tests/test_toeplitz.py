@@ -10,6 +10,7 @@ import pytest
 from toepblocks import (
     Partition,
     QuadratureSpec,
+    TM_INVARIANT,
     assemble_diagonal,
     average_operator,
     block_hermitian,
@@ -38,6 +39,7 @@ from toepblocks import (
     toeplitz_operator,
     unitary_action_matrix,
     xi_monomial,
+    zpoly,
 )
 from toepblocks import toeplitz
 from toepblocks.mindex import compositions
@@ -535,12 +537,12 @@ class TestSharedOracleDraws:
     def test_degree_zero_matches_block_oracle(self):
         # the operator and the single-block oracle run the same loop: on the
         # same stream their one block agrees bit for bit, and without an
-        # explicit stream the operator draws from the (symbol, lambda) one
+        # explicit stream the operator draws from the lambda's shared one
         a = block_hermitian(P22, H22)
         spec = QuadratureSpec(ball_samples=20_000, seed=5)
         for lam, rng, stream in [
                 (0.0, substream(9, "explicit"), substream(9, "explicit")),
-                (1.5, None, substream(5, "oracle", a.name, repr(1.5)))]:
+                (1.5, None, substream(5, "oracle", repr(1.5)))]:
             T = toeplitz_operator(a, 0, lam, spec, rng=rng)
             assert T.provenance == "oracle"
             [(G, SE)] = toeplitz_block_oracle([a], (0, 0), lam, spec,
@@ -560,6 +562,62 @@ class TestSharedOracleDraws:
             assert np.all(np.abs(G - T.blocks[kappa]) <= band), kappa
 
 
+class TestOracleOperators:
+    """oracle_operators: the oracle operators of one lambda from one draw."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        drawn = []
+        sample_ball = toeplitz.sample_ball
+
+        def counting(n, lam, size, rng):
+            drawn.append(size)
+            return sample_ball(n, lam, size, rng)
+
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
+        return drawn
+
+    def test_each_operator_is_the_one_built_alone(self, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        spec = QuadratureSpec(ball_samples=30_000, seed=4)
+        symbols = [block_hermitian(P22, H22, name="herm"),
+                   xi_monomial(P22, 1, (1, 0), (0, 0)),
+                   zpoly(P22, [(1.0, (1, 0, 0, 0), (0, 1, 0, 0))],
+                         TM_INVARIANT, name="ztm")]
+        ops = toeplitz.oracle_operators(symbols, 3, 1.5, spec)
+        assert sum(drawn) == spec.ball_samples
+        for a, T in zip(symbols, ops, strict=True):
+            alone = toeplitz_operator(a, 3, 1.5, spec)
+            assert T.provenance == alone.provenance == "oracle"
+            assert T.meta == alone.meta and T.meta["symbol"] == a.name
+            assert T.kappas() == alone.kappas() and len(T.kappas()) == 10
+            for kappa in T.kappas():
+                assert np.array_equal(T.blocks[kappa], alone.blocks[kappa])
+                assert np.array_equal(T.block_stderr[kappa],
+                                      alone.block_stderr[kappa])
+                assert T.block_errors[kappa] == alone.block_errors[kappa]
+
+    def test_empty_list_draws_nothing(self, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        assert toeplitz.oracle_operators([], 3, 0.0, FAST) == []
+        assert drawn == []
+
+    def test_mixed_partitions_raise_before_drawing(self, monkeypatch):
+        drawn = self._counting(monkeypatch)
+        with pytest.raises(ValueError, match="partition"):
+            toeplitz.oracle_operators(
+                [block_hermitian(P22, H22), constant_symbol(P12)], 2, 0.0,
+                FAST)
+        assert drawn == []
+
+    def test_warnings_are_per_symbol(self):
+        # xi_monomial is not declared block-torus invariant; herm is
+        ops = toeplitz.oracle_operators(
+            [xi_monomial(P22, 1, (1, 0), (0, 0)), block_hermitian(P22, H22)],
+            1, 0.0, QuadratureSpec(ball_samples=2000))
+        assert [len(T.meta["warnings"]) for T in ops] == [1, 0]
+
+
 def _single_symbol_oracle(a, alphas, sizes, lam, spec, rng):
     """``oracle_matrix`` as it was for one symbol, before symbols shared
     draws: the symbol is evaluated on each chunk after it is drawn, and the
@@ -568,7 +626,7 @@ def _single_symbol_oracle(a, alphas, sizes, lam, spec, rng):
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
-    chunk = max(1024, min(N, toeplitz._ORACLE_CHUNK // max(len(alphas), 1)))
+    chunk = max(1024, min(N, toeplitz._ORACLE_CHUNK // (len(alphas) + p.n)))
     scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
     S1 = [np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
     S2 = [np.zeros(s.shape) for s in S1]
