@@ -39,7 +39,7 @@ from .quad import (
 )
 from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
-    _ORACLE_CHUNK,
+    _oracle_chunk,
     _radial_contract,
     _reduced_sphere_weights,
     _require_payload,
@@ -295,10 +295,12 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
     reciprocal overflows, before it underflows.  Every symbol and kappa
     shares the same ``spec.ball_samples`` draws, so the estimates are
     correlated across slices and symbols; each chunk's kernel diagonal is
-    formed once and multiplied by each symbol's values in turn.  A chunk
-    holds about ``_ORACLE_CHUNK`` values per symbol whatever the number of
-    symbols, so a symbol's estimates are bit for bit those of a call with it
-    alone.  An empty list draws nothing.
+    formed once and multiplied by each symbol's values in turn.  Chunks
+    follow the oracle's one rule, ``toeplitz._oracle_chunk(len(kappas), n,
+    N)``: about ``_ORACLE_CHUNK`` kernel values and point coordinates,
+    whatever the number of symbols or of samples, so a symbol's estimates
+    are bit for bit those of a call with it alone.  An empty list draws
+    nothing.
     """
     if not symbols:
         return []
@@ -306,7 +308,7 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
     K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
     log_norms = np.array([log_monomial_norm_sq(p.n, lam, k) for k in kappas])
     N = spec.ball_samples
-    chunk = max(1024, _ORACLE_CHUNK // max(len(kappas), 1))
+    chunk = _oracle_chunk(len(kappas), p.n, N)
     s1 = np.zeros((len(symbols), len(kappas)), dtype=complex)
     s2 = np.zeros(s1.shape)
     for done in range(0, N, chunk):

@@ -104,14 +104,13 @@ def _parent(alpha: tuple) -> tuple[tuple, int]:
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:], i
 
 
-def _monomial_rows(Z: np.ndarray, alphas) -> np.ndarray:
-    """Rows z^alpha over the sample points; shape (len(alphas), N).
-
-    Row alpha is its parent's row (``_parent``) times z_i, one multiply per
-    row in order of total degree; parents not asked for are built in extra
-    rows that are dropped on return.
-    """
-    Z = np.atleast_2d(Z)
+def _row_plan(alphas) -> tuple:
+    """How ``_rows_from_plan`` builds the rows z^alpha of ``alphas``:
+    (number of rows asked for, number of rows built, steps).  Parents not
+    asked for (``_parent``) get extra rows after the asked-for ones.  Steps
+    run in order of total degree; a step (r, src, i) sets row r to 1 when
+    src is None, to a copy of row src (a repeated alpha) when i is None,
+    and to row src times z_i otherwise."""
     keys = [tuple(int(v) for v in al) for al in alphas]
     n_out = len(keys)
     known = set(keys)
@@ -122,22 +121,46 @@ def _monomial_rows(Z: np.ndarray, alphas) -> np.ndarray:
                 break
             known.add(al)
             keys.append(al)
-    out = np.empty((n_out, Z.shape[0]), dtype=complex)
-    extra = np.empty((len(keys) - n_out, Z.shape[0]), dtype=complex)
-    Zt = Z.T
-    built = {}
+    built, steps = {}, []
     for r in sorted(range(len(keys)), key=lambda r: sum(keys[r])):
         al = keys[r]
-        row = out[r] if r < n_out else extra[r - n_out]
-        if al in built:  # a repeated alpha
-            row[:] = built[al]
+        if al in built:
+            steps.append((r, built[al], None))
         elif not any(al):
-            row.fill(1.0)
+            steps.append((r, None, None))
         else:
             parent, i = _parent(al)
-            np.multiply(built[parent], Zt[i], out=row)
-        built.setdefault(al, row)
+            steps.append((r, built[parent], i))
+        built.setdefault(al, r)
+    return n_out, len(keys), steps
+
+
+def _rows_from_plan(Z: np.ndarray, plan) -> np.ndarray:
+    """Rows z^alpha over the sample points, built by a ``_row_plan``; shape
+    (number of alphas, N)."""
+    n_out, n_rows, steps = plan
+    Zt = np.atleast_2d(Z).T
+    out = np.empty((n_out, Zt.shape[1]), dtype=complex)
+    # the extra rows live in their own array, freed on return
+    rows = [*out, *np.empty((n_rows - n_out, Zt.shape[1]), dtype=complex)]
+    for r, src, i in steps:
+        if src is None:
+            rows[r].fill(1.0)
+        elif i is None:
+            rows[r][:] = rows[src]
+        else:
+            np.multiply(rows[src], Zt[i], out=rows[r])
     return out
+
+
+def _monomial_rows(Z: np.ndarray, alphas) -> np.ndarray:
+    """Rows z^alpha over the sample points; shape (len(alphas), N).
+
+    Row alpha is its parent's row (``_parent``) times z_i, one multiply per
+    row in order of total degree; parents not asked for are built in extra
+    rows that are dropped on return.
+    """
+    return _rows_from_plan(Z, _row_plan(alphas))
 
 
 def orthonormal_rows(Z: np.ndarray, alphas, n: int, lam: float) -> np.ndarray:
@@ -186,7 +209,17 @@ class BlockOperator:
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_CHUNK = 400_000  # row-table entries and coordinates per chunk
+_ORACLE_CHUNK = 1 << 16  # numbers per chunk: a 1 MiB complex array fits L2
+
+
+def _oracle_chunk(width: int, n: int, N: int) -> int:
+    """Ball samples per chunk of the oracle's sample loops (``oracle_matrix``
+    and ``structure.oracle_traces``) out of N: about ``_ORACLE_CHUNK``
+    numbers, ``width`` per-sample rows (monomials or slice kernels) plus the
+    n point coordinates, clipped to [1024, N].  The working set of a chunk
+    is then cache-sized whatever N is, and it depends on ``width`` and n,
+    not on the number of symbols."""
+    return max(1024, min(N, _ORACLE_CHUNK // (width + n)))
 
 
 def _shared_partition(symbols) -> Partition:
@@ -212,11 +245,12 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     symbol, and then turned into monomial rows once for all symbols and
     slices.  Each entry is still the mean of the same estimator over N
     samples, so its distribution is unchanged; blocks of different slices,
-    and of different symbols, are correlated (common random numbers).  A
-    chunk holds about ``_ORACLE_CHUNK`` numbers, its row-table entries and
-    point coordinates, whatever the number of symbols, so a symbol's
-    estimates are bit for bit those of a call with it alone.  An empty list
-    draws nothing.
+    and of different symbols, are correlated (common random numbers).
+    Chunks follow the oracle's one rule, ``_oracle_chunk(len(alphas), n,
+    N)``: about ``_ORACLE_CHUNK`` row-table entries and point coordinates,
+    whatever the number of symbols or of samples, so a symbol's estimates
+    are bit for bit those of a call with it alone.  An empty list draws
+    nothing.
 
     Each chunk's raw rows z^alpha are scaled in place to e_alpha = z^alpha /
     sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
@@ -230,8 +264,9 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
-    chunk = max(1024, min(N, _ORACLE_CHUNK // (len(alphas) + p.n)))
+    chunk = _oracle_chunk(len(alphas), p.n, N)
     scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
+    plan = _row_plan(alphas)
     S1 = [[np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
           for _ in symbols]
     S2 = [[np.zeros(s.shape) for s in s1] for s1 in S1]
@@ -240,7 +275,7 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
         c = min(chunk, N - done)
         Z = sample_ball(p.n, lam, c, rng)
         values = [a(Z) for a in symbols]
-        E = _monomial_rows(Z, alphas)
+        E = _rows_from_plan(Z, plan)
         E *= scale[:, None]  # the e_alpha rows
         P = np.abs(E) ** 2
         for av, s1s, s2s in zip(values, S1, S2):

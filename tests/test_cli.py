@@ -890,9 +890,12 @@ class TestSharedOracleBuild:
     def test_one_draw_per_lambda(self, tmp_path, drawn, capsys):
         symbols = self.ORACLE + [base_config()["symbols"][1]]  # phi: f-form
         cfg, out, stdout = self._build(tmp_path, "all", symbols, capsys)
-        # one chunk holds every sample at degree 2 on (1, 2)
-        assert sorted(drawn) == [(lam, cfg.spec.ball_samples)
-                                 for lam in self.LAMBDAS]
+        # one draw set per lambda, not per symbol: the chunks of each
+        # lambda's draw add up to ball_samples
+        assert {lam for lam, _ in drawn} == set(self.LAMBDAS)
+        for lam in self.LAMBDAS:
+            assert sum(size for at, size in drawn
+                       if at == lam) == cfg.spec.ball_samples
         # one line per (symbol, lambda), symbols outermost, as configured
         assert stdout.splitlines() == [
             f"wrote {out / f'op_{s}_lam{lam:g}.json'}"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -518,6 +519,24 @@ class TestOracleTraces:
                                      substream(0, "ot-subnormal"))
         assert np.isfinite(tr) and 0 < se < 1
         assert abs(tr - dim_P(p, (2,))) <= 5 * se
+
+    def test_memory_is_bounded_whatever_the_sample_count(self):
+        # chunks follow the oracle's rule, point coordinates counted, so at
+        # 2 kappas the peak no longer grows with ball_samples
+        a = block_hermitian(
+            P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex))
+        peaks = []
+        for N in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                oracle_traces([a], [(1, 1), (2, 1)], 0.0,
+                              QuadratureSpec(ball_samples=N),
+                              substream(0, "ot-memory"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 6 * 2**20, peaks
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestSequence:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -616,6 +617,23 @@ class TestOracleOperators:
             [xi_monomial(P22, 1, (1, 0), (0, 0)), block_hermitian(P22, H22)],
             1, 0.0, QuadratureSpec(ball_samples=2000))
         assert [len(T.meta["warnings"]) for T in ops] == [1, 0]
+
+    def test_memory_is_bounded_whatever_the_sample_count(self):
+        # the chunk holds about _ORACLE_CHUNK numbers whatever ball_samples
+        # is, so the peak stays cache-sized and flat in the sample count
+        symbols = [block_hermitian(P22, H22),
+                   xi_monomial(P22, 1, (1, 0), (0, 0))]
+        peaks = []
+        for N in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                toeplitz.oracle_operators(symbols, 3, 0.0,
+                                          QuadratureSpec(ball_samples=N))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 6 * 2**20, peaks
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def _single_symbol_oracle(a, alphas, sizes, lam, spec, rng):
