@@ -234,9 +234,10 @@ def parse_config(doc: dict, seed_override: int | None = None,
     _require_keys(doc, allowed,
                   {"schema_version", "partition", "lambdas", "degree",
                    "symbols"}, "config")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    version = doc["schema_version"]
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported schema_version {doc['schema_version']!r}; "
+            f"unsupported schema_version {version!r}; "
             f"this build understands {SCHEMA_VERSION}")
     part = doc["partition"]
     if (not isinstance(part, list) or not part
@@ -279,6 +280,8 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if len(set(names)) != len(names):
         raise ConfigError("symbol names must be unique")
     out_dir = doc.get("output_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output_dir must be a non-empty string")
     if out_override is not None:
         out_dir = out_override
     files = [_output_path("", "op", s.name, lam, ".json")

@@ -52,9 +52,8 @@ class QuadratureSpec:
     sphere_nodes^(k_j-1) * torus_nodes^(k_j-1) sphere nodes.  ``ball_samples``
     sets the Monte Carlo effort of the sampling oracle, ``haar_samples`` that
     of the Haar traces of oracle-path symbols (those of quasi-radial and
-    payload symbols are exact and draw nothing; ``quasi_radialize`` and
-    ``average_operator`` take their own counts), and ``seed`` keys every
-    random substream.
+    payload symbols are exact and draw nothing; only ``quasi_radialize``
+    takes its own count), and ``seed`` keys every random substream.
     The weight exponent is not part of the spec: every operation takes it
     as an explicit ``lam`` argument.
     """

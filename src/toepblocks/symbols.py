@@ -343,7 +343,9 @@ def quasi_radialize(a: Symbol, n_samples: int, rng=None) -> AveragedSymbol:
     The result is declared quasi-radial (exact in the infinite-sample
     limit).  Its radial profile evaluates the average along the canonical
     section r -> (r_1 e_1, ..., r_m e_1); per-point standard errors are
-    available through ``evaluate_with_stderr``.
+    available through ``evaluate_with_stderr``.  It stays Monte Carlo, as
+    evaluator-only symbols (``block_hermitian``, ``zpoly``) have no cheap
+    exact sphere mean; ``toeplitz.average_operator`` is the exact operator.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")

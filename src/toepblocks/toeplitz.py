@@ -529,34 +529,20 @@ def unitary_action_matrix(A: np.ndarray, p: Partition, kappa) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def average_operator(T: BlockOperator, n_samples: int, rng) -> BlockOperator:
-    """Haar average of R(A) T R(A)* over block-diagonal unitaries A.
+def average_operator(T: BlockOperator) -> BlockOperator:
+    """Haar average of R(A) T R(A)* over block-diagonal unitaries A, exactly.
 
-    Traces are preserved per block (similarity invariance); the reported
-    per-block error is the Frobenius distance to the nearest scalar matrix,
-    which measures how far the finite average still is from the Haar limit.
+    Each slice P_kappa is irreducible under U(k) (a tensor product of the
+    irreducible U(k_j)-modules of degree-kappa_j polynomials; Rudin, 1980),
+    so by Schur's lemma the average is (tr(T|P_kappa) / dim P_kappa) I on
+    every stored block, and nothing is drawn.  That scalar is the mean of the
+    block's diagonal, so ``block_errors`` (an entry bound) carry over from T.
     """
-    p = T.partition
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    from .quad import haar_uk_sample
-
-    acc = {kappa: np.zeros_like(B) for kappa, B in T.blocks.items()}
-    for _ in range(int(n_samples)):
-        A = haar_uk_sample(p, rng)
-        for kappa, B in T.blocks.items():
-            R = unitary_action_matrix(A, p, kappa)
-            acc[kappa] += R @ B @ R.conj().T
-    blocks = {kappa: M / n_samples for kappa, M in acc.items()}
-    errors = {}
-    for kappa, B in blocks.items():
-        d = B.shape[0]
-        scal = np.trace(B) / d
-        errors[kappa] = float(np.linalg.norm(B - scal * np.eye(d), "fro"))
-    meta = dict(T.meta)
-    meta["averaging_samples"] = int(n_samples)
-    return BlockOperator(p, T.lam, T.degree, blocks, "averaged", errors,
-                         meta=meta)
+    blocks = {kappa: np.trace(B) / len(B) * np.eye(len(B), dtype=complex)
+              for kappa, B in T.blocks.items()}
+    meta = {k: v for k, v in T.meta.items() if k != "averaging_samples"}
+    return BlockOperator(T.partition, T.lam, T.degree, blocks, "averaged",
+                         dict(T.block_errors), meta=meta)
 
 
 def assembly_path(a: Symbol) -> str:
@@ -708,19 +694,34 @@ def operator_to_json(T: BlockOperator) -> dict:
 
 
 def operator_from_json(doc: dict) -> BlockOperator:
+    """Inverse of ``operator_to_json``; ValueError names a block whose kappa
+    is repeated or out of range, or whose matrix, dim or stderr misfits it."""
     if doc.get("format") != _FORMAT:
         raise ValueError("not a block-operator document")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
     p = Partition(tuple(doc["partition"]))
+    degree = int(doc["degree"])
+    slices = set(enumerate_kappas(p, degree))
     blocks, errors, stderrs = {}, {}, {}
     for entry in doc["blocks"]:
         kappa = tuple(int(v) for v in entry["kappa"])
-        blocks[kappa] = _pairs_to_matrix(entry["matrix"])
+        where = f"block kappa={list(kappa)}"
+        if kappa not in slices or kappa in blocks:
+            raise ValueError(f"{where} is repeated or not a slice of partition "
+                             f"{list(p.k)} with |kappa| <= {degree}")
+        d = dim_P(p, kappa)
+        M = _pairs_to_matrix(entry["matrix"])
+        SE = np.array(entry.get("stderr", M.real))
+        if M.shape != (d, d) or SE.shape != (d, d) or entry.get("dim", d) != d:
+            raise ValueError(f"{where}: expected {d} x {d}, got matrix "
+                             f"{M.shape}, stderr {SE.shape}, "
+                             f"dim {entry.get('dim')!r}")
+        blocks[kappa] = M
         errors[kappa] = float(entry.get("error", 0.0))
         if "stderr" in entry:
-            stderrs[kappa] = np.array(entry["stderr"])
-    return BlockOperator(p, float(doc["lambda"]), int(doc["degree"]), blocks,
+            stderrs[kappa] = SE
+    return BlockOperator(p, float(doc["lambda"]), degree, blocks,
                          doc["provenance"], errors, stderrs,
                          meta=doc.get("meta", {}))
 

@@ -254,6 +254,24 @@ class TestConfigValidation:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"output_dir": ["x", "y"]}, "output_dir"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
+        ({"schema_version": True}, "schema_version"),
+        ({"schema_version": 1.0}, "schema_version"),
+    ], ids=["dir-list", "dir-int", "dir-empty", "version-bool",
+            "version-float"])
+    def test_mistyped_keys_exit_config(self, tmp_path, capsys, monkeypatch,
+                                       overrides, message):
+        # a list output_dir was written to a directory named "['x', 'y']"
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, base_config(**overrides))
+        assert main(["--config", str(cfg), "build"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert [f.name for f in tmp_path.iterdir()] == [cfg.name]
+
     @pytest.mark.parametrize("overrides", [
         {"symbols": [{"name": "a b", "kind": "constant", "value": 1.0},
                      {"name": "a_b", "kind": "constant", "value": 2.0}]},

@@ -183,7 +183,7 @@ class TestTraces:
     def test_averaged_traces_equal_source(self):
         a, _ = noncommuting_pair(P22, 1)
         T = toeplitz_operator(a, 2, 0.0, FAST)
-        avg = average_operator(T, 11, substream(0, "tr-avg"))
+        avg = average_operator(T)
         t0, t1 = block_traces(T), block_traces(avg)
         for kappa in T.kappas():
             assert abs(t0[kappa][0] - t1[kappa][0]) < 1e-12
@@ -845,10 +845,8 @@ _ONE = constant_symbol(_P1)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: average_operator(toeplitz_operator(_ONE, 1, 0.0, FAST),
-                             0, substream(0, "count")),
     lambda: quasi_radialize(_ONE, 0),
-], ids=["average_operator", "quasi_radialize"])
+], ids=["quasi_radialize"])
 def test_sample_counts_below_one_are_rejected(call):
     with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
         call()

@@ -42,7 +42,7 @@ from toepblocks import (
     xi_monomial,
     zpoly,
 )
-from toepblocks import toeplitz
+from toepblocks import quad, toeplitz
 from toepblocks.mindex import compositions
 from toepblocks.quad import SIGMA_BAND, RadialRuleError
 from toepblocks.toeplitz import (
@@ -58,6 +58,7 @@ H22 = np.array([[1.0, 0.5 + 0.25j, 0.0, 0.0],
                 [0.5 - 0.25j, -0.5, 0.0, 0.0],
                 [0.0, 0.0, 0.75, 0.5j],
                 [0.0, 0.0, -0.5j, 0.25]])
+_PAIR = [0.5, 0.0]  # one complex entry of a serialized matrix
 FAST = QuadratureSpec(ball_samples=40_000, radial_nodes=16, sphere_nodes=16,
                       torus_nodes=10)
 
@@ -423,28 +424,53 @@ def _expanded_action(A, p, kappa):
 class TestAveraging:
     def test_scalar_blocks_fixed(self):
         T = assemble_diagonal(lambda kappa: 1.0 + 0.5 * sum(kappa), P22, 2, 0.0)
-        avg = average_operator(T, 5, substream(0, "avg-fix"))
+        avg = average_operator(T)
         for kappa in T.kappas():
             assert np.max(np.abs(avg.blocks[kappa] - T.blocks[kappa])) < 1e-12
 
     def test_trace_preserved(self):
         a, _ = noncommuting_pair(P22, 1)
         T = toeplitz_operator(a, 2, 0.0, FAST)
-        avg = average_operator(T, 37, substream(0, "avg-tr"))
+        avg = average_operator(T)
         for kappa in T.kappas():
             tr0 = np.trace(T.blocks[kappa])
             tr1 = np.trace(avg.blocks[kappa])
             assert abs(tr1 - tr0) <= 1e-12 * (1 + abs(tr0))
 
-    def test_deviation_from_scalar_shrinks(self):
-        p = Partition((2,))
-        a, _ = noncommuting_pair(p, 1)
+    @pytest.mark.parametrize("path", ["f-form", "oracle"])
+    def test_non_scalar_operator_averages_to_trace_over_dim(self, path):
+        a = (noncommuting_pair(P22, 1)[0] if path == "f-form"
+             else block_hermitian(P22, H22))
         T = toeplitz_operator(a, 2, 0.0, FAST)
-        dev = {}
-        for n in (40, 4000):
-            avg = average_operator(T, n, substream(0, "avg-dec", ))
-            dev[n] = avg.block_errors[(2,)]
-        assert dev[4000] < dev[40] / 3
+        assert T.provenance == path
+        avg = average_operator(T)
+        assert avg.provenance == "averaged"
+        assert avg.block_errors == T.block_errors
+        assert "averaging_samples" not in avg.meta
+        spread = 0.0
+        for kappa, B in T.blocks.items():
+            target = np.trace(B) / len(B) * np.eye(len(B))
+            spread = max(spread, np.max(np.abs(B - target)))
+            assert np.max(np.abs(avg.blocks[kappa] - target)) <= 1e-14
+        assert spread > 1e-2  # T itself is far from scalar
+
+    def test_no_unitary_is_drawn(self, monkeypatch):
+        a, _ = noncommuting_pair(P22, 1)
+        T = toeplitz_operator(a, 2, 0.0, FAST)
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+
+        spy(quad, "haar_uk_sample")
+        spy(toeplitz, "unitary_action_matrix")
+        average_operator(T)
+        assert calls == []
 
 
 class TestDispatchAndSerialization:
@@ -515,6 +541,29 @@ class TestDispatchAndSerialization:
         T3 = load_operator(path)
         for kappa in T.kappas():
             assert np.array_equal(T3.blocks[kappa], T.blocks[kappa])
+
+    @pytest.mark.parametrize("change, pattern", [
+        (lambda b: [{**b, "kappa": [1]}], r"kappa=\[1\]"),
+        (lambda b: [{**b, "kappa": [1, 0, 0]}], r"kappa=\[1, 0, 0\]"),
+        (lambda b: [{**b, "kappa": [2, -1]}], r"kappa=\[2, -1\]"),
+        (lambda b: [{**b, "kappa": [2, 1]}], r"kappa=\[2, 1\] is"),
+        (lambda b: [b, b], r"kappa=\[1, 0\] is repeated"),
+        (lambda b: [{**b, "matrix": [[_PAIR] * 3]}], r"kappa=\[1, 0\]: exp"),
+        (lambda b: [{**b, "matrix": [[_PAIR] * 3] * 3, "dim": 3}],
+         r"kappa=\[1, 0\]: exp"),
+        (lambda b: [{**b, "dim": 3}], r"kappa=\[1, 0\]: exp"),
+        (lambda b: [{**b, "stderr": [[0.1] * 2]}], r"kappa=\[1, 0\]: exp"),
+    ], ids=["short-kappa", "long-kappa", "negative-kappa", "over-degree",
+            "repeated", "1x3-matrix", "3x3-matrix", "dim-differs",
+            "stderr-shape"])
+    def test_malformed_blocks_are_rejected(self, change, pattern):
+        T = toeplitz_operator(block_hermitian(P22, H22), 1, 0.0,
+                              QuadratureSpec(ball_samples=2000))
+        doc = operator_to_json(T)
+        [block] = [b for b in doc["blocks"] if b["kappa"] == [1, 0]]
+        assert "stderr" in block
+        with pytest.raises(ValueError, match=pattern):
+            operator_from_json({**doc, "blocks": change(block)})
 
 
 class TestSharedOracleDraws:
