@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -283,6 +282,8 @@ def parse_config(doc: dict, seed_override: int | None = None,
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output_dir must be a non-empty string")
     if out_override is not None:
+        if not isinstance(out_override, str) or not out_override:
+            raise ConfigError("--out must be a non-empty string")
         out_dir = out_override
     files = [_output_path("", "op", s.name, lam, ".json")
              for s in symbols for lam in lambdas]
@@ -354,42 +355,35 @@ def _write_atomic(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_build(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_build(cfg: RunConfig) -> int:
     """Write one operator file per (symbol, lambda).
 
-    A task builds one deterministic operator, or every oracle-path operator
-    of one lambda from a shared draw (``oracle_operators``).
+    Every oracle-path operator of a lambda comes from one shared draw
+    (``oracle_operators``); each other operator is built on its own.
     """
     out = Path(cfg.output_dir)
     oracle = [s for s in cfg.symbols if assembly_path(s) == "oracle"]
 
-    def one(task):
-        symbols, lam = task
-        if assembly_path(symbols[0]) == "oracle":
-            ops = oracle_operators(symbols, cfg.degree, lam, cfg.spec)
-        else:
-            ops = [toeplitz_operator(symbols[0], cfg.degree, lam, cfg.spec)]
-        paths = {}
-        for sym, T in zip(symbols, ops):
-            doc = operator_to_json(T)
-            doc["meta"]["resolved_config"] = cfg.resolved
-            path = _output_path(out, "op", sym.name, lam, ".json")
-            _write_atomic(path, json.dumps(doc))
-            paths[sym.name, lam] = path
-        return paths
+    def path(sym, lam):
+        return _output_path(out, "op", sym.name, lam, ".json")
 
-    tasks = [(oracle, lam) for lam in cfg.lambdas if oracle]
-    tasks += [([s], lam) for s in cfg.symbols
-              if assembly_path(s) != "oracle" for lam in cfg.lambdas]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
-    paths = {key: path for r in results for key, path in r.items()}
+    def write(sym, lam, T):
+        doc = operator_to_json(T)
+        doc["meta"]["resolved_config"] = cfg.resolved
+        _write_atomic(path(sym, lam), json.dumps(doc))
+
+    for lam in cfg.lambdas:
+        for sym, T in zip(oracle, oracle_operators(oracle, cfg.degree, lam,
+                                                   cfg.spec)):
+            write(sym, lam, T)
+    for sym in cfg.symbols:
+        if assembly_path(sym) != "oracle":
+            for lam in cfg.lambdas:
+                write(sym, lam,
+                      toeplitz_operator(sym, cfg.degree, lam, cfg.spec))
     for sym in cfg.symbols:
         for lam in cfg.lambdas:
-            print(f"wrote {paths[sym.name, lam]}")
+            print(f"wrote {path(sym, lam)}")
     return EXIT_OK
 
 
@@ -614,10 +608,7 @@ def main(argv=None) -> int:
         ("sequence", "normalized-trace sequence diagnostics"),
         ("witness", "exhibit the designed non-commuting pair"),
     ):
-        cmd = sub.add_parser(name, parents=[shared], help=help_text)
-        if name == "build":
-            cmd.add_argument("--jobs", type=int, default=1,
-                             help="parallel workers for independent builds")
+        sub.add_parser(name, parents=[shared], help=help_text)
     args = parser.parse_args(argv)
     config = getattr(args, "config", None)
     out = getattr(args, "out", None)
@@ -626,11 +617,9 @@ def main(argv=None) -> int:
         if config is None:
             raise ConfigError("--config is required")
         cfg = load_config(config, seed, out)
-        if args.command == "build":
-            return cmd_build(cfg, jobs=max(1, args.jobs))
-        return {"verify": cmd_verify, "trace-table": cmd_trace_table,
-                "sequence": cmd_sequence, "witness": cmd_witness,
-                }[args.command](cfg)
+        return {"build": cmd_build, "verify": cmd_verify,
+                "trace-table": cmd_trace_table, "sequence": cmd_sequence,
+                "witness": cmd_witness}[args.command](cfg)
     except (ConfigError, RadialRuleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -141,6 +141,19 @@ def _validation_points(p: Partition, count: int, rng) -> np.ndarray:
     return sample_ball(p.n, 0.0, count, rng)
 
 
+def _checked_bound(vals, bound: float | None, what: str) -> float:
+    """The sup-norm bound of a symbol sampled as ``vals``: ``bound`` when
+    declared, else the largest |value|.  ValueError, naming ``what``, when a
+    value is non-finite or exceeds the declared bound."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{what} is non-finite on samples")
+    observed = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    if bound is not None and observed > bound * (1 + 1e-12):
+        raise ValueError(
+            f"{what} exceeds its declared bound: {observed} > {bound}")
+    return bound if bound is not None else observed
+
+
 def from_evaluator(p: Partition, evaluator, klass: InvarianceClass = GENERAL,
                    *, bound: float | None = None, name: str = "",
                    rng=None) -> Symbol:
@@ -148,15 +161,8 @@ def from_evaluator(p: Partition, evaluator, klass: InvarianceClass = GENERAL,
     rng = rng or substream(0, "symbol-validate", name)
     Z = _validation_points(p, _VALIDATION_SAMPLES, rng)
     vals = np.asarray(evaluator(Z), dtype=complex)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"symbol {name!r} evaluates to non-finite values")
-    observed = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    if bound is not None and observed > bound * (1 + 1e-12):
-        raise ValueError(
-            f"symbol {name!r} exceeds its declared bound: {observed} > {bound}"
-        )
-    return Symbol(p, evaluator, klass, bound if bound is not None else observed,
-                  name=name)
+    return Symbol(p, evaluator, klass,
+                  _checked_bound(vals, bound, f"symbol {name!r}"), name=name)
 
 
 def from_radial_profile(p: Partition, profile, *, bound: float | None = None,
@@ -176,13 +182,10 @@ def from_radial_profile(p: Partition, profile, *, bound: float | None = None,
             corners[j, j] = 0.9 / math.sqrt(p.m)
         grid.append(corners)
     vals = np.concatenate([np.asarray(profile(g), dtype=complex) for g in grid])
-    if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _BOUND_CAP:
+    if np.max(np.abs(vals)) > _BOUND_CAP:  # False for NaN: caught below
         raise ValueError(f"profile of {name!r} is unbounded on the sample grid")
-    observed = float(np.max(np.abs(vals)))
-    if bound is not None and observed > bound * (1 + 1e-12):
-        raise ValueError(f"profile of {name!r} exceeds declared bound {bound}")
     return Symbol(p, evaluator, QUASI_RADIAL,
-                  bound if bound is not None else observed,
+                  _checked_bound(vals, bound, f"profile of {name!r}"),
                   name=name, radial_profile=profile)
 
 
@@ -210,8 +213,7 @@ def _from_payload(p: Partition, j: int, payload, form: str, rng,
     rotated = np.asarray(payload(r, *args[:-1], eta[:, None] * args[-1]),
                          dtype=complex)
     dev = np.abs(rotated - base)
-    if not np.all(np.isfinite(base)):
-        raise ValueError(f"{form} payload of {name!r} is non-finite on samples")
+    bound = _checked_bound(base, bound, f"{form} payload of {name!r}")
     if np.max(dev) > _VALIDATION_TOL:
         i = int(np.argmax(dev))
         at = ", ".join(f"{lb}={x[i]}" for lb, x in zip(labels, args))
@@ -225,7 +227,6 @@ def _from_payload(p: Partition, j: int, payload, form: str, rng,
         args = coords(block_direction(Z, p, j))
         return np.asarray(payload(block_radii(Z, p), *args), dtype=complex)
 
-    observed = float(np.max(np.abs(base)))
     klass = kj_quasi_homogeneous(j)
     profile = None
     if p.k[j - 1] == 1:
@@ -233,8 +234,7 @@ def _from_payload(p: Partition, j: int, payload, form: str, rng,
         klass = QUASI_RADIAL
         profile = lambda r: payload(r, *coords(
             np.ones((np.atleast_2d(r).shape[0], 1), dtype=complex)))
-    return Symbol(p, evaluator, klass,
-                  bound if bound is not None else observed,
+    return Symbol(p, evaluator, klass, bound,
                   name=name, radial_profile=profile, j=j,
                   **{field: payload})
 

@@ -636,7 +636,7 @@ def toeplitz_operator(a: Symbol, degree: int, lam: float, spec: QuadratureSpec,
         op = assemble_diagonal(
             lambda kappa: gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec),
             p, degree, lam)
-        op.meta.update(symbol=a.name, seed=spec.seed,
+        op.meta.update(symbol=a.name, seed=spec.seed, warnings=[],
                        effort=_effort(path, p, a.j, spec))
         return op
     block = toeplitz_block_f if path == "f-form" else toeplitz_block_g
@@ -693,19 +693,28 @@ def operator_to_json(T: BlockOperator) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; ValueError names ``field`` for a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 def operator_from_json(doc: dict) -> BlockOperator:
-    """Inverse of ``operator_to_json``; ValueError names a block whose kappa
-    is repeated or out of range, or whose matrix, dim or stderr misfits it."""
+    """Inverse of ``operator_to_json``; ValueError names a non-integer
+    partition, degree or kappa entry, and a block whose kappa is repeated or
+    out of range, or whose matrix, dim or stderr misfits it."""
     if doc.get("format") != _FORMAT:
         raise ValueError("not a block-operator document")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
-    p = Partition(tuple(doc["partition"]))
-    degree = int(doc["degree"])
+    p = Partition(tuple(_json_int(v, "partition entry")
+                        for v in doc["partition"]))
+    degree = _json_int(doc["degree"], "degree")
     slices = set(enumerate_kappas(p, degree))
     blocks, errors, stderrs = {}, {}, {}
     for entry in doc["blocks"]:
-        kappa = tuple(int(v) for v in entry["kappa"])
+        kappa = tuple(_json_int(v, "kappa entry") for v in entry["kappa"])
         where = f"block kappa={list(kappa)}"
         if kappa not in slices or kappa in blocks:
             raise ValueError(f"{where} is repeated or not a slice of partition "

@@ -272,6 +272,18 @@ class TestConfigValidation:
         assert "config error:" in err and message in err
         assert [f.name for f in tmp_path.iterdir()] == [cfg.name]
 
+    def test_empty_out_exits_config(self, tmp_path, capsys, monkeypatch):
+        # --out "" took the working directory as the output directory
+        monkeypatch.chdir(tmp_path)
+        doc = base_config(partition=[1], trace_kappas=[[1]], symbols=[
+            {"name": "one", "kind": "constant", "value": 1.0}])
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", str(cfg), "--out", "", "build"]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error:" in err and "--out" in err
+        assert [f.name for f in tmp_path.iterdir()] == [cfg.name]
+
     @pytest.mark.parametrize("overrides", [
         {"symbols": [{"name": "a b", "kind": "constant", "value": 1.0},
                      {"name": "a_b", "kind": "constant", "value": 2.0}]},
@@ -492,11 +504,14 @@ class TestVerify:
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
         assert sum(drawn) == 2 * (2 + 3) * 15000
 
-    def test_jobs_is_a_build_flag(self, tmp_path):
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_jobs_flag_is_rejected(self, tmp_path, command):
+        # no subcommand takes --jobs: build runs in one process
         cfg = write_config(tmp_path, base_config(output_dir=str(tmp_path / "o")))
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "verify", "--jobs", "2"])
+            main(["--config", str(cfg), command, "--jobs", "2"])
         assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
 
     def test_all_checks_in_registry_order(self, tmp_path, capsys):
         # symbols on every path: diagonal-gamma (one, rad), f-form (phi, n1:
@@ -749,6 +764,57 @@ class TestTables:
         assert abs(float(first["trace_re"]) - 1 / 3) \
             <= 5 * float(first["stderr"])
 
+    @staticmethod
+    def _payload_config(tmp_path, partition, **extra):
+        # an f-form phi with a radial key and a g-form pseudo, both with
+        # traces that are not zero
+        m = len(partition)
+        symbols = [
+            {"name": "phi", "kind": "phi", "j": 1, "p": [1, 0], "q": [1, 0],
+             "radial": [{"coeff": 1.0, "powers": [0] * m},
+                        {"coeff": 0.5, "powers": [1] * m}]},
+            {"name": "psi", "kind": "pseudo", "j": 1, "s_powers": [1, 1],
+             "t_exp": [0, 0]}]
+        doc = {"schema_version": 1, "partition": partition,
+               "lambdas": [0.5], "degree": 2, "symbols": symbols,
+               "output_dir": str(tmp_path / "o"), **extra}
+        return write_config(tmp_path, doc), parse_config(doc)
+
+    def test_trace_table_payload_rows_are_exact(self, tmp_path):
+        cfg, run = self._payload_config(tmp_path, [2, 2])
+        assert [toeplitz.assembly_path(s) for s in run.symbols] \
+            == ["f-form", "g-form"]
+        assert main(["--config", str(cfg), "trace-table"]) == EXIT_OK
+        u = [np.eye(2, dtype=complex)[:, 0]] * 2
+        for sym in run.symbols:
+            with (tmp_path / "o" / f"trace_{sym.name}_lam0.5.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 6
+            for row in rows:
+                kappa = tuple(int(v) for v in row["kappa"].split(";"))
+                want, se = structure.trace_integral(sym, kappa, 0.5, u,
+                                                    run.spec)
+                got = complex(float(row["trace_re"]), float(row["trace_im"]))
+                assert float(row["stderr"]) == 0.0 and se == 0.0
+                assert abs(want) > 0.1
+                assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_sequence_payload_values_within_5_sigma(self, tmp_path):
+        cfg, run = self._payload_config(
+            tmp_path, [2], sequence_max_kappa=6,
+            quadrature={"ball_samples": 40000})
+        assert main(["--config", str(cfg), "sequence"]) == EXIT_OK
+        u = [np.eye(2, dtype=complex)[:, 0]]
+        for sym in run.symbols:
+            data = json.loads((tmp_path / "o" /
+                               f"sequence_{sym.name}_lam0.5.json").read_text())
+            assert len(data["values"]) == 7
+            for k, (v, se) in enumerate(zip(data["values"], data["stderr"])):
+                want, _ = structure.trace_integral(sym, (k,), 0.5, u,
+                                                   run.spec)
+                assert 0 < se
+                assert abs(complex(*v) - want / (k + 1)) <= 5 * se
+
     def test_sequence_command(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -836,38 +902,59 @@ def test_readme_example_passes_verify(tmp_path):
     assert all(r["passed"] for r in gating)
 
 
-def test_build_parallel_matches_serial(tmp_path):
-    doc = base_config(output_dir=str(tmp_path / "serial"),
-                      lambdas=[0.0, 1.5])
-    cfg = write_config(tmp_path, doc, "serial.json")
-    main(["--config", str(cfg), "build"])
-    doc2 = base_config(output_dir=str(tmp_path / "par"), lambdas=[0.0, 1.5])
-    cfg2 = write_config(tmp_path, doc2, "par.json")
-    main(["--config", str(cfg2), "build", "--jobs", "3"])
-    for name in ("op_one_lam0.json", "op_phi_lam1.5.json"):
-        a = (tmp_path / "serial" / name).read_text()
-        b = (tmp_path / "par" / name).read_text()
-        assert a.replace(str(tmp_path / "serial"), "") \
-            == b.replace(str(tmp_path / "par"), "")
+def test_build_twice_writes_identical_files(tmp_path):
+    # the same config and seed reproduce every operator file byte for byte
+    doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[0.0, 1.5])
+    doc["symbols"].append({"name": "x", "kind": "xi_monomial", "j": 2,
+                           "p": [1, 0], "q": [0, 0]})
+    cfg = write_config(tmp_path, doc)
+    texts = []
+    for _ in range(2):
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        texts.append({f.name: f.read_bytes()
+                      for f in (tmp_path / "o").glob("op_*.json")})
+    assert len(texts[0]) == 2 * len(doc["symbols"])
+    assert texts[0] == texts[1]
 
 
-def test_oracle_build_independent_of_jobs(tmp_path):
+def test_oracle_build_files_and_provenance(tmp_path):
     oracle = {"name": "x", "kind": "xi_monomial", "j": 2, "p": [1, 0],
               "q": [0, 0]}
-    texts = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        doc = base_config(output_dir=str(out), lambdas=[0.0, 1.5],
-                          symbols=[oracle, base_config()["symbols"][1]])
-        cfg = write_config(tmp_path, doc, f"jobs{jobs}.json")
-        assert main(["--config", str(cfg), "build", "--jobs", jobs]) == EXIT_OK
-        texts[jobs] = {f.name: f.read_text().replace(str(out), "")
-                       for f in out.glob("op_*.json")}
-    assert sorted(texts["1"]) == ["op_phi_lam0.json", "op_phi_lam1.5.json",
-                                  "op_x_lam0.json", "op_x_lam1.5.json"]
-    assert texts["1"] == texts["2"]
-    assert load_operator(tmp_path / "jobs2" / "op_x_lam1.5.json").provenance \
-        == "oracle"
+    out = tmp_path / "o"
+    doc = base_config(output_dir=str(out), lambdas=[0.0, 1.5],
+                      symbols=[oracle, base_config()["symbols"][1]])
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", str(cfg), "build"]) == EXIT_OK
+    assert sorted(f.name for f in out.glob("op_*.json")) == [
+        "op_phi_lam0.json", "op_phi_lam1.5.json", "op_x_lam0.json",
+        "op_x_lam1.5.json"]
+    assert load_operator(out / "op_x_lam1.5.json").provenance == "oracle"
+    assert load_operator(out / "op_phi_lam1.5.json").provenance == "f-form"
+
+
+def test_one_build_per_lambda_writes_the_same_operators(tmp_path):
+    # the README's way to use more cores: one build per lambda, each on its
+    # own config; oracle streams are keyed per lambda, so only the recorded
+    # config differs
+    oracle = {"name": "x", "kind": "xi_monomial", "j": 2, "p": [1, 0],
+              "q": [0, 0]}
+    doc = base_config(lambdas=[0.0, 1.5],
+                      symbols=[oracle, base_config()["symbols"][1]])
+
+    def build(name, lambdas):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, {**doc, "lambdas": lambdas,
+                                      "output_dir": str(out)}, f"{name}.json")
+        assert main(["--config", str(cfg), "build"]) == EXIT_OK
+        docs = {}
+        for f in out.glob("op_*.json"):
+            docs[f.name] = json.loads(f.read_text())
+            del docs[f.name]["meta"]["resolved_config"]
+        return docs
+
+    per_lambda = {**build("lam0", [0.0]), **build("lam1.5", [1.5])}
+    assert build("all", [0.0, 1.5]) == per_lambda
+    assert len(per_lambda) == 4
 
 
 class TestSharedOracleBuild:

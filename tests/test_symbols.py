@@ -15,6 +15,7 @@ from toepblocks import (
     check_invariance,
     constant_symbol,
     cross_block_control,
+    from_evaluator,
     from_f,
     from_g,
     from_radial_profile,
@@ -90,6 +91,23 @@ class TestConstructors:
     def test_from_g_phase_invariance_enforced(self):
         with pytest.raises(ValueError, match="phase invariant"):
             from_g(P22, 1, lambda r, s, t: np.atleast_2d(t)[:, 0])
+
+    @pytest.mark.parametrize("make", [
+        lambda bound: from_f(P22, 1, lambda r, xi: np.abs(
+            np.atleast_2d(xi)[:, 0]) ** 2 + 0j, bound=bound),
+        lambda bound: from_g(P22, 1, lambda r, s, t: np.atleast_2d(
+            s)[:, 0] ** 2 + 0j, bound=bound),
+        lambda bound: from_evaluator(P22, lambda Z: np.abs(Z[:, 0]) + 0j,
+                                     bound=bound),
+        lambda bound: from_radial_profile(
+            P22, lambda r: np.atleast_2d(r)[:, 0] + 0j, bound=bound),
+    ], ids=["f", "g", "evaluator", "radial-profile"])
+    def test_declared_bound_is_checked(self, make):
+        # from_f and from_g accepted any bound; every constructor now checks
+        # it on its validation samples and keeps a bound that holds
+        with pytest.raises(ValueError, match="exceeds its declared bound"):
+            make(1e-3)
+        assert make(1.0).bound == 1.0
 
     def test_from_f_reduces_to_quasi_radial_when_block_is_small(self):
         a = from_f(P12, 1, lambda r, xi: np.atleast_2d(r)[:, 0].astype(complex))

@@ -496,7 +496,7 @@ class TestDispatchAndSerialization:
         assert T.provenance == "oracle"
         assert T.meta["warnings"]
 
-    def test_meta_records_effort(self):
+    def test_meta_records_effort(self, tmp_path):
         spec = QuadratureSpec(ball_samples=5000, radial_nodes=8,
                               sphere_nodes=8, torus_nodes=6)
         ops = {
@@ -517,7 +517,11 @@ class TestDispatchAndSerialization:
             T = toeplitz_operator(a, 1, 0.0, spec)
             assert T.provenance == path
             assert T.meta["effort"] == expected[path]
+            # every path writes the same keys, warnings included
+            assert set(T.meta) == {"symbol", "seed", "warnings", "effort"}
             assert operator_from_json(operator_to_json(T)).meta == T.meta
+            save_operator(T, tmp_path / "op.json")
+            assert load_operator(tmp_path / "op.json").meta == T.meta
 
     def test_quasi_radial_oracle_agreement(self):
         a = radial_poly(P22, [(1.0, (1, 0)), (-0.25, (0, 1))])
@@ -564,6 +568,29 @@ class TestDispatchAndSerialization:
         assert "stderr" in block
         with pytest.raises(ValueError, match=pattern):
             operator_from_json({**doc, "blocks": change(block)})
+
+
+    @pytest.mark.parametrize("field, value, pattern", [
+        ("kappa", [1.7, 0], "kappa entry must be an integer, got 1.7"),
+        ("kappa", [True, 0], "kappa entry must be an integer, got True"),
+        ("degree", 2.9, "degree must be an integer, got 2.9"),
+        ("degree", True, "degree must be an integer, got True"),
+        ("partition", [2.4, 2], "partition entry must be an integer"),
+        ("partition", [2, True], "partition entry must be an integer"),
+    ], ids=["kappa-float", "kappa-bool", "degree-float", "degree-bool",
+            "partition-float", "partition-bool"])
+    def test_non_integer_fields_are_rejected(self, field, value, pattern):
+        # int() truncated these: kappa [1.7] loaded as (1,), degree 2.9 as 2
+        T = toeplitz_operator(block_hermitian(P22, H22), 1, 0.0,
+                              QuadratureSpec(ball_samples=2000))
+        doc = operator_to_json(T)
+        if field == "kappa":
+            [block] = [b for b in doc["blocks"] if b["kappa"] == [1, 0]]
+            doc["blocks"] = [{**block, "kappa": value}]
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=pattern):
+            operator_from_json(doc)
 
 
 class TestSharedOracleDraws:
