@@ -47,7 +47,6 @@ from .symbols import (
     RADIAL,
     SEPARATELY_RADIAL,
     TM_INVARIANT,
-    AveragedSymbol,
     InvarianceClass,
     Symbol,
     act,
@@ -64,7 +63,6 @@ from .symbols import (
     noncommuting_pair,
     phi_factor,
     pseudo_factor,
-    quasi_radialize,
     radial_poly,
     xi_monomial,
     zpoly,
@@ -82,6 +80,7 @@ from .toeplitz import (
     operator_to_json,
     oracle_matrix,
     oracle_operators,
+    quasi_radialize,
     save_operator,
     toeplitz_block_f,
     toeplitz_block_g,

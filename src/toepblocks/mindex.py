@@ -13,9 +13,18 @@ z2^2).  This fixes deterministic matrix layouts across runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+
+
+def as_int(value, what: str) -> int:
+    """An integer argument as an int; ValueError names ``what`` for a float
+    or a boolean, which ``int()`` would silently truncate or accept."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -25,7 +34,7 @@ class Partition:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
+        k = tuple(as_int(v, "partition entry") for v in self.k)
         if len(k) == 0 or any(v < 1 for v in k):
             raise ValueError(f"partition entries must be positive, got {self.k!r}")
         object.__setattr__(self, "k", k)

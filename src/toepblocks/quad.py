@@ -47,13 +47,13 @@ class QuadratureSpec:
     ``radial_nodes`` is the Gauss-Jacobi node count per radial dimension,
     ``torus_nodes`` the equispaced nodes per torus angle and ``sphere_nodes``
     the Gauss-Legendre nodes per positive-sphere angle.  The single-block
-    kernel behind the f-form and g-form uses k_j - 1 torus angles per block
-    (the first is fixed by phase invariance), so a block of size k_j costs
-    sphere_nodes^(k_j-1) * torus_nodes^(k_j-1) sphere nodes.  ``ball_samples``
-    sets the Monte Carlo effort of the sampling oracle, ``haar_samples`` that
-    of the Haar traces of oracle-path symbols (those of quasi-radial and
-    payload symbols are exact and draw nothing; only ``quasi_radialize``
-    takes its own count), and ``seed`` keys every random substream.
+    kernel behind the f-form and g-form, and ``quasi_radialize``, use k_j - 1
+    torus angles per block (the first is fixed by phase invariance), so a
+    block of size k_j costs sphere_nodes^(k_j-1) * torus_nodes^(k_j-1)
+    sphere nodes.  ``ball_samples`` sets the Monte Carlo effort of the
+    sampling oracle, ``haar_samples`` that of the Haar traces of oracle-path
+    symbols (the other traces and ``quasi_radialize`` draw nothing), and
+    ``seed`` keys every random substream.
     The weight exponent is not part of the spec: every operation takes it
     as an explicit ``lam`` argument.
     """

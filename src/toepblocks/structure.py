@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mindex import block_dims, dim_P, enumerate_multiindices, kappa_of
+from .mindex import (as_int, block_dims, dim_P, enumerate_multiindices,
+                     kappa_of)
 from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
@@ -350,7 +351,7 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     (seed, "trace-integral", name, repr(lam), repr(kappa)).
     """
     p = a.partition
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     u_vectors = [np.asarray(u, dtype=complex) for u in u_vectors]
     if len(u_vectors) != p.m:
         raise ValueError("need one unit vector per block")
@@ -461,7 +462,7 @@ def trace_integral_check(T: BlockOperator, a: Symbol, kappa,
     stream (seed, "trace-integral-alt", name, repr(lam), repr(kappa)).
     """
     p, lam, path = T.partition, T.lam, assembly_path(a)
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
     v1, se1 = v2, se2 = trace_integral(a, kappa, lam, u1, spec)
     if path == "oracle":

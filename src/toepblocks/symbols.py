@@ -20,11 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mindex import Partition
+from .mindex import Partition, as_int
 from .quad import (
     block_direction,
     block_radii,
-    haar_uk_sample,
     phase_split,
     sample_ball,
     sample_group,
@@ -108,33 +107,6 @@ class Symbol:
         single = Z.ndim == 1
         vals = np.asarray(self.evaluator(np.atleast_2d(Z)), dtype=complex)
         return vals[0] if single else vals
-
-
-@dataclass(frozen=True)
-class AveragedSymbol(Symbol):
-    """Finite Haar average of a base symbol over block-diagonal unitaries."""
-
-    base: Symbol | None = None
-    unitaries: np.ndarray | None = None  # (N, n, n)
-
-    def evaluate_with_stderr(self, Z: np.ndarray):
-        """Averaged values and the per-point Monte Carlo standard error."""
-        return _haar_mean(self.base, self.unitaries, Z)
-
-
-def _haar_mean(a: Symbol, unitaries: np.ndarray, Z: np.ndarray):
-    """Mean of a(Z conj(U)) over the fixed unitaries U, and its stderr."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=complex))
-    N = unitaries.shape[0]
-    acc = np.zeros(Z.shape[0], dtype=complex)
-    acc2 = np.zeros(Z.shape[0])
-    for U in unitaries:
-        v = a(Z @ np.conj(U))
-        acc += v
-        acc2 += np.abs(v) ** 2
-    mean = acc / N
-    var = np.maximum(acc2 / N - np.abs(mean) ** 2, 0.0)
-    return mean, np.sqrt(var / N)
 
 
 def _validation_points(p: Partition, count: int, rng) -> np.ndarray:
@@ -337,36 +309,6 @@ def check_invariance(a: Symbol, group: str, n_samples: int = 256,
     return InvarianceReport(group, j, n_mats * pts_per, tol, worst, worst <= tol)
 
 
-def quasi_radialize(a: Symbol, n_samples: int, rng=None) -> AveragedSymbol:
-    """Haar average of a over the block unitary group, with fixed samples.
-
-    The result is declared quasi-radial (exact in the infinite-sample
-    limit).  Its radial profile evaluates the average along the canonical
-    section r -> (r_1 e_1, ..., r_m e_1); per-point standard errors are
-    available through ``evaluate_with_stderr``.  It stays Monte Carlo, as
-    evaluator-only symbols (``block_hermitian``, ``zpoly``) have no cheap
-    exact sphere mean; ``toeplitz.average_operator`` is the exact operator.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    p = a.partition
-    rng = rng or substream(0, "quasi-radialize", a.name)
-    U = np.stack([haar_uk_sample(p, rng) for _ in range(n_samples)])
-
-    evaluator = lambda Z: _haar_mean(a, U, Z)[0]
-
-    def profile(r):
-        r = np.atleast_2d(np.asarray(r, dtype=float))
-        Z = np.zeros((r.shape[0], p.n), dtype=complex)
-        for jj, sl in enumerate(p.block_slices()):
-            Z[:, sl.start] = r[:, jj]
-        return evaluator(Z)
-
-    return AveragedSymbol(p, evaluator, QUASI_RADIAL, a.bound,
-                          name=f"avg({a.name})", radial_profile=profile,
-                          base=a, unitaries=U)
-
-
 def multiply(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
     """Pointwise product; the class is the intersection of the factors'."""
     if a.partition != b.partition:
@@ -456,8 +398,8 @@ def phi_factor(p: Partition, j: int, pexp, qexp, radial_terms=None,
     kj = p.k[j - 1] if 1 <= j <= p.m else None
     if kj is None:
         raise ValueError(f"block index {j} out of range 1..{p.m}")
-    pexp = tuple(int(v) for v in pexp)
-    qexp = tuple(int(v) for v in qexp)
+    pexp = tuple(as_int(v, "exponent") for v in pexp)
+    qexp = tuple(as_int(v, "exponent") for v in qexp)
     if len(pexp) != kj or len(qexp) != kj:
         raise ValueError(f"exponent length must equal k_j = {kj}")
     if any(v < 0 for v in pexp) or any(v < 0 for v in qexp):
@@ -486,8 +428,8 @@ def pseudo_factor(p: Partition, j: int, s_powers, t_exp, radial_terms=None,
     if not 1 <= j <= p.m:
         raise ValueError(f"block index {j} out of range 1..{p.m}")
     kj = p.k[j - 1]
-    s_powers = tuple(int(v) for v in s_powers)
-    t_exp = tuple(int(v) for v in t_exp)
+    s_powers = tuple(as_int(v, "s exponent") for v in s_powers)
+    t_exp = tuple(as_int(v, "torus exponent") for v in t_exp)
     if len(s_powers) != kj or len(t_exp) != kj:
         raise ValueError(f"exponent length must equal k_j = {kj}")
     if any(v < 0 for v in s_powers):
@@ -526,8 +468,8 @@ def xi_monomial(p: Partition, j: int, pexp, qexp, name: str | None = None) -> Sy
     if not 1 <= j <= p.m:
         raise ValueError(f"block index {j} out of range 1..{p.m}")
     kj = p.k[j - 1]
-    pexp = tuple(int(v) for v in pexp)
-    qexp = tuple(int(v) for v in qexp)
+    pexp = tuple(as_int(v, "exponent") for v in pexp)
+    qexp = tuple(as_int(v, "exponent") for v in qexp)
     if len(pexp) != kj or len(qexp) != kj:
         raise ValueError(f"exponent length must equal k_j = {kj}")
     if any(v < 0 for v in pexp + qexp):
@@ -569,8 +511,8 @@ def block_hermitian(p: Partition, H: np.ndarray, name: str | None = None) -> Sym
 def zpoly(p: Partition, terms, klass: InvarianceClass = GENERAL,
           name: str | None = None) -> Symbol:
     """Polynomial in (z, conj(z)): sum of coeff * z^a * conj(z)^b terms."""
-    terms = [(complex(c), tuple(int(v) for v in za), tuple(int(v) for v in zb))
-             for c, za, zb in terms]
+    terms = [(complex(c), tuple(as_int(v, "exponent") for v in za),
+              tuple(as_int(v, "exponent") for v in zb)) for c, za, zb in terms]
     for _, za, zb in terms:
         if len(za) != p.n or len(zb) != p.n:
             raise ValueError("exponent vectors must have length n")

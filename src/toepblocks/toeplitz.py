@@ -28,7 +28,8 @@ single-block integrand payload * xi^alpha * conj(xi)^beta with |alpha| =
 equispaced torus grid onto itself, and each of their orbits holds exactly one
 node with t_1 = 1, so on such an integrand the full sphere rule's sum equals
 torus_nodes times the sum over its t_1 = 1 slice, exactly up to roundoff:
-the kernel integrates over that slice only.
+the kernel integrates over that slice only (``_reduced_sphere_rule``), and
+so does ``quasi_radialize`` on a block-torus invariant symbol.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .mindex import (
     Partition,
     alpha_factorial,
+    as_int,
     block_dims,
     compositions,
     dim_P,
@@ -55,7 +57,8 @@ from .quad import (
     QuadratureSpec,
     RadialRuleError,
     _lgamma,
-    complex_sphere_rule,
+    block_radii,
+    positive_sphere_rule,
     radial_rule,
     sample_ball,
     substream,
@@ -389,27 +392,31 @@ def _require_payload(a: Symbol, j: int, path: str):
     return payload, coords
 
 
+def _reduced_sphere_rule(k_j: int, spec: QuadratureSpec):
+    """(Xi, w): the phase-reduced rule on the unit sphere of C^k_j (see the
+    module docstring), built directly as ``positive_sphere_rule(k_j)`` times
+    (1, ``torus_rule(k_j - 1)``) with the weights times 2 pi: (sphere_nodes
+    * torus_nodes)^(k_j - 1) nodes, the single node 1 for k_j = 1."""
+    S, ws = positive_sphere_rule(k_j, spec.sphere_nodes)
+    T, wt = (torus_rule(k_j - 1, spec.torus_nodes) if k_j > 1
+             else (np.ones((1, 0)), np.ones(1)))
+    T = np.hstack([np.ones((len(T), 1), dtype=complex), T])
+    Xi = T[None, :, :] * S[:, None, :]
+    w = (ws * np.prod(S, axis=1))[:, None] * (wt * (2.0 * math.pi))[None, :]
+    return Xi.reshape(-1, k_j), w.reshape(-1)
+
+
 def _reduced_sphere_weights(payload, coords, p: Partition, j: int, kappa,
                             lam: float, spec: QuadratureSpec):
     """(Xi, W): block j's phase-reduced sphere nodes and payload weights.
 
     W_i is the radial sum of payload(r, *coords(Xi_i)) against the radial
-    rule of P_kappa, times the sphere weight of node Xi_i, so sum_i W_i g(Xi_i)
-    integrates payload * g over the radial weight and the surface measure of
-    block j's sphere for every phase-invariant g.  The rule is phase-reduced:
-    of ``complex_sphere_rule``'s nodes only those with t_1 = 1 are kept,
-    weights times torus_nodes.  The common torus phases permute the full
-    rule's nodes, leave a phase-invariant integrand unchanged and meet t_1 =
-    1 once per orbit, so the full and the reduced sums agree up to roundoff.
+    rule of P_kappa, times the weight of node Xi_i of ``_reduced_sphere_rule``,
+    so sum_i W_i g(Xi_i) integrates payload * g over the radial weight and
+    the surface measure of block j's sphere for every phase-invariant g.
     """
     R, wr = radial_rule(p, kappa, spec, lam)
-    kj = p.k[j - 1]
-    Xi, wxi = complex_sphere_rule(kj, spec)
-    # per positive-sphere node keep the torus nodes with t_1 = 1 (the first
-    # angle varies slowest), each standing for its Q_t-node orbit
-    Qt = spec.torus_nodes
-    keep = np.arange(Xi.shape[0]) % Qt**kj < Qt**(kj - 1)
-    Xi, wxi = Xi[keep], wxi[keep] * Qt
+    Xi, wxi = _reduced_sphere_rule(p.k[j - 1], spec)
     return Xi, _radial_contract(payload, R, wr, coords(Xi)) * wxi
 
 
@@ -543,6 +550,49 @@ def average_operator(T: BlockOperator) -> BlockOperator:
     meta = {k: v for k, v in T.meta.items() if k != "averaging_samples"}
     return BlockOperator(T.partition, T.lam, T.degree, blocks, "averaged",
                          dict(T.block_errors), meta=meta)
+
+
+def quasi_radialize(a: Symbol, spec: QuadratureSpec) -> Symbol:
+    """The associated U(k)-invariant symbol: the Haar mean of a(A z) over the
+    block unitaries A, declared quasi-radial with a's bound; nothing is drawn.
+
+    That mean is the mean of a(r_1 xi_1, ..., r_m xi_m) over the blocks'
+    unit spheres, which the phase-reduced rules (``_reduced_sphere_rule``)
+    compute for a block-torus invariant a.  A quasi-radial symbol with a
+    profile is returned as it is.  A single-block f or g payload is averaged
+    over block j's rule: (sphere_nodes * torus_nodes)^(k_j - 1) nodes per
+    query radius.  Any other symbol is evaluated on the product of every
+    block's rule: (sphere_nodes * torus_nodes)^(n - m) nodes per query
+    radius, 147456 on (2, 2) at the default counts.  The profile sums over
+    the sphere nodes in ``_radial_contract``, the query radii as its rows.
+    ValueError when a is not declared block-torus invariant.
+    """
+    path = assembly_path(a)
+    if path == "diagonal-gamma":
+        return a
+    if not a.klass.implies(TM_INVARIANT):
+        raise ValueError(f"symbol {a.name!r} (class {a.klass.kind}) is not "
+                         f"declared block-torus invariant")
+    p = a.partition
+    if path == "oracle":
+        blocks = p.k
+        F = lambda X, r: a(X * np.repeat(r, p.k, axis=1))  # z_(j) = r_j xi_j
+    else:
+        payload, coords = _require_payload(a, a.j, path)
+        blocks = (p.k[a.j - 1],)
+        F = lambda X, r: payload(r, *coords(X))
+    rules = [_reduced_sphere_rule(kj, spec) for kj in blocks]
+    # the product rule over the blocks, block 1 outermost
+    idx = np.indices([len(w) for _, w in rules]).reshape(len(rules), -1)
+    Xi = np.concatenate([X[i] for (X, _), i in zip(rules, idx)], axis=1)
+    w = np.prod([wj[i] for (_, wj), i in zip(rules, idx)], axis=0)
+    w *= math.prod(math.gamma(kj) / (2 * math.pi**kj) for kj in blocks)
+
+    def profile(r):
+        return _radial_contract(F, Xi, w, (np.atleast_2d(r),))
+
+    return Symbol(p, lambda Z: profile(block_radii(Z, p)), QUASI_RADIAL,
+                  a.bound, name=f"avg({a.name})", radial_profile=profile)
 
 
 def assembly_path(a: Symbol) -> str:
@@ -693,13 +743,6 @@ def operator_to_json(T: BlockOperator) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer; ValueError names ``field`` for a float or a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
-
-
 def operator_from_json(doc: dict) -> BlockOperator:
     """Inverse of ``operator_to_json``; ValueError names a non-integer
     partition, degree or kappa entry, and a block whose kappa is repeated or
@@ -708,13 +751,12 @@ def operator_from_json(doc: dict) -> BlockOperator:
         raise ValueError("not a block-operator document")
     if doc.get("version") != _VERSION:
         raise ValueError(f"unsupported version {doc.get('version')!r}")
-    p = Partition(tuple(_json_int(v, "partition entry")
-                        for v in doc["partition"]))
-    degree = _json_int(doc["degree"], "degree")
+    p = Partition(tuple(doc["partition"]))
+    degree = as_int(doc["degree"], "degree")
     slices = set(enumerate_kappas(p, degree))
     blocks, errors, stderrs = {}, {}, {}
     for entry in doc["blocks"]:
-        kappa = tuple(_json_int(v, "kappa entry") for v in entry["kappa"])
+        kappa = tuple(as_int(v, "kappa entry") for v in entry["kappa"])
         where = f"block kappa={list(kappa)}"
         if kappa not in slices or kappa in blocks:
             raise ValueError(f"{where} is repeated or not a slice of partition "

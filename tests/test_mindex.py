@@ -35,6 +35,13 @@ def test_partition_rejects_bad_entries():
         Partition(())
 
 
+@pytest.mark.parametrize("k", [(2.4, 2), (True, 2)])
+def test_partition_rejects_float_and_bool_entries(k):
+    # int() would read (2.4, 2) as (2, 2)
+    with pytest.raises(ValueError, match="partition entry must be an integer"):
+        Partition(k)
+
+
 @pytest.mark.parametrize("alpha,k,expected", [
     ((2, 0, 1), (1, 2), (2, 1)),
     ((0, 0, 0), (1, 2), (0, 0)),

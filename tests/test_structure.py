@@ -32,7 +32,6 @@ from toepblocks import (
     offblock_leakage,
     phi_factor,
     pseudo_factor,
-    quasi_radialize,
     radial_poly,
     sample_ball,
     sequence_ST,
@@ -298,6 +297,17 @@ class TestTraceIntegral:
         with pytest.raises(ValueError, match="unit"):
             trace_integral(a, (1, 1), 0.0,
                            [np.array([2, 0], dtype=complex)] * 2, FAST)
+
+    @pytest.mark.parametrize("call", [
+        lambda a: trace_integral(a, (1.5, 1), 0.0,
+                                 [np.array([1, 0], dtype=complex)] * 2, FAST),
+        lambda a: structure.trace_integral_check(
+            toeplitz_operator(a, 2, 0.0, FAST), a, (1.5, 1), FAST),
+    ], ids=["trace_integral", "trace_integral_check"])
+    def test_rejects_float_kappa(self, call):
+        # int() would read (1.5, 1) as the slice (1, 1)
+        with pytest.raises(ValueError, match="kappa entry must be an integer"):
+            call(phi_factor(P22, 1, (1, 0), (1, 0)))
 
 
 def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
@@ -838,15 +848,3 @@ def test_trace_identity_error_scales_with_haar_samples():
         assert rep.passed
     # the averaged-symbol side shrinks like 1/sqrt(N): factor 8 for 64x N
     assert ses[6400] < ses[100] / 4
-
-
-_P1 = Partition((1,))
-_ONE = constant_symbol(_P1)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: quasi_radialize(_ONE, 0),
-], ids=["quasi_radialize"])
-def test_sample_counts_below_one_are_rejected(call):
-    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
-        call()

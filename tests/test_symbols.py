@@ -10,7 +10,9 @@ from toepblocks import (
     SEPARATELY_RADIAL,
     TM_INVARIANT,
     Partition,
+    QuadratureSpec,
     act,
+    average_operator,
     block_hermitian,
     check_invariance,
     constant_symbol,
@@ -19,6 +21,7 @@ from toepblocks import (
     from_f,
     from_g,
     from_radial_profile,
+    gamma_quasi_radial,
     haar_uk_sample,
     kj_quasi_homogeneous,
     multiply,
@@ -29,6 +32,7 @@ from toepblocks import (
     radial_poly,
     sample_ball,
     substream,
+    toeplitz_operator,
     xi_monomial,
     zpoly,
 )
@@ -128,6 +132,18 @@ class TestConstructors:
     def test_pseudo_requires_zero_sum_torus_exponents(self):
         with pytest.raises(ValueError):
             pseudo_factor(P22, 1, (1, 1), (1, 0))
+
+    @pytest.mark.parametrize("make", [
+        lambda e: phi_factor(P22, 1, (e, 0), (0, 1)),
+        lambda e: pseudo_factor(P22, 1, (e, 1), (1, -1)),
+        lambda e: xi_monomial(P22, 1, (e, 0), (0, 0)),
+        lambda e: zpoly(P22, [(1.0, (e, 0, 0, 0), (0, 0, 0, 0))]),
+    ], ids=["phi", "pseudo", "xi", "zpoly"])
+    @pytest.mark.parametrize("e", [1.5, True], ids=["float", "bool"])
+    def test_exponents_must_be_integers(self, make, e):
+        # int() would read 1.5 as 1, and True is 1
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            make(e)
 
     @pytest.mark.parametrize("make", [
         lambda radial: phi_factor(P22, 1, (1, 0), (0, 1), radial),
@@ -251,30 +267,78 @@ class TestAct:
 
 
 class TestQuasiRadialize:
+    SPEC = QuadratureSpec(radial_nodes=10, sphere_nodes=10, torus_nodes=4)
+
     def test_fixed_point_on_invariant_symbol(self):
         a = radial_poly(P22, [(1.0, (1, 0))])
-        avg = quasi_radialize(a, 25, substream(0, "qr-fix"))
-        Z = points(P22)
-        assert np.max(np.abs(avg(Z) - a(Z))) < 1e-12
+        assert quasi_radialize(a, self.SPEC) is a
 
-    def test_off_diagonal_moment_decays(self):
+    @pytest.mark.parametrize("a", [
+        phi_factor(P22, 1, (1, 0), (1, 0), radial_terms=[(1.0, (0, 1))]),
+        pseudo_factor(P22, 2, (1, 1), (0, 0), radial_terms=[(2.0, (1, 0))]),
+    ], ids=["phi", "pseudo"])
+    def test_gamma_equals_the_averaged_operator(self, a):
+        # the paper's theorem: T_a averaged over U(k) is T of the averaged
+        # symbol; both sides use the same radial and sphere rules
+        lam = 0.5
+        avg = average_operator(toeplitz_operator(a, 3, lam, self.SPEC))
+        ahat = quasi_radialize(a, self.SPEC)
+        for kappa, B in avg.blocks.items():
+            gamma = gamma_quasi_radial(ahat.radial_profile, kappa, lam, P22,
+                                       self.SPEC)
+            assert abs(gamma - B[0, 0]) < 1e-12
+            assert abs(B[0, 0]) > 1e-3
+
+    def test_off_diagonal_moment_vanishes(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
+        avg = quasi_radialize(a, self.SPEC)
+        assert np.max(np.abs(avg(points(P22, 64)))) < 1e-15
+
+    def test_block_hermitian_profile_closed_form(self):
+        # the sphere mean of <H_jj xi, xi> is tr(H_jj) / k_j
+        H = np.zeros((4, 4), dtype=complex)
+        H[:2, :2] = [[1.0, 0.3 + 0.1j], [0.3 - 0.1j, -0.5]]
+        H[2:, 2:] = [[0.2, 0.4j], [-0.4j, 1.0]]
+        avg = quasi_radialize(block_hermitian(P22, H), self.SPEC)
         Z = points(P22, 64)
-        avg = quasi_radialize(a, 4000, substream(0, "qr-decay"))
-        vals, se = avg.evaluate_with_stderr(Z)
-        assert np.all(np.abs(vals) <= 5 * np.maximum(se, 1e-300))
+        r2 = np.abs(Z) ** 2
+        exact = 0.25 * (r2[:, 0] + r2[:, 1]) + 0.6 * (r2[:, 2] + r2[:, 3])
+        assert np.max(np.abs(avg(Z) - exact)) < 1e-14
+
+    def test_draws_nothing(self, monkeypatch):
+        from toepblocks import quad, structure, symbols, toeplitz
+        calls = []
+        for mod in (quad, structure, symbols, toeplitz):
+            for name in dir(mod):
+                if name.startswith("haar_"):
+                    monkeypatch.setattr(mod, name,
+                                        lambda *a, **k: calls.append(a))
+        for a in (phi_factor(P22, 1, (1, 0), (0, 1)),
+                  pseudo_factor(P22, 2, (1, 1), (1, -1)),
+                  block_hermitian(P22, np.eye(4, dtype=complex))):
+            quasi_radialize(a, self.SPEC)(points(P22, 8))
+        assert calls == []
 
     def test_sup_norm_contraction(self):
         a = block_hermitian(P22, np.diag([1.0, -1, 0.3, 0]).astype(complex))
-        avg = quasi_radialize(a, 50, substream(0, "qr-sup"))
+        avg = quasi_radialize(a, self.SPEC)
         Z = points(P22, 1000)
         assert np.max(np.abs(avg(Z))) <= np.max(np.abs(a(Z))) + 1e-12
 
     def test_declared_class(self):
         a = phi_factor(P22, 1, (1, 0), (0, 1))
-        avg = quasi_radialize(a, 10, substream(0, "qr-cls"))
+        avg = quasi_radialize(a, self.SPEC)
         assert avg.klass == QUASI_RADIAL
         assert avg.radial_profile is not None
+        assert avg.bound == a.bound
+
+    @pytest.mark.parametrize("a", [
+        xi_monomial(P22, 1, (1, 0), (0, 0)),
+        zpoly(P22, [(1.0, (1, 0, 0, 0), (0, 0, 0, 0))]),
+    ], ids=["xi-unbalanced", "zpoly-general"])
+    def test_rejects_symbol_without_block_torus_invariance(self, a):
+        with pytest.raises(ValueError, match="not declared block-torus"):
+            quasi_radialize(a, self.SPEC)
 
 
 class TestFamilies:
