@@ -3,12 +3,14 @@
 Each check measures how far a computed operator is from the structure its
 symbol class dictates: exact block-diagonality over the isotypic slices,
 constancy of the repeated single-block matrix, commutators, trace
-identities against the Haar-averaged symbol (one Haar-trace entry point,
-``trace_integral``), equivariance of a given operator under the block
-unitary action, and normalized-trace sequences.  Operator identities use
-the absolute tolerance ``RESIDUAL_TOL``, Monte Carlo estimates a 5-sigma
-band of the propagated standard error (``sigma_band``); ``gate_report``
-builds every gating report from its discrepancy over that tolerance.
+identities tr(T_a | P_kappa) = dim P_kappa * gamma_kappa of the associated
+U(k)-invariant symbol (one Haar-trace entry point, ``trace_integral``, exact
+by ``quasi_radialize`` on every path but the oracle's), equivariance of a
+given operator under the block unitary action, and normalized-trace
+sequences.  Operator identities use the absolute tolerance
+``RESIDUAL_TOL``, Monte Carlo estimates a 5-sigma band of the propagated
+standard error (``sigma_band``); ``gate_report`` builds every gating report
+from its discrepancy over that tolerance.
 
 A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
 (``oracle_traces``).  By the multinomial theorem per block, the kernel
@@ -31,7 +33,6 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     SIGMA_BAND,
-    _lgamma,
     block_radii,
     haar_unitary_batch,
     radial_rule,
@@ -42,8 +43,6 @@ from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _oracle_chunk,
     _radial_contract,
-    _reduced_sphere_weights,
-    _require_payload,
     _shared_partition,
     BlockOperator,
     assembly_path,
@@ -51,6 +50,7 @@ from .toeplitz import (
     log_monomial_norm_sq,
     log_slice_prefactor,
     oracle_matrix,
+    quasi_radialize,
     toeplitz_block_oracle,
     unitary_action_matrix,
 )
@@ -337,18 +337,16 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
     does not depend on the u_j.  The symbol is read on its own coordinates,
     per ``assembly_path``:
 
-    * ``"diagonal-gamma"``: a(r_1 A_1^{-1} u_1, ...) = profile(r) for every
-      A, so the result is dim P_kappa * ``gamma_quasi_radial``;
-    * ``"f-form"`` / ``"g-form"``: the Haar mean is the mean of the payload
-      over block j's sphere, G(k_j) / (2 pi^k_j) times the sum of the
-      weights of ``_reduced_sphere_weights``; the u_j do not enter;
+    * ``"diagonal-gamma"``, ``"f-form"`` and ``"g-form"``: the Haar mean is
+      the associated U(k)-invariant symbol a~ (``quasi_radialize``, exact on
+      the sphere mean rules), so the result is the paper's trace theorem,
+      dim P_kappa * ``gamma_quasi_radial`` of a~'s profile, with stderr 0.0,
+      no unitary drawn and the u_j not entering;
     * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j, averaged
-      over ``spec.haar_samples`` draws of A.
-
-    The first two are exact (stderr 0.0) and draw no unitary.  The oracle
-    path draws block by block in chunks of ``2_000_000 // Qr`` (Qr radial
-    nodes) that ``_radial_contract`` sums, from ``rng`` or the substream
-    (seed, "trace-integral", name, repr(lam), repr(kappa)).
+      over ``spec.haar_samples`` draws of A, block by block in chunks of
+      ``2_000_000 // Qr`` (Qr radial nodes) that ``_radial_contract`` sums,
+      from ``rng`` or the substream (seed, "trace-integral", name,
+      repr(lam), repr(kappa)).
     """
     p = a.partition
     kappa = tuple(as_int(v, "kappa entry") for v in kappa)
@@ -361,17 +359,10 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
         if abs(np.linalg.norm(u) - 1.0) > 1e-12:
             raise ValueError("block vectors must be unit vectors")
     d = dim_P(p, kappa)
-    path = assembly_path(a)
-    if path == "diagonal-gamma":
-        return d * gamma_quasi_radial(a.radial_profile, kappa, lam, p, spec), 0.0
+    if assembly_path(a) != "oracle":
+        profile = quasi_radialize(a, spec).radial_profile
+        return d * gamma_quasi_radial(profile, kappa, lam, p, spec), 0.0
     pref = d * math.exp(log_slice_prefactor(p, kappa, lam))
-    if path != "oracle":
-        kj = p.k[a.j - 1]
-        _, W = _reduced_sphere_weights(*_require_payload(a, a.j, path), p,
-                                       a.j, kappa, lam, spec)
-        # the sphere mean: the surface integral over |S| = 2 pi^k_j / G(k_j)
-        mean = math.exp(_lgamma(kj) - kj * math.log(math.pi)) / 2.0
-        return complex(pref * mean * W.sum()), 0.0
     rng = rng if rng is not None else substream(
         spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
     F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
@@ -385,7 +376,7 @@ def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
         # A_j^{-1} u_j per block, shape (c, k_j)
         V = [np.conj(np.swapaxes(haar_unitary_batch(kj, c, rng), -1, -2)) @ u
              for kj, u in zip(p.k, u_vectors)]
-        raw[done:done + c] = _radial_contract(F, R, w, V)
+        raw[done:done + c] = _radial_contract(F, (R,), w, V)
     vals = pref * raw
     mean = complex(vals.mean())
     return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))

@@ -331,21 +331,24 @@ def log_slice_prefactor(p: Partition, kappa, lam: float) -> float:
     return log_pref
 
 
-def _radial_contract(F, R, w, args=()) -> np.ndarray:
-    """sum_r w_r F(R_r, *(x_i for x in args)) per direction row i of args.
+def _radial_contract(F, nodes, w, args=()) -> np.ndarray:
+    """sum_r w_r F(*(x_r for x in nodes), *(y_i for y in args)) per row i
+    of args.
 
-    With no args, the plain radial sum (one row).  A chunk of radial nodes
-    holds at most ``_CHUNK_BUDGET`` radii, tiled args and values of F.
+    ``nodes`` is a tuple of arrays whose rows are summed against w: the
+    radii, or a sphere rule's nodes in a payload's chart.  With no args, the
+    plain sum (one row).  A chunk of nodes holds at most ``_CHUNK_BUDGET``
+    repeated nodes, tiled args and values of F.
     """
     Qx = args[0].shape[0] if args else 1
     out = np.zeros(Qx, dtype=complex)
-    cols = R.shape[1] + sum(x.shape[1] for x in args) + 1
-    r_chunk = max(1, _CHUNK_BUDGET // (Qx * cols))
-    for start in range(0, R.shape[0], r_chunk):
-        Rc, wc = R[start:start + r_chunk], w[start:start + r_chunk]
-        vals = F(np.repeat(Rc, Qx, axis=0),
-                 *(np.tile(x, (len(Rc), 1)) for x in args))
-        out += wc @ np.asarray(vals, complex).reshape(-1, Qx)
+    cols = sum(x.shape[1] for x in (*nodes, *args)) + 1
+    chunk = max(1, _CHUNK_BUDGET // (Qx * cols))
+    for start in range(0, len(w), chunk):
+        part = [x[start:start + chunk] for x in nodes]
+        vals = F(*(np.repeat(x, Qx, axis=0) for x in part),
+                 *(np.tile(y, (len(part[0]), 1)) for y in args))
+        out += w[start:start + chunk] @ np.asarray(vals, complex).reshape(-1, Qx)
     return out
 
 
@@ -368,19 +371,16 @@ def _monomial_gram(U: np.ndarray, w: np.ndarray, basis, V=None) -> np.ndarray:
     return G
 
 
-def payload_chart(a: Symbol, path: str):
+def _require_payload(a: Symbol, j: int, path: str):
     """(payload, coords) of a symbol on the ``"f-form"`` or ``"g-form"`` path.
 
     ``coords(xi)`` is (xi,) for the f-form and ``phase_split(xi)`` = (s, t)
     for the g-form (``symbols._PAYLOAD_CHARTS``), so a(z) = payload(r,
-    *coords(xi_(j))).  The payload is None when the symbol carries none.
+    *coords(xi_(j))).  ValueError when the symbol carries no such payload on
+    block j, or is not declared ``kj_quasi_homogeneous(j)``.
     """
     field, coords = _PAYLOAD_CHARTS[path.removesuffix("-form")]
-    return getattr(a, field), coords
-
-
-def _require_payload(a: Symbol, j: int, path: str):
-    payload, coords = payload_chart(a, path)
+    payload = getattr(a, field)
     if payload is None or a.j != j:
         raise ValueError(
             f"symbol {a.name!r} has no {path} payload on block {j}")
@@ -393,31 +393,21 @@ def _require_payload(a: Symbol, j: int, path: str):
 
 
 def _reduced_sphere_rule(k_j: int, spec: QuadratureSpec):
-    """(Xi, w): the phase-reduced rule on the unit sphere of C^k_j (see the
-    module docstring), built directly as ``positive_sphere_rule(k_j)`` times
-    (1, ``torus_rule(k_j - 1)``) with the weights times 2 pi: (sphere_nodes
-    * torus_nodes)^(k_j - 1) nodes, the single node 1 for k_j = 1."""
+    """(Xi, w): the phase-reduced mean rule on the unit sphere of C^k_j (see
+    the module docstring): sum_i w_i g(Xi_i) is the mean of a phase-invariant
+    g over the sphere, and the weights sum to 1.  Built directly as
+    ``positive_sphere_rule(k_j)`` times (1, ``torus_rule(k_j - 1)``), with
+    the weights times 2 pi (the dropped angle) over the sphere's area 2
+    pi^k_j / G(k_j): (sphere_nodes * torus_nodes)^(k_j - 1) nodes, the
+    single node 1 for k_j = 1."""
     S, ws = positive_sphere_rule(k_j, spec.sphere_nodes)
     T, wt = (torus_rule(k_j - 1, spec.torus_nodes) if k_j > 1
              else (np.ones((1, 0)), np.ones(1)))
     T = np.hstack([np.ones((len(T), 1), dtype=complex), T])
     Xi = T[None, :, :] * S[:, None, :]
-    w = (ws * np.prod(S, axis=1))[:, None] * (wt * (2.0 * math.pi))[None, :]
+    scale = 2.0 * math.pi * math.gamma(k_j) / (2.0 * math.pi ** k_j)
+    w = (ws * np.prod(S, axis=1))[:, None] * (wt * scale)[None, :]
     return Xi.reshape(-1, k_j), w.reshape(-1)
-
-
-def _reduced_sphere_weights(payload, coords, p: Partition, j: int, kappa,
-                            lam: float, spec: QuadratureSpec):
-    """(Xi, W): block j's phase-reduced sphere nodes and payload weights.
-
-    W_i is the radial sum of payload(r, *coords(Xi_i)) against the radial
-    rule of P_kappa, times the weight of node Xi_i of ``_reduced_sphere_rule``,
-    so sum_i W_i g(Xi_i) integrates payload * g over the radial weight and
-    the surface measure of block j's sphere for every phase-invariant g.
-    """
-    R, wr = radial_rule(p, kappa, spec, lam)
-    Xi, wxi = _reduced_sphere_rule(p.k[j - 1], spec)
-    return Xi, _radial_contract(payload, R, wr, coords(Xi)) * wxi
 
 
 def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
@@ -427,22 +417,23 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     ``coords`` maps the complex sphere nodes Xi of block j to the payload's
     arguments after the radii.  Entry [beta_(j), alpha_(j)] carries the
     quadrature of payload(r, *coords(xi)) xi^alpha_(j) conj(xi)^beta_(j)
-    against the radial weight and the sphere surface measure, times the
-    closed-form prefactor.
+    against the radial rule of P_kappa and block j's sphere mean rule
+    (``_reduced_sphere_rule``), times the closed-form prefactor.
 
     The payload must be invariant under a common phase on xi (the class
     ``kj_quasi_homogeneous(j)``); one that is not is integrated wrongly.
-    The nodes and weights come from ``_reduced_sphere_weights``.
     """
     kappa = tuple(int(v) for v in kappa)
     kj = p.k[j - 1]
     block_basis = list(compositions(kappa[j - 1], kj))
-    Xi, Wx = _reduced_sphere_weights(payload, coords, p, j, kappa, lam, spec)
-    inner = _monomial_gram(Xi, Wx, block_basis)  # [alpha, beta]
-    # slice prefactor times block j's sphere normalization G(k_j+kappa_j) /
-    # (2 pi^k_j), over the monomial norms sqrt(alpha! beta!)
-    base = log_slice_prefactor(p, kappa, lam) - math.log(2.0)
-    base += _lgamma(kj + kappa[j - 1]) - kj * math.log(math.pi)
+    R, wr = radial_rule(p, kappa, spec, lam)
+    Xi, wxi = _reduced_sphere_rule(kj, spec)
+    W = _radial_contract(payload, (R,), wr, coords(Xi)) * wxi
+    inner = _monomial_gram(Xi, W, block_basis)  # [alpha, beta]
+    # slice prefactor times G(k_j+kappa_j) / G(k_j), turning block j's sphere
+    # mean into a slice entry, over the monomial norms sqrt(alpha! beta!)
+    base = log_slice_prefactor(p, kappa, lam)
+    base += _lgamma(kj + kappa[j - 1]) - _lgamma(kj)
     half_lg = np.array(
         [0.5 * math.log(alpha_factorial(b)) for b in block_basis]
     )
@@ -485,7 +476,8 @@ def gamma_quasi_radial(profile, kappa, lam: float, p: Partition,
     radial integral of the profile against the block weight.
     """
     kappa = tuple(int(v) for v in kappa)
-    radial = _radial_contract(profile, *radial_rule(p, kappa, spec, lam))[0]
+    R, w = radial_rule(p, kappa, spec, lam)
+    radial = _radial_contract(profile, (R,), w)[0]
     return complex(math.exp(log_slice_prefactor(p, kappa, lam)) * radial)
 
 
@@ -564,7 +556,8 @@ def quasi_radialize(a: Symbol, spec: QuadratureSpec) -> Symbol:
     query radius.  Any other symbol is evaluated on the product of every
     block's rule: (sphere_nodes * torus_nodes)^(n - m) nodes per query
     radius, 147456 on (2, 2) at the default counts.  The profile sums over
-    the sphere nodes in ``_radial_contract``, the query radii as its rows.
+    the sphere nodes, each put in the payload's chart once, in
+    ``_radial_contract``, the query radii as its rows.
     ValueError when a is not declared block-torus invariant.
     """
     path = assembly_path(a)
@@ -575,21 +568,21 @@ def quasi_radialize(a: Symbol, spec: QuadratureSpec) -> Symbol:
                          f"declared block-torus invariant")
     p = a.partition
     if path == "oracle":
-        blocks = p.k
+        blocks, coords = p.k, lambda X: (X,)
         F = lambda X, r: a(X * np.repeat(r, p.k, axis=1))  # z_(j) = r_j xi_j
     else:
         payload, coords = _require_payload(a, a.j, path)
         blocks = (p.k[a.j - 1],)
-        F = lambda X, r: payload(r, *coords(X))
+        F = lambda *x: payload(x[-1], *x[:-1])  # the chart of xi, then r
     rules = [_reduced_sphere_rule(kj, spec) for kj in blocks]
     # the product rule over the blocks, block 1 outermost
     idx = np.indices([len(w) for _, w in rules]).reshape(len(rules), -1)
     Xi = np.concatenate([X[i] for (X, _), i in zip(rules, idx)], axis=1)
     w = np.prod([wj[i] for (_, wj), i in zip(rules, idx)], axis=0)
-    w *= math.prod(math.gamma(kj) / (2 * math.pi**kj) for kj in blocks)
+    nodes = coords(Xi)  # the chart once per sphere node; s stays real
 
     def profile(r):
-        return _radial_contract(F, Xi, w, (np.atleast_2d(r),))
+        return _radial_contract(F, nodes, w, (np.atleast_2d(r),))
 
     return Symbol(p, lambda Z: profile(block_radii(Z, p)), QUASI_RADIAL,
                   a.bound, name=f"avg({a.name})", radial_profile=profile)

@@ -372,8 +372,9 @@ class TestHaarTrace:
     @pytest.mark.parametrize("lam", [0.0, 2.5])
     def test_payload_path_equals_the_block_trace(self, case, k, lam):
         # the sphere mean of the payload is exactly the U(k) average, so
-        # dim times it is tr(T_a | P_kappa) of the operator; the two share
-        # the radial and reduced sphere rules but not their normalizations
+        # dim times gamma_kappa of the averaged symbol is tr(T_a | P_kappa):
+        # the kernel's Gram against the sphere-mean profile, two different
+        # contractions on the same radial and reduced sphere rules
         p = Partition(k)
         spec = QuadratureSpec(radial_nodes=8, sphere_nodes=8, torus_nodes=6)
         u = _u_vectors(p)

@@ -1,5 +1,7 @@
 """Symbol model: constructors, invariance validation, actions, averaging."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,7 @@ from toepblocks import (
     xi_monomial,
     zpoly,
 )
+from toepblocks.quad import block_radii
 
 P22 = Partition((2, 2))
 P12 = Partition((1, 2))
@@ -318,6 +321,28 @@ class TestQuasiRadialize:
                   block_hermitian(P22, np.eye(4, dtype=complex))):
             quasi_radialize(a, self.SPEC)(points(P22, 8))
         assert calls == []
+
+    def test_payload_calls_stay_within_the_chunk_budget(self, monkeypatch):
+        # 64 query radii times 24 * 16 = 384 reduced sphere nodes; a g
+        # payload takes r, s and t and returns one value: 7 numbers a row
+        from toepblocks import toeplitz
+        a = pseudo_factor(P22, 1, (2, 0), (0, 0), [(0.5, (0, 1))])
+        r = block_radii(points(P22, 64), P22)
+        ref = quasi_radialize(a, QuadratureSpec()).radial_profile(r)
+        numbers = []
+
+        def recording(*args):
+            out = a.g_payload(*args)
+            numbers.append(sum(np.size(x) for x in (*args, out)))
+            return out
+
+        monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 20_000)
+        avg = quasi_radialize(dataclasses.replace(a, g_payload=recording),
+                              QuadratureSpec())
+        got = avg.radial_profile(r)
+        assert len(numbers) > 1 and max(numbers) <= 20_000
+        assert np.max(np.abs(ref)) > 1e-3
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_sup_norm_contraction(self):
         a = block_hermitian(P22, np.diag([1.0, -1, 0.3, 0]).astype(complex))

@@ -265,7 +265,7 @@ class TestReducedFormulas:
 
     @pytest.mark.parametrize("lam", [0.0, 2.5])
     def test_single_block_matrix_circle_block(self, lam):
-        # k_j = 1: the phase-reduced torus is one node of weight 2 pi and
+        # k_j = 1: the phase-reduced rule is one node of weight 1 and
         # every phase-invariant payload is a function of r only
         a = phi_factor(P12, 1, (2,), (2,), radial_terms=[(1.0, (1, 0))])
         for kappa in [(0, 0), (2, 1), (3, 2)]:
@@ -287,6 +287,22 @@ class TestReducedFormulas:
         b = phi_factor(P22, 1, (1, 0), (0, 1))
         with pytest.raises(ValueError):
             toeplitz_block_g(b, 1, (1, 1), 0.0, FAST)  # no g payload
+
+
+class TestReducedSphereRule:
+    @pytest.mark.parametrize("kj", [1, 2, 3])
+    def test_is_a_mean_rule(self, kj):
+        # the weights sum to 1, and the mean of |xi^alpha|^2 is the sphere
+        # integral over the area 2 pi^k_j / (k_j - 1)!, that is
+        # alpha! (k_j - 1)! / (k_j - 1 + |alpha|)!
+        Xi, w = toeplitz._reduced_sphere_rule(kj, QuadratureSpec())
+        assert abs(w.sum() - 1.0) <= 1e-13
+        area = 2 * math.pi ** kj / math.factorial(kj - 1)
+        for degree in range(1, 5):
+            for al in compositions(degree, kj):
+                got = w @ np.prod(np.abs(Xi) ** (2 * np.array(al)), axis=1)
+                want = sphere_monomial_integral(kj, al, al) / area
+                assert abs(got - want) <= 1e-13, al
 
 
 class TestGammaPath:
