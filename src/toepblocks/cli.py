@@ -517,15 +517,13 @@ def cmd_trace_table(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     p, spec = cfg.partition, cfg.spec
     eligible = _eligible_symbols(cfg, "trace tables")
+    kappas = enumerate_kappas(p, cfg.degree)
     for lam in cfg.lambdas:
         for sym in eligible:
             lines = ["kappa,dim,trace_re,trace_im,normalized_re,"
                      "normalized_im,stderr"]
-            kappas = enumerate_kappas(p, cfg.degree)
-            if assembly_path(sym) != "oracle":
-                T = toeplitz_operator(sym, cfg.degree, lam, spec)
-                traces = st.block_traces(T)
-                rows = [(traces[kappa][0], 0.0) for kappa in kappas]
+            if assembly_path(sym) != "oracle":  # exact: dim * gamma
+                rows = st.trace_integral(sym, kappas, lam, spec)
             else:
                 rng = substream(spec.seed, "trace-table", sym.name, repr(lam))
                 [rows] = st.oracle_traces([sym], kappas, lam, spec, rng)

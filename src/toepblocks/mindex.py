@@ -136,7 +136,7 @@ def block_dims(p: Partition, kappa) -> tuple[int, ...]:
     ``enumerate_basis`` is the Kronecker product of the per-block bases,
     block 1 outermost, so a P_kappa matrix reshapes to dims + dims axes.
     """
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     if len(kappa) != p.m:
         raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
     if any(v < 0 for v in kappa):
@@ -190,7 +190,7 @@ def enumerate_basis(p: Partition, kappa) -> BasisP:
     The ordering is the product of the per-block descending-lex orders with
     block 1 outermost, which coincides with graded-lex on the full alpha.
     """
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     block_dims(p, kappa)  # validates kappa
     return BasisP(p, kappa, _basis_alphas(p.k, kappa))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .mindex import Partition
+from .mindex import Partition, as_int
 
 #: default absolute tolerance for deterministic quadrature comparisons
 DETERMINISTIC_TOL = 1e-8
@@ -255,7 +255,7 @@ def radial_rule(p: Partition, kappa, spec: QuadratureSpec, lam: float):
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     if len(kappa) != p.m:
         raise ValueError(f"kappa length {len(kappa)} != m = {p.m}")
     a = [kj + cj for kj, cj in zip(p.k, kappa)]  # u_j exponent is a_j - 1

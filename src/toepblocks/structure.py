@@ -178,6 +178,14 @@ def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 
 
+def _stored_slice(kappa, *ops) -> tuple:
+    """kappa as a tuple of ints; ValueError when one of ``ops`` lacks it."""
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
+    if any(kappa not in T.blocks for T in ops):
+        raise ValueError(f"operator has no block for kappa={kappa}")
+    return kappa
+
+
 def extract_M(T: BlockOperator, j: int, kappa):
     """Recover the repeated single-block matrix from a P_kappa block.
 
@@ -189,9 +197,7 @@ def extract_M(T: BlockOperator, j: int, kappa):
     largest deviation of a B[i, i] from M plus the largest entry of any
     B[i, l] with i != l.
     """
-    kappa = tuple(int(v) for v in kappa)
-    if kappa not in T.blocks:
-        raise ValueError(f"operator has no block for kappa={kappa}")
+    kappa = _stored_slice(kappa, T)
     p = T.partition
     if not 1 <= j <= p.m:
         raise ValueError(f"block index {j} out of range 1..{p.m}")
@@ -326,60 +332,50 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
             for m, sd in zip(mean, se)]
 
 
-def trace_integral(a: Symbol, kappa, lam: float, u_vectors,
-                   spec: QuadratureSpec, rng=None):
-    """Trace of T_a on P_kappa as a Haar-times-radial integral.
+def trace_integral(a: Symbol, kappas, lam: float, spec: QuadratureSpec,
+                   rng=None) -> list:
+    """tr(T_a | P_kappa) for each slice of ``kappas``, in order, as a
+    Haar-times-radial integral: one (value, stderr) pair per slice.
 
-    ``u_vectors`` is one unit vector per block.  Returns (value, stderr):
-    dim P_kappa times the slice prefactor times the Haar mean over block
-    unitaries A of the radial integral of a(r_1 A_1^{-1} u_1, ...).  Under
-    Haar measure A_j^{-1} u_j is uniform on block j's sphere, so the value
-    does not depend on the u_j.  The symbol is read on its own coordinates,
-    per ``assembly_path``:
-
-    * ``"diagonal-gamma"``, ``"f-form"`` and ``"g-form"``: the Haar mean is
-      the associated U(k)-invariant symbol a~ (``quasi_radialize``, exact on
-      the sphere mean rules), so the result is the paper's trace theorem,
-      dim P_kappa * ``gamma_quasi_radial`` of a~'s profile, with stderr 0.0,
-      no unitary drawn and the u_j not entering;
-    * ``"oracle"``: the evaluator at the points r_j A_j^{-1} u_j, averaged
-      over ``spec.haar_samples`` draws of A, block by block in chunks of
-      ``2_000_000 // Qr`` (Qr radial nodes) that ``_radial_contract`` sums,
-      from ``rng`` or the substream (seed, "trace-integral", name,
-      repr(lam), repr(kappa)).
+    The Haar mean over block unitaries A of a(r_1 A_1^{-1} e_1, ...) is the
+    associated U(k)-invariant symbol a~, since A_j^{-1} e_1 is uniform on
+    block j's sphere.  On the ``"diagonal-gamma"``, ``"f-form"`` and
+    ``"g-form"`` paths a~ is ``quasi_radialize(a, spec)``, formed once, and
+    a value is the trace theorem, dim P_kappa * ``gamma_quasi_radial`` of
+    a~'s profile, with stderr 0.0.  On the ``"oracle"`` path the evaluator
+    is averaged at r_j A_j^{-1} e_1 (the conjugated first row of A_j) over
+    ``spec.haar_samples`` draws of A per slice, in chunks of
+    ``2_000_000 // Qr`` (Qr radial nodes), from ``rng`` slice after slice or
+    from each slice's substream (seed, "trace-integral", name, repr(lam),
+    repr(kappa)).  Every slice is validated first.
     """
     p = a.partition
-    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
-    u_vectors = [np.asarray(u, dtype=complex) for u in u_vectors]
-    if len(u_vectors) != p.m:
-        raise ValueError("need one unit vector per block")
-    for u, kj in zip(u_vectors, p.k):
-        if u.shape != (kj,):
-            raise ValueError("unit vector has wrong block dimension")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-            raise ValueError("block vectors must be unit vectors")
-    d = dim_P(p, kappa)
+    kappas = [tuple(as_int(v, "kappa entry") for v in k) for k in kappas]
+    dims = [dim_P(p, kappa) for kappa in kappas]
     if assembly_path(a) != "oracle":
         profile = quasi_radialize(a, spec).radial_profile
-        return d * gamma_quasi_radial(profile, kappa, lam, p, spec), 0.0
-    pref = d * math.exp(log_slice_prefactor(p, kappa, lam))
-    rng = rng if rng is not None else substream(
-        spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
+        return [(d * gamma_quasi_radial(profile, kappa, lam, p, spec), 0.0)
+                for kappa, d in zip(kappas, dims)]
     F = lambda r, *xi: a(np.concatenate(  # the points r_j xi_j in C^n
         [r[:, j0, None] * x for j0, x in enumerate(xi)], axis=1))
-    R, w = radial_rule(p, kappa, spec, lam)
     n_samples = spec.haar_samples
-    raw = np.empty(n_samples, dtype=complex)
-    chunk = max(1, 2_000_000 // max(R.shape[0], 1))
-    for done in range(0, n_samples, chunk):
-        c = min(chunk, n_samples - done)
-        # A_j^{-1} u_j per block, shape (c, k_j)
-        V = [np.conj(np.swapaxes(haar_unitary_batch(kj, c, rng), -1, -2)) @ u
-             for kj, u in zip(p.k, u_vectors)]
-        raw[done:done + c] = _radial_contract(F, (R,), w, V)
-    vals = pref * raw
-    mean = complex(vals.mean())
-    return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / n_samples))
+    out = []
+    for kappa, d in zip(kappas, dims):
+        slice_rng = rng if rng is not None else substream(
+            spec.seed, "trace-integral", a.name, repr(lam), repr(kappa))
+        R, w = radial_rule(p, kappa, spec, lam)
+        raw = np.empty(n_samples, dtype=complex)
+        chunk = max(1, 2_000_000 // max(R.shape[0], 1))
+        for done in range(0, n_samples, chunk):
+            c = min(chunk, n_samples - done)
+            V = [np.conj(haar_unitary_batch(kj, c, slice_rng)[:, 0, :])
+                 for kj in p.k]  # A_j^{-1} e_1 per block, shape (c, k_j)
+            raw[done:done + c] = _radial_contract(F, (R,), w, V)
+        vals = d * math.exp(log_slice_prefactor(p, kappa, lam)) * raw
+        mean = complex(vals.mean())
+        out.append((mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)
+                                         / n_samples))))
+    return out
 
 
 def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
@@ -394,12 +390,12 @@ def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
     are correlated: a calibration counts false fails per lambda, not per
     slice or symbol.  The right side is the Haar average over the block
     unitary group (the construction that defines the averaged symbol), from
-    ``trace_integral``, slice by slice: exact for quasi-radial and payload
-    symbols, sampled for oracle-path ones on the symbol's own substream
-    (seed, "trace-identity", name, repr(lam)).  Agreement is required
-    within a 5-sigma band of the combined standard errors (``sigma_band``);
-    ``tolerance_ratio`` is the discrepancy over that band, at most 1
-    exactly when the report passes.  The provenance records the path the
+    ``trace_integral``, one call per symbol: exact for quasi-radial and
+    payload symbols, sampled for oracle-path ones on the symbol's own
+    substream (seed, "trace-identity", name, repr(lam)).  Agreement is
+    required within a 5-sigma band of the combined standard errors
+    (``sigma_band``); ``tolerance_ratio`` is the discrepancy over that band,
+    at most 1 exactly when the report passes.  The provenance records the path the
     right side took (``haar_path``, the symbol's ``assembly_path``) and the
     Haar unitaries it drew per block (``haar_samples``, 0 when exact).
     Every symbol must be block-torus invariant, and every slice well
@@ -412,20 +408,20 @@ def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
     if not symbols:
         return []
     p = _shared_partition(symbols)
-    kappas = [tuple(int(v) for v in kappa) for kappa in kappas]
+    kappas = [tuple(as_int(v, "kappa entry") for v in k) for k in kappas]
     dims = [dim_P(p, kappa) for kappa in kappas]  # rejects a malformed kappa
     if not kappas:
         return []
     rng = rng if rng is not None else substream(
         spec.seed, "trace-identity", repr(lam))
-    u = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
     reports = []
     for a, lhs_all in zip(symbols, oracle_traces(symbols, kappas, lam, spec,
                                                  rng)):
         path = assembly_path(a)
-        haar_rng = substream(spec.seed, "trace-identity", a.name, repr(lam))
-        for kappa, d, (lhs, lhs_se) in zip(kappas, dims, lhs_all):
-            rhs, rhs_se = trace_integral(a, kappa, lam, u, spec, haar_rng)
+        rhs_all = trace_integral(a, kappas, lam, spec, substream(
+            spec.seed, "trace-identity", a.name, repr(lam)))
+        for kappa, d, (lhs, lhs_se), (rhs, rhs_se) in zip(kappas, dims,
+                                                           lhs_all, rhs_all):
             combined = math.hypot(lhs_se, rhs_se)
             diff = abs(lhs - rhs)
             reports.append(gate_report(
@@ -447,28 +443,23 @@ def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
 
 def trace_integral_check(T: BlockOperator, a: Symbol, kappa,
                          spec: QuadratureSpec) -> StructureReport:
-    """tr(T_a | P_kappa) equals ``trace_integral`` at the first basis vectors
-    u1, within the band of their combined errors; on the ``"oracle"`` path,
-    the only one the u_j enter, also at u2 (normalized all-ones), on the
-    stream (seed, "trace-integral-alt", name, repr(lam), repr(kappa)).
+    """tr(T_a | P_kappa) equals ``trace_integral`` within the band of their
+    combined errors; the slice is checked before any draw.  The u2 fields
+    repeat the one integral: ``integral_u2`` its value, ``diff_u1_u2`` 0,
+    ``band_u1_u2`` the band of its stderr against itself.
     """
     p, lam, path = T.partition, T.lam, assembly_path(a)
-    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
-    u1 = [np.eye(kj, dtype=complex)[:, 0] for kj in p.k]
-    v1, se1 = v2, se2 = trace_integral(a, kappa, lam, u1, spec)
-    if path == "oracle":
-        u2 = [np.ones(kj, dtype=complex) / math.sqrt(kj) for kj in p.k]
-        v2, se2 = trace_integral(a, kappa, lam, u2, spec, rng=substream(
-            spec.seed, "trace-integral-alt", a.name, repr(lam), repr(kappa)))
+    kappa = _stored_slice(kappa, T)
+    [(v, se)] = trace_integral(a, [kappa], lam, spec)
     tr = complex(np.trace(T.blocks[kappa]))
     d = dim_P(p, kappa)
-    band1 = sigma_band(math.hypot(se1, d * T.block_errors.get(kappa, 0.0)), tr)
-    band12 = sigma_band(math.hypot(se1, se2), tr)
+    band = sigma_band(math.hypot(se, d * T.block_errors.get(kappa, 0.0)), tr)
     return gate_report(
-        "trace-integral", max(abs(v1 - tr) / band1, abs(v1 - v2) / band12),
-        {"integral_u1": v1, "integral_u2": v2, "block_trace": tr,
-         "diff_vs_trace": abs(v1 - tr), "diff_u1_u2": abs(v1 - v2),
-         "band_vs_trace": band1, "band_u1_u2": band12},
+        "trace-integral", abs(v - tr) / band,
+        {"integral_u1": v, "integral_u2": v, "block_trace": tr,
+         "diff_vs_trace": abs(v - tr), "diff_u1_u2": 0.0,
+         "band_vs_trace": band,
+         "band_u1_u2": sigma_band(math.hypot(se, se), tr)},
         per_kappa={kappa: {"dim": d}},
         tolerances={"sigma_band": SIGMA_BAND},
         provenance={"symbol": a.name, "lambda": lam, "haar_path": path})
@@ -569,8 +560,8 @@ def equivariance_check(ops, symbols, rotations, kappa, spec: QuadratureSpec,
     propagated standard errors (``sigma_band``); ``tolerance_ratio`` is the
     residual over that band, at most 1 exactly when the report passes.  The
     provenance records the path the rotated side took (``rotated_path``)
-    and its ball ``samples`` (0 when exact).  Every rotation is validated
-    before any draw.
+    and its ball ``samples`` (0 when exact).  The slice, which every
+    operator must hold, and every rotation are validated before any draw.
     """
     if not len(ops) == len(symbols) == len(rotations):
         raise ValueError("need one operator and one rotation list per symbol")
@@ -580,7 +571,7 @@ def equivariance_check(ops, symbols, rotations, kappa, spec: QuadratureSpec,
     lam = ops[0].lam
     if any(T.lam != lam for T in ops):
         raise ValueError("the operators do not share one lambda")
-    kappa = tuple(int(v) for v in kappa)
+    kappa = _stored_slice(kappa, *ops)
     R = [[unitary_action_matrix(A, p, kappa) for A in rots]
          for rots in rotations]
     rotated = [[act(A, a) for A in rots] for a, rots in zip(symbols, rotations)]

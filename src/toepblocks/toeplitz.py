@@ -81,7 +81,7 @@ def log_monomial_norm_sq(n: int, lam: float, alpha) -> float:
     """
     if not lam > -1:
         raise ValueError(f"lam must be > -1, got {lam}")
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(as_int(a, "exponent") for a in alpha)
     log = sum(_lgamma(a + 1) for a in alpha)
     return log - sum(math.log(n + lam + i) for i in range(1, sum(alpha) + 1))
 
@@ -423,7 +423,7 @@ def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,
     The payload must be invariant under a common phase on xi (the class
     ``kj_quasi_homogeneous(j)``); one that is not is integrated wrongly.
     """
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     kj = p.k[j - 1]
     block_basis = list(compositions(kappa[j - 1], kj))
     R, wr = radial_rule(p, kappa, spec, lam)
@@ -475,7 +475,7 @@ def gamma_quasi_radial(profile, kappa, lam: float, p: Partition,
     Equals the closed-form prefactor (``log_slice_prefactor``) times the
     radial integral of the profile against the block weight.
     """
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     R, w = radial_rule(p, kappa, spec, lam)
     radial = _radial_contract(profile, (R,), w)[0]
     return complex(math.exp(log_slice_prefactor(p, kappa, lam)) * radial)
@@ -513,7 +513,7 @@ def unitary_action_matrix(A: np.ndarray, p: Partition, kappa) -> np.ndarray:
         raise ValueError("matrix must be block diagonal for the partition")
     if np.max(np.abs(A.conj().T @ A - np.eye(p.n))) > 1e-10:
         raise ValueError("matrix is not unitary to tolerance 1e-10")
-    kappa = tuple(int(v) for v in kappa)
+    kappa = tuple(as_int(v, "kappa entry") for v in kappa)
     mats = []
     for sl, kj, cj, d in zip(p.block_slices(), p.k, kappa,
                              block_dims(p, kappa)):

@@ -206,6 +206,23 @@ def test_haar_first_entry_second_moment():
     assert abs(vals.mean() - 1 / d) <= 5 * se
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_haar_batch_rows_are_uniform_on_the_sphere(k):
+    # A^{-1} u is uniform on the unit sphere of C^k for every unit u (Rudin,
+    # 1980, section 1.4): the conjugated first rows of a batch (u = e_1) and
+    # A^{-1} u at a second u match E|v_1|^2 = 1/k and E|v_1|^4 = 2/(k(k+1))
+    from toepblocks.quad import haar_unitary_batch
+
+    n = 20_000
+    U = haar_unitary_batch(k, n, substream(0, "haar-rows", str(k)))
+    u = np.exp(0.5j * np.arange(k)) / math.sqrt(k)
+    for V in (np.conj(U[:, 0, :]), np.conj(np.swapaxes(U, -1, -2)) @ u):
+        assert np.allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0, atol=1e-12)
+        x = np.abs(V[:, 0]) ** 2
+        for vals, want in ((x, 1 / k), (x ** 2, 2 / (k * (k + 1)))):
+            assert abs(vals.mean() - want) <= 5 * vals.std() / math.sqrt(n)
+
+
 def test_haar_uk_block_structure():
     p = Partition((1, 2))
     rng = substream(0, "haar-uk")

@@ -45,7 +45,8 @@ from toepblocks import (
 )
 from toepblocks.quad import haar_unitary_batch, radial_rule
 from toepblocks.structure import oracle_traces
-from toepblocks.toeplitz import log_slice_prefactor, orthonormal_rows
+from toepblocks.toeplitz import (log_monomial_norm_sq, log_slice_prefactor,
+                                 orthonormal_rows, unitary_action_matrix)
 
 P22 = Partition((2, 2))
 FAST = QuadratureSpec(ball_samples=40_000, haar_samples=600, radial_nodes=12,
@@ -270,44 +271,109 @@ class TestTraceIdentity:
 class TestTraceIntegral:
     def test_constant_gives_dimension(self):
         a = constant_symbol(P22)
-        u = [np.array([1, 0], dtype=complex)] * 2
-        val, se = trace_integral(a, (1, 2), 0.0, u, FAST)
+        [(val, se)] = trace_integral(a, [(1, 2)], 0.0, FAST)
         assert abs(val - dim_P(P22, (1, 2))) <= 5 * se + 1e-8
 
     def test_matches_block_trace(self):
         a = block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex))
         T = toeplitz_operator(a, 2, 0.0, FAST)
-        u = [np.array([1, 0], dtype=complex)] * 2
-        val, se = trace_integral(a, (1, 1), 0.0, u, FAST)
+        [(val, se)] = trace_integral(a, [(1, 1)], 0.0, FAST)
         tr = block_traces(T)[(1, 1)][0]
         band = 5 * math.hypot(se, 4 * T.block_errors[(1, 1)]) + 1e-8
         assert abs(val - tr) <= band
 
-    def test_unit_vector_independence(self):
-        a = phi_factor(P22, 1, (1, 1), (1, 1))
-        u1 = [np.array([1, 0], dtype=complex)] * 2
-        u2 = [np.array([1, 1], dtype=complex) / math.sqrt(2)] * 2
-        v1, se1 = trace_integral(a, (1, 1), 0.0, u1, FAST)
-        v2, se2 = trace_integral(a, (1, 1), 0.0, u2, FAST,
-                                 rng=substream(1, "ti-alt"))
-        assert abs(v1 - v2) <= 5 * math.hypot(se1, se2) + 1e-8
-
-    def test_rejects_non_unit_vectors(self):
-        a = constant_symbol(P22)
-        with pytest.raises(ValueError, match="unit"):
-            trace_integral(a, (1, 1), 0.0,
-                           [np.array([2, 0], dtype=complex)] * 2, FAST)
-
     @pytest.mark.parametrize("call", [
-        lambda a: trace_integral(a, (1.5, 1), 0.0,
-                                 [np.array([1, 0], dtype=complex)] * 2, FAST),
+        lambda a: trace_integral(a, [(1.5, 1)], 0.0, FAST),
         lambda a: structure.trace_integral_check(
             toeplitz_operator(a, 2, 0.0, FAST), a, (1.5, 1), FAST),
-    ], ids=["trace_integral", "trace_integral_check"])
-    def test_rejects_float_kappa(self, call):
-        # int() would read (1.5, 1) as the slice (1, 1)
-        with pytest.raises(ValueError, match="kappa entry must be an integer"):
+        lambda a: oracle_traces([a], [(1.5, 1)], 0.0, FAST,
+                                substream(0, "float-kappa")),
+        lambda a: trace_identity_check([a], [(1.5, 1)], 0.0, FAST),
+        lambda a: equivariance_check(
+            [toeplitz_operator(a, 2, 0.0, FAST)], [a],
+            [[np.eye(4, dtype=complex)]], (1.5, 1), FAST),
+        lambda a: extract_M(toeplitz_operator(a, 2, 0.0, FAST), 1, (1.5, 1)),
+        lambda a: gamma_quasi_radial(lambda R: np.ones(len(R)), (1.5, 1), 0.0,
+                                     P22, FAST),
+        lambda a: mblock_f(a, 1, (1.5, 1), 0.0, FAST),
+        lambda a: unitary_action_matrix(np.eye(4), P22, (1.5, 1)),
+        lambda a: enumerate_basis(P22, (1.5, 1)),
+        lambda a: dim_P(P22, (1.5, 1)),
+        lambda a: radial_rule(P22, (1.5, 1), FAST, 0.0),
+        lambda a: log_monomial_norm_sq(4, 0.0, (1.5, 1)),
+    ], ids=["trace_integral", "trace_integral_check", "oracle_traces",
+            "trace_identity_check", "equivariance_check", "extract_M",
+            "gamma_quasi_radial", "mblock_f", "unitary_action_matrix",
+            "enumerate_basis", "dim_P", "radial_rule",
+            "log_monomial_norm_sq"])
+    def test_rejects_float_kappa(self, call, monkeypatch):
+        # int() would read (1.5, 1) as the slice (1, 1), and the oracle
+        # traces would mix r^(2 * 1.5) with the norm of z^(1, 1)
+        drawn = []
+        for module in (structure, toeplitz):
+            monkeypatch.setattr(module, "sample_ball",
+                                lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
             call(phi_factor(P22, 1, (1, 0), (1, 0)))
+        assert drawn == []
+
+    def test_list_equals_the_one_slice_calls(self):
+        # on every path a call over a slice list returns, bit for bit, the
+        # calls over each slice alone; a passed rng is used slice by slice
+        kappas = [(0, 0), (1, 1), (2, 1)]
+        spec = QuadratureSpec(haar_samples=200, radial_nodes=6)
+        for a in (radial_poly(P22, [(1.0, (1, 0))]),
+                  phi_factor(P22, 1, (1, 0), (1, 0), [(1.0, (0, 1))]),
+                  pseudo_factor(P22, 2, (2, 0), (0, 0)),
+                  block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75])
+                                  .astype(complex))):
+            assert trace_integral(a, kappas, 0.5, spec) == [
+                trace_integral(a, [kappa], 0.5, spec)[0] for kappa in kappas]
+            rng = substream(0, "ti-list")
+            alone = [trace_integral(a, [kappa], 0.5, spec, rng)[0]
+                     for kappa in kappas]
+            assert trace_integral(a, kappas, 0.5, spec,
+                                  substream(0, "ti-list")) == alone
+            assert trace_integral(a, [], 0.5, spec) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75])
+                                .astype(complex)),
+        lambda: zpoly(P22, [(1.0, (1, 0, 0, 0), (0, 1, 0, 0)),
+                            (0.5j, (0, 0, 1, 0), (0, 0, 0, 1))],
+                      TM_INVARIANT),
+    ], ids=["block_hermitian", "zpoly"])
+    def test_oracle_path_is_the_evaluator_at_the_first_basis_vector(self,
+                                                                    make):
+        # the in-test reference at u = e_1, on the same draws, default
+        # streams and a passed rng alike
+        a, kappas = make(), [(0, 0), (1, 1), (2, 1)]
+        spec = QuadratureSpec(haar_samples=200, radial_nodes=6, seed=5)
+        e1 = [np.eye(kj, dtype=complex)[:, 0] for kj in P22.k]
+        got = trace_integral(a, kappas, 0.5, spec)
+        for kappa, pair in zip(kappas, got):
+            rng = substream(5, "trace-integral", a.name, repr(0.5),
+                            repr(kappa))
+            assert pair == _evaluator_haar_trace(a, kappa, 0.5, e1, spec,
+                                                 rng)
+        rng = substream(0, "ti-oracle")
+        ref = [_evaluator_haar_trace(a, kappa, 0.5, e1, spec, rng)
+               for kappa in kappas]
+        assert trace_integral(a, kappas, 0.5, spec,
+                              substream(0, "ti-oracle")) == ref
+
+    def test_one_quasi_radialize_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(a, spec):
+            calls.append(a.name)
+            return toeplitz.quasi_radialize(a, spec)
+
+        monkeypatch.setattr(structure, "quasi_radialize", spy)
+        a = phi_factor(P22, 1, (1, 0), (1, 0), [(1.0, (0, 1))])
+        assert len(trace_integral(a, enumerate_kappas(P22, 3), 0.0,
+                                  FAST)) == 10
+        assert calls == [a.name]
 
 
 def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
@@ -315,7 +381,9 @@ def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
 
     Monte Carlo over ``spec.haar_samples`` block unitaries, drawn as the
     oracle path of ``trace_integral`` draws them (chunks of 2_000_000 // Qr,
-    blocks in order); returns (mean, stderr).
+    blocks in order), with the points laid out radius-major and the
+    estimator formed as there, so that at u_j = e_1 the two agree bit for
+    bit; returns (mean, stderr).
     """
     p = a.partition
     n_samples = spec.haar_samples
@@ -325,15 +393,17 @@ def _evaluator_haar_trace(a, kappa, lam, u_vectors, spec, rng):
     raw = []
     for done in range(0, n_samples, chunk):
         c = min(chunk, n_samples - done)
-        Z = np.empty((c, Qr, p.n), dtype=complex)
+        Z = np.empty((Qr, c, p.n), dtype=complex)
         for j0, (sl, kj) in enumerate(zip(p.block_slices(), p.k)):
             A = haar_unitary_batch(kj, c, rng)
             v = np.conj(np.swapaxes(A, -1, -2)) @ u_vectors[j0]
-            Z[:, :, sl] = R[None, :, j0, None] * v[:, None, :]
-        raw.append(a(Z.reshape(c * Qr, p.n)).reshape(c, Qr) @ w)
+            Z[:, :, sl] = R[:, None, j0, None] * v[None, :, :]
+        raw.append(w @ a(Z.reshape(Qr * c, p.n)).reshape(Qr, c))
     vals = (dim_P(p, kappa) * math.exp(log_slice_prefactor(p, kappa, lam))
             * np.concatenate(raw))
-    return vals.mean(), vals.std() / math.sqrt(n_samples)
+    mean = complex(vals.mean())
+    return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2)
+                               / n_samples))
 
 
 def _u_vectors(p):
@@ -377,12 +447,11 @@ class TestHaarTrace:
         # contractions on the same radial and reduced sphere rules
         p = Partition(k)
         spec = QuadratureSpec(radial_nodes=8, sphere_nodes=8, torus_nodes=6)
-        u = _u_vectors(p)
         for j in range(1, p.m + 1):
             a = _NONZERO_TRACE_CASES[case](p, j)
             traces = block_traces(toeplitz_operator(a, 3, lam, spec))
-            for kappa, (tr, _) in traces.items():
-                val, se = trace_integral(a, kappa, lam, u, spec)
+            got = trace_integral(a, list(traces), lam, spec)
+            for (kappa, (tr, _)), (val, se) in zip(traces.items(), got):
                 assert se == 0.0
                 assert abs(tr) > 1e-3
                 assert val == pytest.approx(tr, rel=1e-12, abs=0), (j, kappa)
@@ -396,11 +465,10 @@ class TestHaarTrace:
         make, kappa = _PAYLOAD_CASES[case]
         a = make()
         spec = QuadratureSpec(radial_nodes=8, haar_samples=400)
-        u = _u_vectors(a.partition)
-        got = trace_integral(a, kappa, lam, u, spec,
-                             rng=substream(0, "ht", case))
-        ref = _evaluator_haar_trace(a, kappa, lam, u, spec,
-                                    substream(0, "ht", case))
+        [got] = trace_integral(a, [kappa], lam, spec,
+                               rng=substream(0, "ht", case))
+        ref = _evaluator_haar_trace(a, kappa, lam, _u_vectors(a.partition),
+                                    spec, substream(0, "ht", case))
         assert got[1] == 0.0 and ref[1] > 0
         assert abs(got[0] - ref[0]) <= 5 * ref[1]
 
@@ -410,10 +478,9 @@ class TestHaarTrace:
         p = Partition((2, 1, 1))
         a = phi_factor(p, 1, (1, 1), (1, 1), [(1.0, (0, 1, 1))])
         spec = QuadratureSpec(radial_nodes=24, haar_samples=300)
-        u = _u_vectors(p)
-        got = trace_integral(a, (2, 1, 0), 1.0, u, spec,
-                             rng=substream(0, "ht3"))
-        ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, u, spec,
+        [got] = trace_integral(a, [(2, 1, 0)], 1.0, spec,
+                               rng=substream(0, "ht3"))
+        ref = _evaluator_haar_trace(a, (2, 1, 0), 1.0, _u_vectors(p), spec,
                                     substream(0, "ht3"))
         assert got[1] == 0.0 and ref[1] > 0
         assert abs(got[0] - ref[0]) <= 5 * ref[1]
@@ -425,8 +492,7 @@ class TestHaarTrace:
         # nodes: 24 576 (radial, sphere) rows
         a, kappa = _NONZERO_TRACE_CASES[case](P22, 1), (1, 2)
         spec = QuadratureSpec(radial_nodes=8)
-        u = _u_vectors(P22)
-        ref = trace_integral(a, kappa, 0.0, u, spec)
+        [ref] = trace_integral(a, [kappa], 0.0, spec)
         field = "f_payload" if a.f_payload is not None else "g_payload"
         payload, numbers = getattr(a, field), []
 
@@ -436,8 +502,8 @@ class TestHaarTrace:
             return payload(r, *args)
 
         monkeypatch.setattr(toeplitz, "_CHUNK_BUDGET", 20_000)
-        got = trace_integral(dataclasses.replace(a, **{field: recording}),
-                             kappa, 0.0, u, spec)
+        [got] = trace_integral(dataclasses.replace(a, **{field: recording}),
+                               [kappa], 0.0, spec)
         assert len(numbers) > 1 and max(numbers) <= 20_000
         assert abs(ref[0]) > 1e-3
         assert got[0] == pytest.approx(ref[0], rel=1e-12, abs=0)
@@ -455,7 +521,7 @@ class TestHaarTrace:
 
         monkeypatch.setattr(structure, "haar_unitary_batch", no_draws)
         a = make()
-        val, se = trace_integral(a, (2, 1), lam, _u_vectors(P22), FAST)
+        [(val, se)] = trace_integral(a, [(2, 1)], lam, FAST)
         exact = dim_P(P22, (2, 1)) * gamma_quasi_radial(
             a.radial_profile, (2, 1), lam, P22, FAST)
         assert se == 0.0
@@ -483,6 +549,40 @@ class TestHaarTrace:
             assert rep.provenance["haar_samples"] == draws
             assert sum(drawn) == draws * P22.m
             assert (rep.metrics["gamma_stderr"] == 0.0) == (draws == 0)
+
+    def test_trace_identity_calls_trace_integral_once_per_symbol(
+            self, monkeypatch):
+        calls = []
+
+        def spy(a, kappas, *args):
+            calls.append((a.name, list(kappas)))
+            return trace_integral(a, kappas, *args)
+
+        monkeypatch.setattr(structure, "trace_integral", spy)
+        kappas = [(0, 0), (1, 1), (2, 1)]
+        symbols = [radial_poly(P22, [(1.0, (1, 0))]),
+                   phi_factor(P22, 1, (1, 0), (0, 1))]
+        reports = trace_identity_check(symbols, kappas, 0.0, QuadratureSpec(
+            ball_samples=2000, radial_nodes=6))
+        assert len(reports) == 6
+        assert calls == [(a.name, kappas) for a in symbols]
+
+    def test_oracle_trace_integral_report_repeats_its_integral(self):
+        # one integral per report: the u2 fields repeat the u1 figures
+        a = block_hermitian(
+            P22, np.diag([1.0, 0.5, -0.25, 0.75]).astype(complex))
+        spec = QuadratureSpec(ball_samples=20_000, haar_samples=200,
+                              radial_nodes=6)
+        rep = structure.trace_integral_check(
+            toeplitz_operator(a, 2, 0.0, spec), a, (1, 1), spec)
+        [(val, se)] = trace_integral(a, [(1, 1)], 0.0, spec)
+        m = rep.metrics
+        assert rep.provenance["haar_path"] == "oracle" and se > 0
+        assert m["integral_u1"] == m["integral_u2"] == val
+        assert m["diff_u1_u2"] == 0.0
+        assert m["band_u1_u2"] == structure.sigma_band(math.hypot(se, se),
+                                                       m["block_trace"])
+        assert rep.passed
 
 
 class TestOracleTraces:
@@ -794,6 +894,21 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="block diagonal"):
             equivariance_check([T, T], [self.PHI, self.PHI],
                                [[eye], [eye, mixed]], (1, 1), self.SPEC)
+        assert drawn == []
+
+    def test_missing_slice_is_rejected_before_any_draw(self, monkeypatch):
+        # a degree-2 operator holds no block for (3, 0); the rotated PHI
+        # would take its block from the sampling oracle
+        drawn = []
+        for module in (structure, toeplitz):
+            monkeypatch.setattr(module, "sample_ball",
+                                lambda *args: drawn.append(args))
+        T = toeplitz_operator(self.PHI, 2, 0.0, self.SPEC)
+        eye = np.eye(4, dtype=complex)
+        with pytest.raises(ValueError, match=r"no block for kappa=\(3, 0\)"):
+            structure.trace_integral_check(T, self.PHI, (3, 0), self.SPEC)
+        with pytest.raises(ValueError, match=r"no block for kappa=\(3, 0\)"):
+            equivariance_check([T], [self.PHI], [[eye]], (3, 0), self.SPEC)
         assert drawn == []
 
 
