@@ -392,41 +392,84 @@ def _tm_symbols(cfg: RunConfig) -> list:
     return [s for s in cfg.symbols if s.klass.implies(TM_INVARIANT)]
 
 
-# A check picks the symbols, pairs and slices (of the run's ``kappas``) it
-# visits at one lambda; ``structure`` builds and judges each report.
-# ``operator_for(sym, lam)`` is the run's shared operator cache.
+class _Plan:
+    """One lambda's quantities that several checks read, each computed once,
+    on first use: the operators (``operator``), the exact trace right sides
+    (``exact_traces``) and, when both ``offblock`` and ``trace_identity``
+    run, the slice traces of offblock's draw (``lhs``, set by offblock)."""
+
+    def __init__(self, cfg: RunConfig, lam: float, kappas: list):
+        self.cfg, self.lam, self.kappas = cfg, lam, kappas
+        self.trace_kappas = cfg.extras.get("trace_kappas", kappas)
+        self.lhs = None  # symbol name -> offblock's traces on trace_kappas
+        self._ops: dict = {}
+        self._exact: dict = {}
+
+    def operator(self, sym):
+        if sym.name not in self._ops:
+            self._ops[sym.name] = toeplitz_operator(sym, self.cfg.degree,
+                                                    self.lam, self.cfg.spec)
+        return self._ops[sym.name]
+
+    def exact_traces(self, sym):
+        """``trace_integral`` of sym on the trace slices, or None on the
+        oracle path, where each check keeps its own Haar stream."""
+        if assembly_path(sym) == "oracle":
+            return None
+        if sym.name not in self._exact:
+            self._exact[sym.name] = st.trace_integral(
+                sym, self.trace_kappas, self.lam, self.cfg.spec)
+        return self._exact[sym.name]
 
 
-def _check_offblock(cfg, lam, kappas, operator_for):
-    return st.offblock_leakage(cfg.symbols, cfg.degree, lam, cfg.spec)
+# A check picks the symbols, pairs and slices (of the plan's ``kappas``) it
+# visits at the plan's lambda; ``structure`` builds and judges each report.
 
 
-def _check_tensor(cfg, lam, kappas, operator_for):
+def _check_offblock(cfg, plan):
+    # offblock runs before trace_identity, which reads this draw's traces
+    if "trace_identity" not in cfg.checks:
+        return st.offblock_leakage(cfg.symbols, cfg.degree, plan.lam,
+                                   cfg.spec)
+    reports, traces = st.offblock_leakage(cfg.symbols, cfg.degree, plan.lam,
+                                          cfg.spec,
+                                          trace_kappas=plan.trace_kappas)
+    plan.lhs = {sym.name: t for sym, t in zip(cfg.symbols, traces)}
+    return reports
+
+
+def _check_tensor(cfg, plan):
     for sym in _tm_symbols(cfg):
-        yield st.tensor_constancy_check(operator_for(sym, lam), sym, kappas)
+        yield st.tensor_constancy_check(plan.operator(sym), sym, plan.kappas)
 
 
-def _check_commutators(cfg, lam, kappas, operator_for):
+def _check_commutators(cfg, plan):
     det = [s for s in cfg.symbols if assembly_path(s) != "oracle"]
     for i, a in enumerate(det):
         for b in det[i + 1:]:
-            yield st.commutator_check(operator_for(a, lam), a,
-                                      operator_for(b, lam), b)
+            yield st.commutator_check(plan.operator(a), a, plan.operator(b), b)
 
 
-def _check_trace_identity(cfg, lam, kappas, operator_for):
+def _check_trace_identity(cfg, plan):
+    symbols = _tm_symbols(cfg)
+    lhs = (None if plan.lhs is None
+           else [plan.lhs[sym.name] for sym in symbols])
     return st.trace_identity_check(
-        _tm_symbols(cfg), cfg.extras.get("trace_kappas", kappas), lam, cfg.spec)
+        symbols, plan.trace_kappas, plan.lam, cfg.spec, lhs=lhs,
+        rhs=[plan.exact_traces(sym) for sym in symbols])
 
 
-def _check_trace_integral(cfg, lam, kappas, operator_for):
+def _check_trace_integral(cfg, plan):
     for sym in _tm_symbols(cfg):
-        for kappa in cfg.extras.get("trace_kappas", kappas):
-            yield st.trace_integral_check(operator_for(sym, lam), sym, kappa,
-                                          cfg.spec)
+        exact = plan.exact_traces(sym)
+        for i, kappa in enumerate(plan.trace_kappas):
+            yield st.trace_integral_check(
+                plan.operator(sym), sym, kappa, cfg.spec,
+                integral=None if exact is None else exact[i])
 
 
-def _check_equivariance(cfg, lam, kappas, operator_for):
+def _check_equivariance(cfg, plan):
+    kappas, lam = plan.kappas, plan.lam
     target = kappas[1] if len(kappas) > 1 else kappas[0]
     symbols = _tm_symbols(cfg)
     rngs = [substream(cfg.spec.seed, "equivariance-rot", sym.name, repr(lam))
@@ -434,14 +477,14 @@ def _check_equivariance(cfg, lam, kappas, operator_for):
     rotations = [[haar_uk_sample(cfg.partition, rng)
                   for _ in range(cfg.extras["equivariance_rotations"])]
                  for rng in rngs]
-    return st.equivariance_check([operator_for(s, lam) for s in symbols],
+    return st.equivariance_check([plan.operator(s) for s in symbols],
                                  symbols, rotations, target, cfg.spec)
 
 
-def _check_sequence(cfg, lam, kappas, operator_for):
+def _check_sequence(cfg, plan):
     for sym in _tm_symbols(cfg):
-        yield st.sequence_report(sym, lam, cfg.extras["sequence_max_kappa"],
-                                 cfg.spec)
+        yield st.sequence_report(sym, plan.lam,
+                                 cfg.extras["sequence_max_kappa"], cfg.spec)
 
 
 #: config name -> check, in report order
@@ -458,21 +501,16 @@ CHECKS = {
 
 def _run_checks(cfg: RunConfig) -> list:
     kappas = enumerate_kappas(cfg.partition, cfg.degree)
-    ops: dict = {}
-
-    def operator_for(sym, lam):
-        key = (sym.name, lam)
-        if key not in ops:
-            ops[key] = toeplitz_operator(sym, cfg.degree, lam, cfg.spec)
-        return ops[key]
-
     names = [name for name in CHECKS if name in cfg.checks]
     if "sequence" in names and cfg.partition.m != 1:
         names.remove("sequence")
         print("skipping check 'sequence': it needs the single-block "
               "partition k = (n), m = 1", file=sys.stderr)
-    return [rep for lam in cfg.lambdas for name in names
-            for rep in CHECKS[name](cfg, lam, kappas, operator_for)]
+    reports = []
+    for lam in cfg.lambdas:
+        plan = _Plan(cfg, lam, kappas)
+        reports += [rep for name in names for rep in CHECKS[name](cfg, plan)]
+    return reports
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -219,13 +220,15 @@ def _gauss_jacobi(nodes: int, p: float, q: float):
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
+@lru_cache(maxsize=64)
 def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     """Nodes/weights for integral over [0,1] of x^exp_x (1-x)^exp_1mx f(x).
 
     Raises RadialRuleError when the rule's mass on [-1, 1],
     2^(exp_x + exp_1mx + 1) B(exp_x + 1, exp_1mx + 1), is not finite in
     double precision (exponents past about 1000, or infinite), or when the
-    rule itself is not finite.
+    rule itself is not finite.  Built once per arguments in a process and
+    shared: both arrays are read-only.
     """
     exp_x, exp_1mx = float(exp_x), float(exp_1mx)  # inf - inf: NaN, no warning
     log_mass = ((exp_x + exp_1mx + 1.0) * math.log(2.0) + _lgamma(exp_x + 1.0)
@@ -233,6 +236,7 @@ def _jacobi_rule_01(nodes: int, exp_x: float, exp_1mx: float):
     if log_mass <= _LOG_DBL_MAX:  # False for NaN (an infinite exponent)
         x, w = _gauss_jacobi(nodes, exp_x, exp_1mx)
         if np.all(np.isfinite(x)) and np.all(np.isfinite(w)):
+            x.flags.writeable = w.flags.writeable = False
             return x, w
     raise RadialRuleError(
         f"the {nodes}-node Gauss-Jacobi rule with exponents "

@@ -13,7 +13,8 @@ standard error (``sigma_band``); ``gate_report`` builds every gating report
 from its discrepancy over that tolerance.
 
 A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
-(``oracle_traces``).  By the multinomial theorem per block, the kernel
+(``oracle_traces``, or offblock's Gram pass, which sums K_kappa from its
+monomial rows).  By the multinomial theorem per block, the kernel
 diagonal sum_{alpha in P_kappa} |e_alpha(z)|^2 depends on the block radii
 r_j = |z_(j)| only: K_kappa(z, z) = G(n+lam+|kappa|+1) / G(n+lam+1) *
 prod_j r_j^(2 kappa_j) / kappa_j!, that is r^(2 kappa) / ``monomial_norm_sq(n,
@@ -41,8 +42,10 @@ from .quad import (
 )
 from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
+    _checked_slices,
     _oracle_chunk,
     _radial_contract,
+    _sample_mean,
     _shared_partition,
     BlockOperator,
     assembly_path,
@@ -132,7 +135,7 @@ def _plain(obj):
 
 
 def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
-                     rng=None) -> list:
+                     rng=None, trace_kappas=None):
     """Oracle estimates of the cross-slice entries <a e_alpha, e_beta>, one
     report per symbol a of ``symbols``, in that order.
 
@@ -144,14 +147,26 @@ def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
     ``oracle_matrix`` call serves every symbol from one draw, on ``rng`` or
     the substream (seed, "offblock", repr(lam)), so the reports of one
     lambda are correlated: a calibration counts false fails per lambda.
+
+    Given ``trace_kappas`` (slices with |kappa| <= degree), the same pass
+    also gives every symbol's slice traces (``oracle_matrix``'s
+    ``trace_kappas``), and the result is (reports, traces): these are the
+    left sides ``trace_identity_check`` takes as ``lhs``, so that both
+    checks of a lambda read one draw.  The reports are bit for bit those of
+    a call without it.
     """
     if not symbols:
-        return []
+        return ([], []) if trace_kappas is not None else []
     p = _shared_partition(symbols)
     rng = rng if rng is not None else substream(spec.seed, "offblock",
                                                 repr(lam))
     alphas = enumerate_multiindices(p.n, degree)
-    estimates = oracle_matrix(symbols, alphas, [len(alphas)], lam, spec, rng)
+    # by keyword: bench/tracer.py counts a seventh positional argument as
+    # the oracle's sample count
+    estimates = oracle_matrix(symbols, alphas, [len(alphas)], lam, spec, rng,
+                              trace_kappas=trace_kappas)
+    if trace_kappas is not None:
+        estimates, traces = estimates
     kappas = [kappa_of(al, p) for al in alphas]
     mask = np.array([[kb != ka for ka in kappas] for kb in kappas])
     reports = []
@@ -170,7 +185,7 @@ def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
             provenance={"symbol": a.name, "lambda": lam, "degree": degree,
                         "samples": spec.ball_samples},
         ))
-    return reports
+    return reports if trace_kappas is None else (reports, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +322,12 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
     N)``: about ``_ORACLE_CHUNK`` kernel values and point coordinates,
     whatever the number of symbols or of samples, so a symbol's estimates
     are bit for bit those of a call with it alone.  An empty list draws
-    nothing.
+    nothing; a malformed slice raises ValueError before any draw.
     """
     if not symbols:
         return []
     p = _shared_partition(symbols)
+    kappas = _checked_slices(p, kappas)[0]
     K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
     log_norms = np.array([log_monomial_norm_sq(p.n, lam, k) for k in kappas])
     N = spec.ball_samples
@@ -326,8 +342,7 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
             X = a(Z) * kernel
             s1[i] += X.sum(axis=1)
             s2[i] += np.sum(np.abs(X) ** 2, axis=1)
-    mean = s1 / N
-    se = np.sqrt(np.maximum(s2 / N - np.abs(mean) ** 2, 0.0) / N)
+    mean, se = _sample_mean(s1, s2, N)
     return [[(complex(t), float(e)) for t, e in zip(m, sd)]
             for m, sd in zip(mean, se)]
 
@@ -350,8 +365,7 @@ def trace_integral(a: Symbol, kappas, lam: float, spec: QuadratureSpec,
     repr(kappa)).  Every slice is validated first.
     """
     p = a.partition
-    kappas = [tuple(as_int(v, "kappa entry") for v in k) for k in kappas]
-    dims = [dim_P(p, kappa) for kappa in kappas]
+    kappas, dims = _checked_slices(p, kappas)
     if assembly_path(a) != "oracle":
         profile = quasi_radialize(a, spec).radial_profile
         return [(d * gamma_quasi_radial(profile, kappa, lam, p, spec), 0.0)
@@ -379,23 +393,33 @@ def trace_integral(a: Symbol, kappas, lam: float, spec: QuadratureSpec,
 
 
 def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
-                         rng=None) -> list:
+                         rng=None, lhs=None, rhs=None) -> list:
     """Block trace of T_a versus dim * gamma of the Haar-averaged symbol,
     for every symbol a of ``symbols``: one report per (symbol, slice of
     ``kappas``), symbol-major, both in list order.
 
-    The left sides are the sampling-oracle traces of one ``oracle_traces``
-    call on ``rng`` or the substream (seed, "trace-identity", repr(lam)),
-    so the reports of one lambda share their ball draws and their errors
+    The left sides are sampling-oracle traces from one ball draw per
+    lambda, so the reports of one lambda share their draws and their errors
     are correlated: a calibration counts false fails per lambda, not per
-    slice or symbol.  The right side is the Haar average over the block
-    unitary group (the construction that defines the averaged symbol), from
-    ``trace_integral``, one call per symbol: exact for quasi-radial and
-    payload symbols, sampled for oracle-path ones on the symbol's own
-    substream (seed, "trace-identity", name, repr(lam)).  Agreement is
-    required within a 5-sigma band of the combined standard errors
-    (``sigma_band``); ``tolerance_ratio`` is the discrepancy over that band,
-    at most 1 exactly when the report passes.  The provenance records the path the
+    slice or symbol.  Called alone, the check draws them with one
+    ``oracle_traces`` call on ``rng`` or the substream (seed,
+    "trace-identity", repr(lam)).  Given ``lhs`` (one list per symbol of
+    (trace, stderr) pairs, one per slice), it draws nothing: these are the
+    traces of ``offblock_leakage``'s pass with ``trace_kappas`` on the same
+    lambda, so the two checks' reports of a lambda are correlated too.  The
+    provenance records which draw it read as ``ball_stream``,
+    ``"offblock"`` or ``"trace-identity"``.
+
+    The right side is the Haar average over the block unitary group (the
+    construction that defines the averaged symbol), from ``trace_integral``,
+    one call per symbol: exact for quasi-radial and payload symbols, sampled
+    for oracle-path ones on the symbol's own substream (seed,
+    "trace-identity", name, repr(lam)).  ``rhs`` may hold, per symbol, the
+    pairs of a ``trace_integral`` call on ``kappas`` that the caller already
+    made, or None to make it here.  Agreement is required within a 5-sigma
+    band of the combined standard errors (``sigma_band``);
+    ``tolerance_ratio`` is the discrepancy over that band, at most 1
+    exactly when the report passes.  The provenance records the path the
     right side took (``haar_path``, the symbol's ``assembly_path``) and the
     Haar unitaries it drew per block (``haar_samples``, 0 when exact).
     Every symbol must be block-torus invariant, and every slice well
@@ -408,49 +432,64 @@ def trace_identity_check(symbols, kappas, lam: float, spec: QuadratureSpec,
     if not symbols:
         return []
     p = _shared_partition(symbols)
-    kappas = [tuple(as_int(v, "kappa entry") for v in k) for k in kappas]
-    dims = [dim_P(p, kappa) for kappa in kappas]  # rejects a malformed kappa
+    kappas, dims = _checked_slices(p, kappas)
     if not kappas:
         return []
-    rng = rng if rng is not None else substream(
-        spec.seed, "trace-identity", repr(lam))
+    rhs = rhs if rhs is not None else [None] * len(symbols)
+    for given in (lhs, rhs):
+        if given is not None and (len(given) != len(symbols) or any(
+                v is not None and len(v) != len(kappas) for v in given)):
+            raise ValueError("lhs and rhs need one entry per symbol, of one "
+                             "pair per slice")
+    if lhs is None:
+        stream = "trace-identity"
+        rng = rng if rng is not None else substream(spec.seed, stream,
+                                                    repr(lam))
+        lhs = oracle_traces(symbols, kappas, lam, spec, rng)
+    else:
+        stream = "offblock"
     reports = []
-    for a, lhs_all in zip(symbols, oracle_traces(symbols, kappas, lam, spec,
-                                                 rng)):
+    for a, lhs_all, rhs_all in zip(symbols, lhs, rhs):
         path = assembly_path(a)
-        rhs_all = trace_integral(a, kappas, lam, spec, substream(
-            spec.seed, "trace-identity", a.name, repr(lam)))
-        for kappa, d, (lhs, lhs_se), (rhs, rhs_se) in zip(kappas, dims,
-                                                           lhs_all, rhs_all):
+        if rhs_all is None:
+            rhs_all = trace_integral(a, kappas, lam, spec, substream(
+                spec.seed, "trace-identity", a.name, repr(lam)))
+        for kappa, d, (lhs_v, lhs_se), (rhs_v, rhs_se) in zip(
+                kappas, dims, lhs_all, rhs_all):
             combined = math.hypot(lhs_se, rhs_se)
-            diff = abs(lhs - rhs)
+            diff = abs(lhs_v - rhs_v)
             reports.append(gate_report(
-                "trace-identity", diff / float(sigma_band(combined, rhs)),
-                {"block_trace": lhs, "block_trace_stderr": lhs_se,
-                 "dim_times_gamma": rhs, "gamma_stderr": rhs_se / d,
+                "trace-identity", diff / float(sigma_band(combined, rhs_v)),
+                {"block_trace": lhs_v, "block_trace_stderr": lhs_se,
+                 "dim_times_gamma": rhs_v, "gamma_stderr": rhs_se / d,
                  "discrepancy": diff, "combined_stderr": combined,
                  "sigma_ratio": diff / combined if combined > 0 else 0.0},
-                per_kappa={kappa: {"dim": d, "gamma_hat": rhs / d}},
+                per_kappa={kappa: {"dim": d, "gamma_hat": rhs_v / d}},
                 tolerances={"sigma_band": SIGMA_BAND},
                 provenance={"symbol": a.name, "lambda": lam,
                             "haar_path": path,
                             "haar_samples": (spec.haar_samples
                                              if path == "oracle" else 0),
-                            "ball_samples": spec.ball_samples},
+                            "ball_samples": spec.ball_samples,
+                            "ball_stream": stream},
             ))
     return reports
 
 
 def trace_integral_check(T: BlockOperator, a: Symbol, kappa,
-                         spec: QuadratureSpec) -> StructureReport:
+                         spec: QuadratureSpec,
+                         integral=None) -> StructureReport:
     """tr(T_a | P_kappa) equals ``trace_integral`` within the band of their
-    combined errors; the slice is checked before any draw.  The u2 fields
-    repeat the one integral: ``integral_u2`` its value, ``diff_u1_u2`` 0,
-    ``band_u1_u2`` the band of its stderr against itself.
+    combined errors; the slice is checked before any draw.  ``integral``
+    may hold the slice's (value, stderr) pair from a ``trace_integral``
+    call the caller already made; without it the check makes its own.  The
+    u2 fields repeat the one integral: ``integral_u2`` its value,
+    ``diff_u1_u2`` 0, ``band_u1_u2`` the band of its stderr against itself.
     """
     p, lam, path = T.partition, T.lam, assembly_path(a)
     kappa = _stored_slice(kappa, T)
-    [(v, se)] = trace_integral(a, [kappa], lam, spec)
+    [(v, se)] = ([integral] if integral is not None
+                 else trace_integral(a, [kappa], lam, spec))
     tr = complex(np.trace(T.blocks[kappa]))
     d = dim_P(p, kappa)
     band = sigma_band(math.hypot(se, d * T.block_errors.get(kappa, 0.0)), tr)

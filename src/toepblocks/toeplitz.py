@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .mindex import (
     enumerate_basis,
     enumerate_kappas,
     grlex_key,
+    kappa_of,
 )
 from .quad import (
     DETERMINISTIC_TOL,
@@ -233,8 +234,30 @@ def _shared_partition(symbols) -> Partition:
     return p
 
 
+def _checked_slices(p: Partition, kappas) -> tuple[list, list]:
+    """(kappas as tuples of ints, their dimensions dim P_kappa); a ValueError
+    that names the first malformed slice (a float or negative entry, or a
+    length other than m)."""
+    out, dims = [], []
+    for kappa in kappas:
+        try:
+            out.append(tuple(as_int(v, "kappa entry") for v in kappa))
+            dims.append(dim_P(p, out[-1]))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"kappa {kappa!r} is not a slice of the "
+                             f"partition {p.k}: {err}") from None
+    return out, dims
+
+
+def _sample_mean(s1, s2, N: int):
+    """(mean, standard error of the mean) from the sums of N per-sample
+    values and of their squared moduli."""
+    mean = s1 / N
+    return mean, np.sqrt(np.maximum(s2 / N - np.abs(mean) ** 2, 0.0) / N)
+
+
 def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
-                  rng):
+                  rng, trace_kappas=None):
     """Monte Carlo estimates of the Gram-type blocks <a e_alpha, e_beta>,
     for every symbol a of ``symbols``.
 
@@ -259,11 +282,34 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
     lam the raw rows are tiny (|z|^2 is about n / lam), and their products
     would underflow at half the degree at which the rows do.
+
+    Given ``trace_kappas``, the same pass also estimates each symbol's slice
+    traces tr(T_a | P_kappa), the ball mean of a(z) K_kappa(z, z): each
+    chunk sums the scaled rows |e_alpha(z)|^2 of slice kappa into the kernel
+    diagonal K_kappa(z, z), and each symbol accumulates a(z) K_kappa(z, z)
+    and its squared modulus.  A trace's stderr comes from those per-sample
+    values, not from the blocks' entrywise stderrs: entries of one slice are
+    correlated.  The result is then (blocks, traces), with traces one list
+    per symbol of (trace, stderr) pairs, one per kappa, as
+    ``structure.oracle_traces`` returns them; the blocks are bit for bit
+    those of a call without ``trace_kappas``.  Every kappa must be a slice
+    whose monomials all lie in ``alphas`` (ValueError before any draw).
     """
     if not symbols:
-        return []
+        return ([], []) if trace_kappas is not None else []
     p = _shared_partition(symbols)
     alphas = [tuple(al) for al in alphas]
+    if trace_kappas is not None:
+        trace_kappas, dims = _checked_slices(p, trace_kappas)
+        of = [kappa_of(al, p) for al in alphas]
+        member = np.array([[k == kappa for k in of] for kappa in trace_kappas],
+                          dtype=float).reshape(len(trace_kappas), len(alphas))
+        for kappa, d, count in zip(trace_kappas, dims, member.sum(axis=1)):
+            if count != d:
+                raise ValueError(f"alphas hold {count:g} of the {d} "
+                                 f"monomials of slice kappa={kappa}")
+        T1 = np.zeros((len(symbols), len(trace_kappas)), dtype=complex)
+        T2 = np.zeros(T1.shape)
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
@@ -281,22 +327,28 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
         E = _rows_from_plan(Z, plan)
         E *= scale[:, None]  # the e_alpha rows
         P = np.abs(E) ** 2
-        for av, s1s, s2s in zip(values, S1, S2):
+        if trace_kappas is not None:
+            K = member @ P  # K_kappa(z, z) per trace slice, (len(kappas), c)
+            K2 = K * K
+        for i, (av, s1s, s2s) in enumerate(zip(values, S1, S2)):
             aE = av * E  # (len(alphas), c)
             np.conjugate(aE, out=aE)  # so S1 sums the conjugate first moment
             aP = np.abs(av) ** 2 * P
             for cut, s1, s2 in zip(cuts, s1s, s2s):
                 s1 += E[cut] @ aE[cut].T
                 s2 += P[cut] @ aP[cut].T
+            if trace_kappas is not None:
+                T1[i] += K @ av
+                T2[i] += K2 @ np.abs(av) ** 2
         done += c
 
-    def mean_stderr(s1, s2):
-        mean = np.conj(s1) / N
-        var = np.maximum(s2 / N - np.abs(mean) ** 2, 0.0)
-        return mean, np.sqrt(var / N)
-
-    return [[mean_stderr(s1, s2) for s1, s2 in zip(s1s, s2s)]
-            for s1s, s2s in zip(S1, S2)]
+    blocks = [[_sample_mean(np.conj(s1), s2, N) for s1, s2 in zip(s1s, s2s)]
+              for s1s, s2s in zip(S1, S2)]
+    if trace_kappas is None:
+        return blocks
+    mean, se = _sample_mean(T1, T2, N)
+    return blocks, [[(complex(t), float(e)) for t, e in zip(m, sd)]
+                    for m, sd in zip(mean, se)]
 
 
 def toeplitz_block_oracle(symbols, kappa, lam: float, spec: QuadratureSpec,
@@ -399,15 +451,23 @@ def _reduced_sphere_rule(k_j: int, spec: QuadratureSpec):
     ``positive_sphere_rule(k_j)`` times (1, ``torus_rule(k_j - 1)``), with
     the weights times 2 pi (the dropped angle) over the sphere's area 2
     pi^k_j / G(k_j): (sphere_nodes * torus_nodes)^(k_j - 1) nodes, the
-    single node 1 for k_j = 1."""
-    S, ws = positive_sphere_rule(k_j, spec.sphere_nodes)
-    T, wt = (torus_rule(k_j - 1, spec.torus_nodes) if k_j > 1
+    single node 1 for k_j = 1.  Built once per (k_j, sphere_nodes,
+    torus_nodes) in a process and shared: both arrays are read-only."""
+    return _sphere_mean_rule(k_j, spec.sphere_nodes, spec.torus_nodes)
+
+
+@lru_cache(maxsize=16)
+def _sphere_mean_rule(k_j: int, sphere_nodes: int, torus_nodes: int):
+    S, ws = positive_sphere_rule(k_j, sphere_nodes)
+    T, wt = (torus_rule(k_j - 1, torus_nodes) if k_j > 1
              else (np.ones((1, 0)), np.ones(1)))
     T = np.hstack([np.ones((len(T), 1), dtype=complex), T])
     Xi = T[None, :, :] * S[:, None, :]
     scale = 2.0 * math.pi * math.gamma(k_j) / (2.0 * math.pi ** k_j)
     w = (ws * np.prod(S, axis=1))[:, None] * (wt * scale)[None, :]
-    return Xi.reshape(-1, k_j), w.reshape(-1)
+    Xi, w = Xi.reshape(-1, k_j), w.reshape(-1)
+    Xi.flags.writeable = w.flags.writeable = False
+    return Xi, w
 
 
 def _single_block_matrix(payload, coords, p: Partition, j: int, kappa,

@@ -17,12 +17,14 @@ from toepblocks.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     ConfigError,
+    _run_checks,
     build_symbol,
     main,
     parse_config,
 )
-from toepblocks.mindex import Partition
-from toepblocks.quad import sample_ball
+from toepblocks.mindex import Partition, enumerate_multiindices, kappa_of
+from toepblocks.quad import sample_ball, substream
+from toepblocks.symbols import TM_INVARIANT
 from toepblocks.toeplitz import load_operator
 
 
@@ -482,9 +484,10 @@ class TestVerify:
         assert ratios[0] != pytest.approx(ratios[1], rel=1e-6)
 
     def test_one_ball_draw_per_check_and_lambda(self, tmp_path, monkeypatch):
-        # offblock and trace-identity draw once per lambda for all their
-        # symbols, equivariance once per rotation index; no operator here
-        # is on the oracle path, so every draw is a check's
+        # offblock draws once per lambda for all its symbols, and
+        # trace-identity reads that draw's traces; equivariance draws once
+        # per rotation index; no operator here is on the oracle path, so
+        # every draw is a check's
         drawn = []
 
         def counting(n, lam, size, rng):
@@ -502,7 +505,7 @@ class TestVerify:
                                "p": [1, 0], "q": [0, 0]})
         cfg = write_config(tmp_path, doc)
         assert main(["--config", str(cfg), "verify"]) == EXIT_OK
-        assert sum(drawn) == 2 * (2 + 3) * 15000
+        assert sum(drawn) == 2 * (1 + 3) * 15000
 
     @pytest.mark.parametrize("command", ["build", "verify"])
     def test_jobs_flag_is_rejected(self, tmp_path, command):
@@ -1065,3 +1068,147 @@ def test_runs_without_scipy(tmp_path):
     assert {r["check"] for r in report["reports"]} == {
         "offblock-leakage", "tensor-constancy", "commutator",
         "trace-identity", "trace-integral", "equivariance"}
+
+
+class TestVerifyPlan:
+    """verify computes each quantity of a lambda once: offblock's draw gives
+    trace-identity's left sides, and each exact trace right side serves
+    both trace checks."""
+
+    SYMBOLS = [
+        {"name": "one", "kind": "constant", "value": 1.0},
+        {"name": "rad", "kind": "radial_poly",
+         "terms": [{"coeff": 1.0, "powers": [1, 0]}]},
+        {"name": "phi1", "kind": "phi", "j": 1, "p": [1, 0], "q": [0, 1]},
+        {"name": "psi2", "kind": "pseudo", "j": 2, "s_powers": [2, 0],
+         "t_exp": [1, -1]},
+        {"name": "herm", "kind": "block_hermitian",
+         "matrix": np.diag([1.0, 0.5, -0.25, 0.75]).tolist()},
+        {"name": "ctrl", "kind": "xi_monomial", "j": 1, "p": [1, 0],
+         "q": [0, 0]},
+    ]
+
+    def config(self, checks):
+        return parse_config(base_config(
+            partition=[2, 2], lambdas=[0.0, 2.5], symbols=self.SYMBOLS,
+            checks=checks, trace_kappas=[[0, 0], [1, 1], [2, 0]],
+            quadrature={"ball_samples": 3000, "haar_samples": 40,
+                        "radial_nodes": 6, "sphere_nodes": 6,
+                        "torus_nodes": 6}))
+
+    @staticmethod
+    def tm(cfg):
+        return [s for s in cfg.symbols if s.klass.implies(TM_INVARIANT)]
+
+    @staticmethod
+    def of(reports, check, lam):
+        return [r for r in reports
+                if r.check == check and r.provenance["lambda"] == lam]
+
+    def test_trace_identity_reads_offblocks_draw(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(structure, "oracle_traces",
+                            lambda *args, **kw: calls.append(args))
+        reports = _run_checks(self.config(["offblock", "trace_identity"]))
+        assert calls == []
+        ti = [r for r in reports if r.check == "trace-identity"]
+        assert len(ti) == 2 * 5 * 3
+        assert {r.provenance["ball_stream"] for r in ti} == {"offblock"}
+
+    def test_left_sides_are_the_offblock_gram_diagonal(self):
+        # the trace of a slice is the sum of the Gram's diagonal over the
+        # slice, on offblock's stream; the offblock reports are those of
+        # the check run alone, bit for bit
+        cfg = self.config(["offblock", "trace_identity"])
+        reports = _run_checks(cfg)
+        p, spec = cfg.partition, cfg.spec
+        alphas = enumerate_multiindices(p.n, cfg.degree)
+        symbols = self.tm(cfg)
+        for lam in cfg.lambdas:
+            alone = structure.offblock_leakage(cfg.symbols, cfg.degree, lam,
+                                               spec)
+            assert [r.to_dict() for r in self.of(reports, "offblock-leakage",
+                                                 lam)] == [
+                r.to_dict() for r in alone]
+            grams = toeplitz.oracle_matrix(
+                symbols, alphas, [len(alphas)], lam, spec,
+                substream(spec.seed, "offblock", repr(lam)))
+            ti = iter(self.of(reports, "trace-identity", lam))
+            for [(G, _)] in grams:
+                for kappa in cfg.extras["trace_kappas"]:
+                    rows = [i for i, al in enumerate(alphas)
+                            if kappa_of(al, p) == kappa]
+                    want = complex(np.trace(G[np.ix_(rows, rows)]))
+                    rep = next(ti)
+                    assert list(rep.per_kappa) == [kappa]
+                    assert rep.metrics["block_trace"] == pytest.approx(
+                        want, rel=1e-12, abs=1e-12)
+
+    def test_without_offblock_the_check_draws_its_own(self):
+        # the left sides of one oracle_traces call on the check's stream,
+        # as when trace_identity_check is called alone
+        cfg = self.config(["trace_identity"])
+        reports = _run_checks(cfg)
+        kappas = cfg.extras["trace_kappas"]
+        symbols = self.tm(cfg)
+        for lam in cfg.lambdas:
+            got = self.of(reports, "trace-identity", lam)
+            alone = structure.trace_identity_check(symbols, kappas, lam,
+                                                   cfg.spec)
+            assert [r.to_dict() for r in got] == [r.to_dict() for r in alone]
+            traces = structure.oracle_traces(
+                symbols, kappas, lam, cfg.spec,
+                substream(cfg.spec.seed, "trace-identity", repr(lam)))
+            assert [(r.metrics["block_trace"],
+                     r.metrics["block_trace_stderr"]) for r in got] == [
+                pair for rows in traces for pair in rows]
+            assert {r.provenance["ball_stream"] for r in got} == {
+                "trace-identity"}
+
+    def test_one_exact_right_side_per_symbol_and_lambda(self, monkeypatch):
+        calls = []
+        trace_integral = structure.trace_integral
+
+        def spy(a, kappas, lam, *args):
+            calls.append((a.name, lam))
+            return trace_integral(a, kappas, lam, *args)
+
+        monkeypatch.setattr(structure, "trace_integral", spy)
+        cfg = self.config(["offblock", "trace_identity", "trace_integral"])
+        reports = _run_checks(cfg)
+        # herm (oracle path) keeps its own Haar streams: one call in
+        # trace-identity and one per slice in trace-integral
+        want = {(s.name, lam): 1 for s in self.tm(cfg) for lam in cfg.lambdas}
+        for lam in cfg.lambdas:
+            want["herm", lam] = 1 + 3
+        assert {key: calls.count(key) for key in set(calls)} == want
+        for lam in cfg.lambdas:
+            ti = self.of(reports, "trace-identity", lam)
+            tint = self.of(reports, "trace-integral", lam)
+            assert len(ti) == len(tint) == 5 * 3
+            for a, b in zip(ti, tint):
+                if a.provenance["haar_path"] != "oracle":
+                    assert (a.metrics["dim_times_gamma"]
+                            == b.metrics["integral_u1"])
+
+    def test_oracle_path_right_sides_are_unchanged(self):
+        cfg = self.config(["offblock", "trace_identity", "trace_integral"])
+        reports = _run_checks(cfg)
+        [herm] = [s for s in cfg.symbols if s.name == "herm"]
+        kappas = cfg.extras["trace_kappas"]
+        for lam in cfg.lambdas:
+            ti = [r for r in self.of(reports, "trace-identity", lam)
+                  if r.provenance["symbol"] == "herm"]
+            tint = [r for r in self.of(reports, "trace-integral", lam)
+                    if r.provenance["symbol"] == "herm"]
+            own = structure.trace_integral(herm, kappas, lam, cfg.spec,
+                                           substream(cfg.spec.seed,
+                                                     "trace-identity", "herm",
+                                                     repr(lam)))
+            assert [r.metrics["dim_times_gamma"] for r in ti] == [
+                v for v, _ in own]
+            for kappa, r in zip(kappas, tint):
+                [(v, se)] = structure.trace_integral(herm, [kappa], lam,
+                                                     cfg.spec)
+                assert se > 0.0
+                assert r.metrics["integral_u1"] == v

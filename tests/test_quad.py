@@ -21,6 +21,7 @@ from toepblocks import (
     substream,
     torus_rule,
 )
+from toepblocks import quad
 from toepblocks.quad import RadialRuleError, _gauss_jacobi
 from toepblocks.toeplitz import _monomial_rows, monomial_norm_sq
 
@@ -115,6 +116,20 @@ def test_gauss_jacobi_beta_moments(nodes, p, q):
         exact = math.exp(math.lgamma(p + j + 1) + math.lgamma(q + 1)
                          - math.lgamma(p + q + j + 2))
         assert np.sum(w * x**j) == pytest.approx(exact, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("exps", [(0.0, 1.0), (2.0, 3.5)])
+def test_radial_factor_is_built_once_and_read_only(exps):
+    # a reused Gauss-Jacobi factor is the same object, bit for bit a fresh
+    # build, and shared between radial rules, so writing into it raises
+    x, w = quad._jacobi_rule_01(12, *exps)
+    again = quad._jacobi_rule_01(12, *exps)
+    assert again[0] is x and again[1] is w
+    fresh = _gauss_jacobi(12, *exps)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    for array in (x, w):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_gauss_rules_match_scipy():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,7 +253,9 @@ class TestTraceIdentity:
         assert set(rep.per_kappa[(1, 1)]) == {"dim", "gamma_hat"}
         assert rep.tolerances == {"sigma_band": 5.0}
         assert set(rep.provenance) == {"symbol", "lambda", "haar_path",
-                                       "haar_samples", "ball_samples"}
+                                       "haar_samples", "ball_samples",
+                                       "ball_stream"}
+        assert rep.provenance["ball_stream"] == "trace-identity"
 
     def test_rejects_before_any_draw(self, monkeypatch):
         drawn = []
@@ -650,6 +653,84 @@ class TestOracleTraces:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+    @pytest.mark.parametrize("kappa", [(1,), (1, 0, 1), (1, -1)],
+                             ids=["short", "long", "negative"])
+    def test_malformed_slice_is_rejected_before_any_draw(self, kappa,
+                                                         monkeypatch):
+        drawn = []
+        monkeypatch.setattr(structure, "sample_ball",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"kappa {kappa!r} is not a slice")):
+            oracle_traces([constant_symbol(P22)], [(0, 0), kappa], 0.0,
+                          FAST, substream(0, "ot-malformed"))
+        assert drawn == []
+
+
+class TestGramTraces:
+    """Slice traces from the pass that estimates the degree-d Gram."""
+
+    SPEC = QuadratureSpec(ball_samples=6000, haar_samples=40, radial_nodes=6,
+                          sphere_nodes=6, torus_nodes=6)
+    SYMBOLS = [constant_symbol(P22), radial_poly(P22, [(1.0, (1, 0))]),
+               phi_factor(P22, 1, (1, 0), (0, 1)),
+               block_hermitian(P22, np.diag([1.0, 0.5, -0.25, 0.75]
+                                            ).astype(complex)),
+               xi_monomial(P22, 1, (1, 0), (0, 0))]
+    KAPPAS = [(0, 0), (1, 1), (2, 0), (0, 2)]
+
+    def test_offblock_reports_are_unchanged(self):
+        alone = offblock_leakage(self.SYMBOLS, 2, 2.5, self.SPEC)
+        reports, traces = offblock_leakage(self.SYMBOLS, 2, 2.5, self.SPEC,
+                                           trace_kappas=self.KAPPAS)
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in alone]
+        assert [len(rows) for rows in traces] == [4] * len(self.SYMBOLS)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_traces_agree_with_the_exact_ones(self, lam):
+        # the T^m symbols' traces within 5 sigma of dim * gamma, and their
+        # stderr within 15% of a separate oracle_traces estimate's
+        symbols = self.SYMBOLS[:4]
+        _, traces = offblock_leakage(symbols, 2, lam, self.SPEC,
+                                     trace_kappas=self.KAPPAS)
+        other = oracle_traces(symbols, self.KAPPAS, lam, self.SPEC,
+                              substream(0, "gram-traces"))
+        for a, rows, rows2 in zip(symbols, traces, other):
+            exact = trace_integral(a, self.KAPPAS, lam, self.SPEC)
+            for (tr, se), (_, se2), (v, vse) in zip(rows, rows2, exact):
+                assert abs(tr - v) <= 5 * math.hypot(se, vse) + 1e-12
+                assert se == pytest.approx(se2, rel=0.15, abs=1e-12)
+
+    def test_slices_must_lie_in_the_rows(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(toeplitz, "sample_ball",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=r"kappa=\(3, 0\)"):
+            offblock_leakage(self.SYMBOLS, 2, 0.0, self.SPEC,
+                             trace_kappas=[(1, 1), (3, 0)])
+        with pytest.raises(ValueError, match=r"kappa \(1,\) is not a slice"):
+            offblock_leakage(self.SYMBOLS, 2, 0.0, self.SPEC,
+                             trace_kappas=[(1,)])
+        assert drawn == []
+
+    def test_given_left_sides_draw_nothing(self, monkeypatch):
+        symbols = self.SYMBOLS[:4]
+        _, traces = offblock_leakage(symbols, 2, 0.0, self.SPEC,
+                                     trace_kappas=self.KAPPAS)
+        drawn = []
+        monkeypatch.setattr(structure, "sample_ball",
+                            lambda *args: drawn.append(args))
+        reports = trace_identity_check(symbols, self.KAPPAS, 0.0, self.SPEC,
+                                       lhs=traces)
+        assert drawn == []
+        assert [(r.metrics["block_trace"], r.metrics["block_trace_stderr"])
+                for r in reports] == [pair for rows in traces for pair in rows]
+        assert {r.provenance["ball_stream"] for r in reports} == {"offblock"}
+        with pytest.raises(ValueError, match="one entry per symbol"):
+            trace_identity_check(symbols, self.KAPPAS, 0.0, self.SPEC,
+                                 lhs=traces[:3])
+
+
 class TestSequence:
     def test_constant_sequence_is_one(self):
         p = Partition((3,))
@@ -865,6 +946,8 @@ class TestSharedDraws:
                                 lambda *args: drawn.append(args))
         rng = substream(0, "empty")
         assert offblock_leakage([], 2, 0.0, self.SPEC) == []
+        assert offblock_leakage([], 2, 0.0, self.SPEC,
+                                trace_kappas=[(1, 1)]) == ([], [])
         assert trace_identity_check([], [(1, 1)], 0.0, self.SPEC) == []
         assert equivariance_check([], [], [], (1, 1), self.SPEC) == []
         assert oracle_traces([], [(1, 1)], 0.0, self.SPEC, rng) == []

@@ -1,5 +1,6 @@
 """Operator assembly: oracle, reduced formulas, diagonal path, averaging."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -303,6 +304,25 @@ class TestReducedSphereRule:
                 got = w @ np.prod(np.abs(Xi) ** (2 * np.array(al)), axis=1)
                 want = sphere_monomial_integral(kj, al, al) / area
                 assert abs(got - want) <= 1e-13, al
+
+
+    @pytest.mark.parametrize("kj", [1, 2, 3])
+    def test_is_built_once_and_read_only(self, kj):
+        # a reused rule is the same object, bit for bit a fresh build, and
+        # shared between callers, so writing into it raises
+        spec = QuadratureSpec(sphere_nodes=6, torus_nodes=4)
+        Xi, w = toeplitz._reduced_sphere_rule(kj, spec)
+        again = toeplitz._reduced_sphere_rule(kj, dataclasses.replace(
+            spec, seed=7, ball_samples=10))
+        assert again[0] is Xi and again[1] is w
+        fresh = toeplitz._sphere_mean_rule.__wrapped__(kj, 6, 4)
+        assert np.array_equal(Xi, fresh[0]) and np.array_equal(w, fresh[1])
+        for array in (Xi, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        other = toeplitz._reduced_sphere_rule(kj, QuadratureSpec(
+            sphere_nodes=6, torus_nodes=5))
+        assert len(other[1]) == (6 * 5) ** (kj - 1)
 
 
 class TestGammaPath:
