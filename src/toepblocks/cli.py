@@ -395,8 +395,8 @@ def _tm_symbols(cfg: RunConfig) -> list:
 class _Plan:
     """One lambda's quantities that several checks read, each computed once,
     on first use: the operators (``operator``), the exact trace right sides
-    (``exact_traces``) and, when both ``offblock`` and ``trace_identity``
-    run, the slice traces of offblock's draw (``lhs``, set by offblock)."""
+    (``exact_traces``) and, when ``offblock`` runs, the slice traces of its
+    draw (``lhs``), which ``trace_identity`` reads."""
 
     def __init__(self, cfg: RunConfig, lam: float, kappas: list):
         self.cfg, self.lam, self.kappas = cfg, lam, kappas
@@ -428,9 +428,6 @@ class _Plan:
 
 def _check_offblock(cfg, plan):
     # offblock runs before trace_identity, which reads this draw's traces
-    if "trace_identity" not in cfg.checks:
-        return st.offblock_leakage(cfg.symbols, cfg.degree, plan.lam,
-                                   cfg.spec)
     reports, traces = st.offblock_leakage(cfg.symbols, cfg.degree, plan.lam,
                                           cfg.spec,
                                           trace_kappas=plan.trace_kappas)

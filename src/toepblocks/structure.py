@@ -12,13 +12,13 @@ sequences.  Operator identities use the absolute tolerance
 standard error (``sigma_band``); ``gate_report`` builds every gating report
 from its discrepancy over that tolerance.
 
-A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z)
-(``oracle_traces``, or offblock's Gram pass, which sums K_kappa from its
-monomial rows).  By the multinomial theorem per block, the kernel
-diagonal sum_{alpha in P_kappa} |e_alpha(z)|^2 depends on the block radii
-r_j = |z_(j)| only: K_kappa(z, z) = G(n+lam+|kappa|+1) / G(n+lam+1) *
-prod_j r_j^(2 kappa_j) / kappa_j!, that is r^(2 kappa) / ``monomial_norm_sq(n,
-lam, kappa)``.
+A slice trace tr(T_a | P_kappa) is the ball expectation of a(z) K_kappa(z, z),
+estimated by ``toeplitz.oracle_matrix``'s one pass (``oracle_traces``, or
+offblock's Gram pass with ``trace_kappas``).  By the multinomial theorem per
+block, the kernel diagonal sum_{alpha in P_kappa} |e_alpha(z)|^2 depends on
+the block radii r_j = |z_(j)| only: K_kappa(z, z) = G(n+lam+|kappa|+1) /
+G(n+lam+1) * prod_j r_j^(2 kappa_j) / kappa_j!, that is r^(2 kappa) /
+``monomial_norm_sq(n, lam, kappa)``.
 """
 
 from __future__ import annotations
@@ -34,23 +34,18 @@ from .quad import (
     DETERMINISTIC_TOL,
     QuadratureSpec,
     SIGMA_BAND,
-    block_radii,
     haar_unitary_batch,
     radial_rule,
-    sample_ball,
     substream,
 )
 from .symbols import QUASI_RADIAL, TM_INVARIANT, Symbol, act
 from .toeplitz import (
     _checked_slices,
-    _oracle_chunk,
     _radial_contract,
-    _sample_mean,
     _shared_partition,
     BlockOperator,
     assembly_path,
     gamma_quasi_radial,
-    log_monomial_norm_sq,
     log_slice_prefactor,
     oracle_matrix,
     quasi_radialize,
@@ -148,12 +143,11 @@ def offblock_leakage(symbols, degree: int, lam: float, spec: QuadratureSpec,
     the substream (seed, "offblock", repr(lam)), so the reports of one
     lambda are correlated: a calibration counts false fails per lambda.
 
-    Given ``trace_kappas`` (slices with |kappa| <= degree), the same pass
-    also gives every symbol's slice traces (``oracle_matrix``'s
-    ``trace_kappas``), and the result is (reports, traces): these are the
-    left sides ``trace_identity_check`` takes as ``lhs``, so that both
-    checks of a lambda read one draw.  The reports are bit for bit those of
-    a call without it.
+    Given ``trace_kappas``, the same pass also gives every symbol's slice
+    traces (``oracle_matrix``'s ``trace_kappas``), and the result is
+    (reports, traces): these are the left sides ``trace_identity_check``
+    takes as ``lhs``, so that both checks of a lambda read one draw.  The
+    reports are bit for bit those of a call without it.
     """
     if not symbols:
         return ([], []) if trace_kappas is not None else []
@@ -312,39 +306,17 @@ def oracle_traces(symbols, kappas, lam: float, spec: QuadratureSpec, rng):
     """Monte Carlo tr(T_a | P_kappa) for every symbol a of ``symbols``: one
     list per symbol, in order, of (trace, stderr) pairs, one per kappa.
 
-    Per-sample values are a(z) K_kappa(z, z) (module docstring), formed in
-    logs: at a large lam the norm ``monomial_norm_sq`` is subnormal, and its
-    reciprocal overflows, before it underflows.  Every symbol and kappa
-    shares the same ``spec.ball_samples`` draws, so the estimates are
-    correlated across slices and symbols; each chunk's kernel diagonal is
-    formed once and multiplied by each symbol's values in turn.  Chunks
-    follow the oracle's one rule, ``toeplitz._oracle_chunk(len(kappas), n,
-    N)``: about ``_ORACLE_CHUNK`` kernel values and point coordinates,
-    whatever the number of symbols or of samples, so a symbol's estimates
-    are bit for bit those of a call with it alone.  An empty list draws
-    nothing; a malformed slice raises ValueError before any draw.
+    Per-sample values are a(z) K_kappa(z, z) (module docstring), from
+    ``oracle_matrix``'s pass with no monomial rows: every symbol and kappa
+    shares the same ``spec.ball_samples`` draws from ``rng``, in chunks of
+    ``toeplitz._oracle_chunk(len(kappas), n, N)``, so the estimates are
+    correlated across slices and symbols, and a symbol's estimates are bit
+    for bit those of a call with it alone.  An empty list of symbols or of
+    slices draws nothing; a malformed slice raises ValueError before any
+    draw.
     """
-    if not symbols:
-        return []
-    p = _shared_partition(symbols)
-    kappas = _checked_slices(p, kappas)[0]
-    K = np.array(kappas, dtype=float).reshape(len(kappas), p.m, 1)
-    log_norms = np.array([log_monomial_norm_sq(p.n, lam, k) for k in kappas])
-    N = spec.ball_samples
-    chunk = _oracle_chunk(len(kappas), p.n, N)
-    s1 = np.zeros((len(symbols), len(kappas)), dtype=complex)
-    s2 = np.zeros(s1.shape)
-    for done in range(0, N, chunk):
-        Z = sample_ball(p.n, lam, min(chunk, N - done), rng)
-        log_R2 = 2.0 * np.log(block_radii(Z, p).T)  # (m, c)
-        kernel = np.exp(np.sum(K * log_R2, axis=1) - log_norms[:, None])
-        for i, a in enumerate(symbols):
-            X = a(Z) * kernel
-            s1[i] += X.sum(axis=1)
-            s2[i] += np.sum(np.abs(X) ** 2, axis=1)
-    mean, se = _sample_mean(s1, s2, N)
-    return [[(complex(t), float(e)) for t, e in zip(m, sd)]
-            for m, sd in zip(mean, se)]
+    return oracle_matrix(symbols, [], [], lam, spec, rng,
+                         trace_kappas=kappas)[1]
 
 
 def trace_integral(a: Symbol, kappas, lam: float, spec: QuadratureSpec,

@@ -51,7 +51,6 @@ from .mindex import (
     enumerate_basis,
     enumerate_kappas,
     grlex_key,
-    kappa_of,
 )
 from .quad import (
     DETERMINISTIC_TOL,
@@ -217,12 +216,12 @@ _ORACLE_CHUNK = 1 << 16  # numbers per chunk: a 1 MiB complex array fits L2
 
 
 def _oracle_chunk(width: int, n: int, N: int) -> int:
-    """Ball samples per chunk of the oracle's sample loops (``oracle_matrix``
-    and ``structure.oracle_traces``) out of N: about ``_ORACLE_CHUNK``
-    numbers, ``width`` per-sample rows (monomials or slice kernels) plus the
-    n point coordinates, clipped to [1024, N].  The working set of a chunk
-    is then cache-sized whatever N is, and it depends on ``width`` and n,
-    not on the number of symbols."""
+    """Ball samples per chunk of ``oracle_matrix``'s sample loop out of N:
+    about ``_ORACLE_CHUNK`` numbers, ``width`` per-sample rows (the
+    monomial rows, or the slice kernels when there are none) plus the n
+    point coordinates, clipped to [1024, N].  The working set of a chunk is
+    then cache-sized whatever N is, and it depends on ``width`` and n, not
+    on the number of symbols."""
     return max(1024, min(N, _ORACLE_CHUNK // (width + n)))
 
 
@@ -256,10 +255,20 @@ def _sample_mean(s1, s2, N: int):
     return mean, np.sqrt(np.maximum(s2 / N - np.abs(mean) ** 2, 0.0) / N)
 
 
+def _unit_scale(values) -> float:
+    """A power of two near max |values|, or 1.0 when that is 0 or not
+    finite.  Dividing by it is exact, and it keeps the squared moduli of
+    tiny (or huge) values from underflowing (or overflowing)."""
+    top = float(np.max(np.abs(values), initial=0.0))
+    if not 0.0 < top < math.inf:
+        return 1.0
+    return math.ldexp(1.0, min(math.frexp(top)[1], 1023))
+
+
 def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
                   rng, trace_kappas=None):
     """Monte Carlo estimates of the Gram-type blocks <a e_alpha, e_beta>,
-    for every symbol a of ``symbols``.
+    for every symbol a of ``symbols``, and of its slice traces.
 
     ``sizes`` splits ``alphas`` into consecutive slices, and only the square
     diagonal blocks are estimated: the result holds one list per symbol, in
@@ -272,83 +281,91 @@ def oracle_matrix(symbols, alphas, sizes, lam: float, spec: QuadratureSpec,
     slices.  Each entry is still the mean of the same estimator over N
     samples, so its distribution is unchanged; blocks of different slices,
     and of different symbols, are correlated (common random numbers).
-    Chunks follow the oracle's one rule, ``_oracle_chunk(len(alphas), n,
-    N)``: about ``_ORACLE_CHUNK`` row-table entries and point coordinates,
-    whatever the number of symbols or of samples, so a symbol's estimates
-    are bit for bit those of a call with it alone.  An empty list draws
-    nothing.
+    Chunks follow the oracle's one rule, ``_oracle_chunk(len(alphas) or
+    len(trace_kappas), n, N)``: about ``_ORACLE_CHUNK`` per-sample rows and
+    point coordinates, whatever the number of symbols or of samples, so a
+    symbol's estimates are bit for bit those of a call with it alone.  An
+    empty symbol list, or no rows and no trace slices, draws nothing.
 
     Each chunk's raw rows z^alpha are scaled in place to e_alpha = z^alpha /
     sqrt(monomial_norm_sq(n, lam, alpha)) before any product: at a large
     lam the raw rows are tiny (|z|^2 is about n / lam), and their products
-    would underflow at half the degree at which the rows do.
+    would underflow at half the degree at which the rows do.  For the same
+    reason each symbol's values are divided by a power of two near their
+    largest modulus on the first chunk (``_unit_scale``), and its means and
+    stderrs multiplied back: exact, and the second moments of |z_1|^2 at
+    lam 1e300 no longer underflow to a zero stderr.
 
     Given ``trace_kappas``, the same pass also estimates each symbol's slice
-    traces tr(T_a | P_kappa), the ball mean of a(z) K_kappa(z, z): each
-    chunk sums the scaled rows |e_alpha(z)|^2 of slice kappa into the kernel
-    diagonal K_kappa(z, z), and each symbol accumulates a(z) K_kappa(z, z)
-    and its squared modulus.  A trace's stderr comes from those per-sample
-    values, not from the blocks' entrywise stderrs: entries of one slice are
-    correlated.  The result is then (blocks, traces), with traces one list
-    per symbol of (trace, stderr) pairs, one per kappa, as
-    ``structure.oracle_traces`` returns them; the blocks are bit for bit
-    those of a call without ``trace_kappas``.  Every kappa must be a slice
-    whose monomials all lie in ``alphas`` (ValueError before any draw).
+    traces tr(T_a | P_kappa), the ball mean of a(z) K_kappa(z, z), with the
+    kernel diagonal in closed form (``structure``'s module docstring), in
+    logs from the block sums of squares u_j = |z_(j)|^2: K_kappa(z, z) =
+    exp(kappa . log u - log ``monomial_norm_sq(n, lam, kappa)``), since at
+    a large lam that norm is subnormal and its reciprocal overflows.  A
+    slice need not lie in ``alphas``.  Each symbol accumulates a(z)
+    K_kappa(z, z) and its squared modulus, so a trace's stderr comes from
+    those per-sample values, not from the blocks' entrywise stderrs
+    (entries of one slice are correlated).  The result is then (blocks,
+    traces), with traces one list per symbol of (trace, stderr) pairs, one
+    per kappa; the blocks are bit for bit those of a call without
+    ``trace_kappas``.  A malformed kappa raises ValueError before any draw.
     """
     if not symbols:
         return ([], []) if trace_kappas is not None else []
     p = _shared_partition(symbols)
     alphas = [tuple(al) for al in alphas]
-    if trace_kappas is not None:
-        trace_kappas, dims = _checked_slices(p, trace_kappas)
-        of = [kappa_of(al, p) for al in alphas]
-        member = np.array([[k == kappa for k in of] for kappa in trace_kappas],
-                          dtype=float).reshape(len(trace_kappas), len(alphas))
-        for kappa, d, count in zip(trace_kappas, dims, member.sum(axis=1)):
-            if count != d:
-                raise ValueError(f"alphas hold {count:g} of the {d} "
-                                 f"monomials of slice kappa={kappa}")
-        T1 = np.zeros((len(symbols), len(trace_kappas)), dtype=complex)
-        T2 = np.zeros(T1.shape)
+    kappas = _checked_slices(
+        p, [] if trace_kappas is None else trace_kappas)[0]
     ends = np.cumsum(sizes, dtype=int)
     cuts = [slice(e - d, e) for d, e in zip(sizes, ends)]
     N = spec.ball_samples
-    chunk = _oracle_chunk(len(alphas), p.n, N)
+    chunk = _oracle_chunk(len(alphas) or len(kappas), p.n, N)
     scale = np.array([monomial_norm_sq(p.n, lam, al) for al in alphas]) ** -0.5
     plan = _row_plan(alphas)
+    # block_of sums a chunk's squared real coordinates into u_j
+    block_of = np.repeat(np.eye(p.m), 2 * np.array(p.k), axis=1)
+    powers = np.array(kappas, dtype=float).reshape(len(kappas), p.m)
+    log_norms = np.array([log_monomial_norm_sq(p.n, lam, k)
+                          for k in kappas])[:, None]
     S1 = [[np.zeros((c.stop - c.start,) * 2, dtype=complex) for c in cuts]
           for _ in symbols]
     S2 = [[np.zeros(s.shape) for s in s1] for s1 in S1]
-    done = 0
-    while done < N:
-        c = min(chunk, N - done)
-        Z = sample_ball(p.n, lam, c, rng)
+    T1 = np.zeros((len(symbols), len(kappas)), dtype=complex)
+    T2 = np.zeros(T1.shape)
+    units = [1.0] * len(symbols)  # set from the first chunk's values
+    for done in range(0, N if alphas or kappas else 0, chunk):
+        Z = sample_ball(p.n, lam, min(chunk, N - done), rng)
         values = [a(Z) for a in symbols]
+        if not done:
+            units = [_unit_scale(av) for av in values]
         E = _rows_from_plan(Z, plan)
         E *= scale[:, None]  # the e_alpha rows
         P = np.abs(E) ** 2
-        if trace_kappas is not None:
-            K = member @ P  # K_kappa(z, z) per trace slice, (len(kappas), c)
+        if kappas:  # K_kappa(z, z) per trace slice, (len(kappas), c)
+            X = Z.view(float)
+            K = np.exp(powers @ np.log(block_of @ (X * X).T) - log_norms)
             K2 = K * K
-        for i, (av, s1s, s2s) in enumerate(zip(values, S1, S2)):
+        for i, (av, u, s1s, s2s) in enumerate(zip(values, units, S1, S2)):
+            av = av / u
+            a2 = np.abs(av) ** 2
             aE = av * E  # (len(alphas), c)
             np.conjugate(aE, out=aE)  # so S1 sums the conjugate first moment
-            aP = np.abs(av) ** 2 * P
+            aP = a2 * P
             for cut, s1, s2 in zip(cuts, s1s, s2s):
                 s1 += E[cut] @ aE[cut].T
                 s2 += P[cut] @ aP[cut].T
-            if trace_kappas is not None:
+            if kappas:
                 T1[i] += K @ av
-                T2[i] += K2 @ np.abs(av) ** 2
-        done += c
+                T2[i] += K2 @ a2
 
-    blocks = [[_sample_mean(np.conj(s1), s2, N) for s1, s2 in zip(s1s, s2s)]
-              for s1s, s2s in zip(S1, S2)]
+    blocks = [[tuple(u * v for v in _sample_mean(np.conj(s1), s2, N))
+               for s1, s2 in zip(s1s, s2s)]
+              for u, s1s, s2s in zip(units, S1, S2)]
     if trace_kappas is None:
         return blocks
     mean, se = _sample_mean(T1, T2, N)
-    return blocks, [[(complex(t), float(e)) for t, e in zip(m, sd)]
-                    for m, sd in zip(mean, se)]
+    return blocks, [[(complex(u * t), float(u * e)) for t, e in zip(m, sd)]
+                    for u, m, sd in zip(units, mean, se)]
 
 
 def toeplitz_block_oracle(symbols, kappa, lam: float, spec: QuadratureSpec,

@@ -494,7 +494,6 @@ class TestVerify:
             drawn.append(size)
             return sample_ball(n, lam, size, rng)
 
-        monkeypatch.setattr(structure, "sample_ball", counting)
         monkeypatch.setattr(toeplitz, "sample_ball", counting)
         doc = base_config(output_dir=str(tmp_path / "o"), lambdas=[0.0, 2.5],
                           checks=["offblock", "trace_identity",
@@ -873,7 +872,7 @@ class TestTables:
             drawn.append(size)
             return sample_ball(n, lam, size, rng)
 
-        monkeypatch.setattr(structure, "sample_ball", counting)
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
         doc = {
             "schema_version": 1,
             "partition": [1, 1],

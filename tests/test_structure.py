@@ -259,7 +259,7 @@ class TestTraceIdentity:
 
     def test_rejects_before_any_draw(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(structure, "sample_ball",
+        monkeypatch.setattr(toeplitz, "sample_ball",
                             lambda *args: drawn.append(args))
         ctrl = xi_monomial(P22, 1, (1, 0), (0, 0))
         with pytest.raises(ValueError, match="block-torus invariant"):
@@ -313,9 +313,8 @@ class TestTraceIntegral:
         # int() would read (1.5, 1) as the slice (1, 1), and the oracle
         # traces would mix r^(2 * 1.5) with the norm of z^(1, 1)
         drawn = []
-        for module in (structure, toeplitz):
-            monkeypatch.setattr(module, "sample_ball",
-                                lambda *args: drawn.append(args))
+        monkeypatch.setattr(toeplitz, "sample_ball",
+                            lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="must be an integer, got 1.5"):
             call(phi_factor(P22, 1, (1, 0), (1, 0)))
         assert drawn == []
@@ -634,6 +633,22 @@ class TestOracleTraces:
         assert np.isfinite(tr) and 0 < se < 1
         assert abs(tr - dim_P(p, (2,))) <= 5 * se
 
+    @pytest.mark.parametrize("lam", [1e160, 1e300])
+    def test_tiny_symbol_keeps_its_stderr(self, lam):
+        # |z_1|^2 is about 1 / lam, so its squared values underflow to 0
+        # unless they are scaled: E|z_1|^2 = 1 / (n + lam + 1), the (0, 0)
+        # block and the trace on kappa = (0, 0) alike
+        a = zpoly(P22, [(1.0, (1, 0, 0, 0), (1, 0, 0, 0))], TM_INVARIANT)
+        spec = QuadratureSpec(ball_samples=20000)
+        [[(G, SE)]] = toeplitz.oracle_matrix([a], [(0, 0, 0, 0)], [1], lam,
+                                             spec, substream(0, "tiny"))
+        [[(tr, se)]] = oracle_traces([a], [(0, 0)], lam, spec,
+                                     substream(0, "tiny"))
+        exact = 1 / (4 + lam + 1)
+        for value, stderr in ((G[0, 0], SE[0, 0]), (tr, se)):
+            assert stderr > 0
+            assert abs(value - exact) <= 5 * stderr
+
     def test_memory_is_bounded_whatever_the_sample_count(self):
         # chunks follow the oracle's rule, point coordinates counted, so at
         # 2 kappas the peak no longer grows with ball_samples
@@ -658,12 +673,16 @@ class TestOracleTraces:
     def test_malformed_slice_is_rejected_before_any_draw(self, kappa,
                                                          monkeypatch):
         drawn = []
-        monkeypatch.setattr(structure, "sample_ball",
+        monkeypatch.setattr(toeplitz, "sample_ball",
                             lambda *args: drawn.append(args))
         with pytest.raises(ValueError,
                            match=re.escape(f"kappa {kappa!r} is not a slice")):
             oracle_traces([constant_symbol(P22)], [(0, 0), kappa], 0.0,
                           FAST, substream(0, "ot-malformed"))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"kappa {kappa!r} is not a slice")):
+            offblock_leakage([constant_symbol(P22)], 2, 0.0, FAST,
+                             trace_kappas=[(0, 0), kappa])
         assert drawn == []
 
 
@@ -701,24 +720,29 @@ class TestGramTraces:
                 assert abs(tr - v) <= 5 * math.hypot(se, vse) + 1e-12
                 assert se == pytest.approx(se2, rel=0.15, abs=1e-12)
 
-    def test_slices_must_lie_in_the_rows(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(toeplitz, "sample_ball",
-                            lambda *args: drawn.append(args))
-        with pytest.raises(ValueError, match=r"kappa=\(3, 0\)"):
-            offblock_leakage(self.SYMBOLS, 2, 0.0, self.SPEC,
-                             trace_kappas=[(1, 1), (3, 0)])
-        with pytest.raises(ValueError, match=r"kappa \(1,\) is not a slice"):
-            offblock_leakage(self.SYMBOLS, 2, 0.0, self.SPEC,
-                             trace_kappas=[(1,)])
-        assert drawn == []
+    def test_slices_outside_the_rows_are_oracle_traces(self):
+        # the kernel diagonal is closed-form, so (3, 0) needs no degree-3
+        # rows; at 3000 samples one chunk holds every sample in both calls
+        # (oracle_traces runs the pass with alphas=[]), so both read the
+        # same points
+        spec = dataclasses.replace(self.SPEC, ball_samples=3000)
+        kappas = [(1, 1), (3, 0)]
+        _, got = offblock_leakage(self.SYMBOLS, 2, 0.0, spec,
+                                  substream(0, "gram-outside"),
+                                  trace_kappas=kappas)
+        want = oracle_traces(self.SYMBOLS, kappas, 0.0, spec,
+                             substream(0, "gram-outside"))
+        for rows, rows2 in zip(got, want):
+            for (tr, se), (tr2, se2) in zip(rows, rows2):
+                assert tr == pytest.approx(tr2, rel=1e-13, abs=0)
+                assert se == pytest.approx(se2, rel=1e-13, abs=0)
 
     def test_given_left_sides_draw_nothing(self, monkeypatch):
         symbols = self.SYMBOLS[:4]
         _, traces = offblock_leakage(symbols, 2, 0.0, self.SPEC,
                                      trace_kappas=self.KAPPAS)
         drawn = []
-        monkeypatch.setattr(structure, "sample_ball",
+        monkeypatch.setattr(toeplitz, "sample_ball",
                             lambda *args: drawn.append(args))
         reports = trace_identity_check(symbols, self.KAPPAS, 0.0, self.SPEC,
                                        lhs=traces)
@@ -776,7 +800,7 @@ class TestSequence:
             drawn.append(size)
             return sample_ball(n, lam, size, rng)
 
-        monkeypatch.setattr(structure, "sample_ball", counting)
+        monkeypatch.setattr(toeplitz, "sample_ball", counting)
         p = Partition((2,))
         a = zpoly(p, [(1.0, (1, 0), (1, 0))], TM_INVARIANT)
         sequence_ST(a, 0.0, 6, FAST)
@@ -941,9 +965,8 @@ class TestSharedDraws:
 
     def test_empty_lists_draw_nothing(self, monkeypatch):
         drawn = []
-        for module in (structure, toeplitz):
-            monkeypatch.setattr(module, "sample_ball",
-                                lambda *args: drawn.append(args))
+        monkeypatch.setattr(toeplitz, "sample_ball",
+                            lambda *args: drawn.append(args))
         rng = substream(0, "empty")
         assert offblock_leakage([], 2, 0.0, self.SPEC) == []
         assert offblock_leakage([], 2, 0.0, self.SPEC,
@@ -955,13 +978,18 @@ class TestSharedDraws:
                                       rng) == []
         assert toeplitz.toeplitz_block_oracle([], (1, 1), 0.0, self.SPEC,
                                               rng) == []
+        # symbols, but no rows and no slices
+        assert oracle_traces([self.PHI], [], 0.0, self.SPEC, rng) == [[]]
+        assert toeplitz.oracle_matrix([self.PHI], [], [], 0.0, self.SPEC,
+                                      rng) == [[]]
+        assert toeplitz.oracle_matrix([self.PHI], [], [], 0.0, self.SPEC, rng,
+                                      trace_kappas=[]) == ([[]], [[]])
         assert drawn == []
 
     def test_lists_are_rejected_before_any_draw(self, monkeypatch):
         drawn = []
-        for module in (structure, toeplitz):
-            monkeypatch.setattr(module, "sample_ball",
-                                lambda *args: drawn.append(args))
+        monkeypatch.setattr(toeplitz, "sample_ball",
+                            lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="block-torus invariant"):
             trace_identity_check([self.PHI, self.RAD, self.CTRL], [(1, 1)],
                                  0.0, self.SPEC)
@@ -983,9 +1011,8 @@ class TestSharedDraws:
         # a degree-2 operator holds no block for (3, 0); the rotated PHI
         # would take its block from the sampling oracle
         drawn = []
-        for module in (structure, toeplitz):
-            monkeypatch.setattr(module, "sample_ball",
-                                lambda *args: drawn.append(args))
+        monkeypatch.setattr(toeplitz, "sample_ball",
+                            lambda *args: drawn.append(args))
         T = toeplitz_operator(self.PHI, 2, 0.0, self.SPEC)
         eye = np.eye(4, dtype=complex)
         with pytest.raises(ValueError, match=r"no block for kappa=\(3, 0\)"):
